@@ -158,16 +158,12 @@ def _agree_to_trusted(a: Series, b: Series) -> bool:
     return a.truncate(p) == b.truncate(p)
 
 
-def verify_decomposition(
-    target: HSDerivation, family, table: CoeffTable, max_degree: int, dmu_cache=None
-) -> VerificationReport:
-    """Compare the target's components against the table reconstruction on
-    every monomial of total degree <= max_degree, for every weight.
-
-    Comparison happens at the weaker of the two precisions.  Reports the
+def _sweep(target: HSDerivation, family, table: CoeffTable, max_degree: int) -> VerificationReport:
+    """The reference check: compare the target's components with the table
+    reconstruction on every monomial of total degree <= max_degree, for
+    every weight, at the weaker of the two precisions.  Reports the
     largest degree below the first failure, with a witness.
     """
-    family = list(family)
     n, field = target.nvars, target.field
     verified = -1
     for degree in range(max_degree + 1):
@@ -177,11 +173,76 @@ def verify_decomposition(
             f = Series.monomial(n, field, beta)
             for i in range(1, target.length + 1):
                 lhs = target.apply_component(i, f)
-                rhs = apply_table(table, family, i, f, dmu_cache=dmu_cache)
+                rhs = apply_table(table, family, i, f)
                 if not _agree_to_trusted(lhs, rhs):
                     return VerificationReport(False, verified, max_degree, Witness(i, beta, lhs, rhs))
         verified = degree
     return VerificationReport(True, verified, max_degree, None)
+
+
+def _agrees_on_variables(target: HSDerivation, family, table: CoeffTable) -> bool:
+    """True when every weight agrees on every variable and the precision
+    tags make that agreement extend to all monomials (see
+    verify_decomposition)."""
+    n, field = target.nvars, target.field
+    variables = [Series.variable(n, field, j) for j in range(n)]
+    floor = None
+    for i in range(1, target.length + 1):
+        for x in variables:
+            rhs = apply_table(table, family, i, x)
+            if not _agree_to_trusted(target.apply_component(i, x), rhs):
+                return False
+        tag = rhs.precision  # P_i, the same for every exact input
+        for d in range(n):
+            floor = min_prec(floor, table.at(i, d).precision)
+        if min_prec(floor, tag) != tag:
+            return False
+        floor = tag
+    return True
+
+
+def verify_decomposition(
+    target: HSDerivation, family, table: CoeffTable, max_degree: int
+) -> VerificationReport:
+    """Compare the target's components against the table reconstruction on
+    every monomial of total degree <= max_degree, for every weight.
+
+    Comparison happens at the weaker of the two precisions.  Reports the
+    largest degree below the first failure, with a witness.
+
+    The report is always the one the monomial sweep gives, but most
+    tables are decided on the n variables alone.  With
+    c_d(t) = sum_l C[l][d] t^l, the table's operator is the t-expansion of
+    the composite E_C = E^1_{c_1(t)} o .. o E^n_{c_n(t)}: substituting
+    t_d -> c_d(t) in the ring homomorphism f -> sum_mu D_mu(f) t^mu.
+    So E_C, like the target, is a ring homomorphism A -> A[t]/(t^{m+1})
+    that is the identity mod t, and both are fixed by their values on
+    X_1..X_n.
+
+    Let P_i be the precision tag of apply_table at weight i on an exact
+    input: the minimum of the tags of the nonzero weight-i coefficients,
+    whatever the input.  The sweep compares weight i modulo (X)^{P_i}.
+    Suppose P_1 >= .. >= P_m (exact counting as largest) and no entry at
+    level r, zero or not, carries a tag below P_r.  Then every entry at
+    a level r <= i is trusted to at least P_i, so the truncated
+    arithmetic of apply_table reproduces the weight-i coefficient of the
+    exact E_C, built from the stored terms, modulo (X)^{P_i}.  The
+    weight-wise ideal J = {sum_r a_r t^r : a_r in (X)^{P_r}} is an ideal
+    because P is nonincreasing, and two homomorphisms that agree mod J on
+    every X_j agree mod J on every product of them.  Hence agreement on
+    the variables at every weight is agreement on every monomial, and
+    the sweep would pass to max_degree.
+
+    The condition on zero entries is needed: a zero entry tagged below
+    P_r makes intermediate composition sums vanish after truncation, so
+    apply_table drops terms that E_C keeps.  In every other case (a
+    disagreement on some variable, tags out of order, max_degree < 1)
+    the sweep runs; it alone finds witnesses.
+    """
+    family = list(family)
+    if max_degree >= 1 and _agrees_on_variables(target, family, table):
+        return VerificationReport(True, max_degree, max_degree, None)
+    return _sweep(target, family, table, max_degree)
 
 
 def decompose(

@@ -203,12 +203,8 @@ def weighted_terms(table: CoeffTable, i: int, min_parts: int = 1) -> list:
     return terms
 
 
-def apply_table(table: CoeffTable, family, i: int, f: Series, dmu_cache=None) -> Series:
-    """Apply the weight-i operator built from the family through the table.
-
-    ``dmu_cache`` optionally memoizes D_mu(f); pass the same dict across
-    calls only with the same family.
-    """
+def apply_table(table: CoeffTable, family, i: int, f: Series) -> Series:
+    """Apply the weight-i operator built from the family through the table."""
     family = list(family)
     if len(family) != table.nvars:
         raise IncompatibleAmbient(
@@ -216,12 +212,5 @@ def apply_table(table: CoeffTable, family, i: int, f: Series, dmu_cache=None) ->
         )
     out = Series.zero(f.nvars, f.field, f.precision)
     for coeff, mu in weighted_terms(table, i):
-        if dmu_cache is None:
-            piece = compose_multi(family, mu, f)
-        else:
-            key = (mu, f)
-            piece = dmu_cache.get(key)
-            if piece is None:
-                piece = dmu_cache[key] = compose_multi(family, mu, f)
-        out = out + coeff * piece
+        out = out + coeff * compose_multi(family, mu, f)
     return out

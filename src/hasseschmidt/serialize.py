@@ -48,6 +48,17 @@ def field_from_str(text) -> FieldSpec:
     raise ProblemFormatError(f"unknown field {text!r} (expected 'Q' or 'F<p>')")
 
 
+def _int_field(obj: dict, key: str, minimum: int | None = None) -> int:
+    """obj[key] as a JSON integer (KeyError if absent); floats, bools and
+    strings are rejected, as are values below minimum."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ProblemFormatError(f"{key!r} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ProblemFormatError(f"{key!r} must be >= {minimum}, got {value}")
+    return value
+
+
 def series_to_json(f: Series) -> dict:
     terms = [
         list(e) + [f.field.format_scalar(f.terms[e])]
@@ -109,10 +120,10 @@ def derivation_from_json(obj, field: FieldSpec, name=None) -> HSDerivation:
     if not isinstance(obj, dict):
         raise ProblemFormatError(f"derivation must be an object, got {obj!r}")
     try:
-        nvars = int(obj["nvars"])
-        length = int(obj["length"])
+        nvars = _int_field(obj, "nvars", 1)
+        length = _int_field(obj, "length", 1)
         images_json = obj["images"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ProblemFormatError(f"derivation needs nvars, length, images: {exc}") from exc
     if not isinstance(images_json, list) or len(images_json) != nvars:
         raise ProblemFormatError(f"expected {nvars} images")
@@ -140,8 +151,8 @@ def table_from_json(obj, field: FieldSpec) -> CoeffTable:
     if not isinstance(obj, dict):
         raise ProblemFormatError(f"coefficient table must be an object, got {obj!r}")
     try:
-        m, n, rows_json = int(obj["m"]), int(obj["n"]), obj["C"]
-    except (KeyError, TypeError, ValueError) as exc:
+        m, n, rows_json = _int_field(obj, "m", 0), _int_field(obj, "n", 1), obj["C"]
+    except KeyError as exc:
         raise ProblemFormatError(f"coefficient table needs m, n, C: {exc}") from exc
     if not isinstance(rows_json, list) or len(rows_json) != m:
         raise ProblemFormatError(f"expected {m} coefficient rows")
@@ -219,15 +230,13 @@ def problem_from_json(obj) -> Problem:
         raise ProblemFormatError("problem file must contain a JSON object")
     try:
         field = field_from_str(obj["field"])
-        nvars = int(obj["nvars"])
-        length = int(obj["length"])
-        truncation = int(obj["truncation"])
-        seed = int(obj["seed"])
+        nvars = _int_field(obj, "nvars", 1)
+        length = _int_field(obj, "length", 1)
+        truncation = _int_field(obj, "truncation", 1)
+        seed = _int_field(obj, "seed")
         derivations_json = obj["derivations"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"missing or bad problem field: {exc}") from exc
-    if nvars < 1 or length < 1 or truncation < 1:
-        raise ProblemFormatError("nvars, length and truncation must be >= 1")
+    except KeyError as exc:
+        raise ProblemFormatError(f"missing problem field: {exc}") from exc
     if not isinstance(derivations_json, list) or not derivations_json:
         raise ProblemFormatError("derivations must be a nonempty array")
     derivations = []
@@ -249,8 +258,11 @@ def problem_from_json(obj) -> Problem:
     coefficients = None
     if "coefficients" in obj:
         coefficients = table_from_json(obj["coefficients"], field)
-        if coefficients.nvars != nvars:
-            raise ProblemFormatError("coefficient table does not match the problem's nvars")
+        if coefficients.nvars != nvars or coefficients.levels != length:
+            raise ProblemFormatError(
+                f"coefficient table has n={coefficients.nvars}, m={coefficients.levels}; "
+                f"the problem has nvars={nvars}, length={length}"
+            )
     return Problem(field, nvars, length, truncation, seed, derivations, target, coefficients)
 
 

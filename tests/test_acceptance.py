@@ -38,6 +38,7 @@ from hasseschmidt import (
 )
 from hasseschmidt import Derivation
 from hasseschmidt import serialize
+from hasseschmidt.decompose import _sweep
 
 from conftest import record_acceptance, random_hsd, random_series
 
@@ -56,8 +57,10 @@ RESIDUAL_PAIRS = 20
 def sweep():
     """Decompose 50 random targets per configuration against the standard
     family, verify the reconstruction up to degree 6, and run the
-    residual product-rule checks at every level."""
+    residual product-rule checks at every level.  Every verification is
+    repeated by the reference monomial sweep, whose report must match."""
     roundtrip_failures = []
+    oracle_mismatches = []
     residual_failures = []
     decompositions = 0
     residual_checks = 0
@@ -71,6 +74,11 @@ def sweep():
             result = decompose(target, family, out_precision=m + 5, verify_degree=VERIFY_DEGREE)
             roundtrip_elapsed += time.perf_counter() - t0
             decompositions += 1
+            oracle = _sweep(target, family, result.table, VERIFY_DEGREE)
+            if (oracle.passed, oracle.verified_to_degree, oracle.witness) != (
+                result.passed, result.verified_to_degree, result.witness
+            ):
+                oracle_mismatches.append((field, n, m, trial))
             if not result.passed or result.verified_to_degree != VERIFY_DEGREE:
                 roundtrip_failures.append((field, n, m, trial, result.witness))
                 continue
@@ -88,6 +96,7 @@ def sweep():
                         residual_failures.append((field, n, m, trial, level))
     return {
         "roundtrip_failures": roundtrip_failures,
+        "oracle_mismatches": oracle_mismatches,
         "residual_failures": residual_failures,
         "decompositions": decompositions,
         "residual_checks": residual_checks,
@@ -97,14 +106,17 @@ def sweep():
 
 def test_criterion_1_decompose_round_trip(sweep):
     failures = sweep["roundtrip_failures"]
+    mismatches = sweep["oracle_mismatches"]
     elapsed = sweep["roundtrip_elapsed"]
-    passed = not failures and elapsed < 120.0
+    passed = not failures and not mismatches and elapsed < 120.0
     record_acceptance(
         "criterion 1: decompose round-trip",
         passed,
-        f"{sweep['decompositions']} decompositions, {elapsed:.1f}s, {len(failures)} failures",
+        f"{sweep['decompositions']} decompositions, {elapsed:.1f}s, {len(failures)} failures, "
+        f"{len(mismatches)} reports differing from the reference sweep",
     )
     assert not failures, failures[:3]
+    assert not mismatches, mismatches[:3]
     assert elapsed < 120.0, f"round-trip sweep took {elapsed:.1f}s"
 
 

@@ -156,6 +156,16 @@ def test_verify_table_without_target_exits_1(tmp_path):
     assert main(["verify", input_path]) == 1
 
 
+def test_verify_table_with_too_few_levels_exits_1(tmp_path, capsys):
+    problem = worked_problem()  # length 2
+    from hasseschmidt import CoeffTable
+
+    problem.coefficients = CoeffTable([[Series.variable(1, QQ, 0)]])
+    input_path = write_problem(tmp_path / "short.json", problem)
+    assert main(["verify", input_path, "--max-degree", "0"]) == 1
+    assert "m=1" in capsys.readouterr().err
+
+
 # -- demo ---------------------------------------------------------------------------
 
 def test_demo_writes_and_runs(tmp_path, capsys):

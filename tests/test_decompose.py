@@ -10,6 +10,7 @@ from hasseschmidt import (
     HSDerivation,
     Series,
     TSeries,
+    apply_table,
     decompose,
     degree1_matrix,
     integrate,
@@ -19,6 +20,8 @@ from hasseschmidt import (
     taylor_derivation,
     verify_decomposition,
 )
+from hasseschmidt import serialize
+from hasseschmidt.decompose import _sweep
 from hasseschmidt.errors import NotABasis, PrecisionExhausted
 
 from conftest import assert_agree_to_trusted, random_hsd, random_series
@@ -268,3 +271,158 @@ def test_verify_length_one_is_linear_identity(rng):
     assert [result.table.at(1, d) for d in range(2)] == [
         T.apply_component(1, Series.variable(2, QQ, d)) for d in range(2)
     ]
+
+
+# -- the variable check against the reference sweep ---------------------------------
+
+def report_bytes(report):
+    """Every field of a verification report, the witness as canonical JSON."""
+    w = report.witness
+    witness = None if w is None else {
+        "i": w.i,
+        "beta": list(w.beta),
+        "lhs": serialize.series_to_json(w.lhs),
+        "rhs": serialize.series_to_json(w.rhs),
+    }
+    return serialize.dumps({
+        "passed": report.passed,
+        "verified_to_degree": report.verified_to_degree,
+        "max_degree": report.max_degree,
+        "witness": witness,
+    })
+
+
+def assert_matches_sweep(target, family, table, max_degree):
+    report = verify_decomposition(target, family, table, max_degree)
+    assert report_bytes(report) == report_bytes(_sweep(target, family, table, max_degree))
+    return report
+
+
+def random_family(rng, n, m, field):
+    """A non-Taylor family: member d sends X_j to X_j + (delta_jd + X_1 r) t
+    + random higher terms, so the degree-1 determinant is a unit but not
+    a constant."""
+    x1 = Series.variable(n, field, 0)
+    family = []
+    for d in range(n):
+        images = []
+        for j in range(n):
+            first = x1 * random_series(rng, n, field, max_degree=1, max_terms=2)
+            if j == d:
+                first = first + Series.one(n, field)
+            rest = [random_series(rng, n, field, max_degree=2, max_terms=2) for _ in range(m - 1)]
+            images.append(TSeries([Series.variable(n, field, j), first] + rest))
+        family.append(HSDerivation(images))
+    return family
+
+
+def target_from_table(table, family, m):
+    """The HS derivation whose variable images are the stored terms of the
+    table's reconstruction: it agrees with the table on every variable."""
+    n, field = table.nvars, table.field
+    images = []
+    for j in range(n):
+        x = Series.variable(n, field, j)
+        coeffs = [x] + [
+            Series(n, field, apply_table(table, family, i, x).terms) for i in range(1, m + 1)
+        ]
+        images.append(TSeries(coeffs))
+    return HSDerivation(images)
+
+
+MAX_DEGREES = (-1, 0, 1, 3)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+def test_verify_matches_sweep_on_correct_and_perturbed_tables(field, rng):
+    caught = 0
+    for trial in range(12):
+        n, m = rng.choice([(1, 2), (1, 4), (2, 2), (2, 3), (3, 2)])
+        family = taylor_basis(n, m, field) if trial % 2 else random_family(rng, n, m, field)
+        target = random_hsd(rng, n, m, field)
+        table = decompose(target, family, out_precision=m + 4, verify_degree=0).table
+        rows = [list(row) for row in table.rows]
+        level, d = rng.randrange(m), rng.randrange(n)
+        rows[level][d] = rows[level][d] + Series.one(n, field) + random_series(rng, n, field)
+        perturbed = CoeffTable(rows, nvars=n, field=field)
+        for max_degree in MAX_DEGREES:
+            assert assert_matches_sweep(target, family, table, max_degree).passed
+            report = assert_matches_sweep(target, family, perturbed, max_degree)
+        caught += not report.passed
+    assert caught
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+def test_verify_matches_sweep_on_mixed_precision_tables(field, rng):
+    """Hand-built tables with random tags, zero entries among them, against
+    targets that agree with them on every variable: whether the variable
+    check may decide depends only on the tags."""
+    decided = 0
+    for trial in range(30):
+        n, m = rng.choice([(1, 3), (1, 4), (2, 2), (2, 3)])
+        family = taylor_basis(n, m, field) if trial % 2 else random_family(rng, n, m, field)
+        rows = [
+            [
+                random_series(rng, n, field, max_degree=2, max_terms=2,
+                              precision=rng.choice([None, None, 1, 2, 3, 5]))
+                for _ in range(n)
+            ]
+            for _ in range(m)
+        ]
+        table = CoeffTable(rows, nvars=n, field=field)
+        target = target_from_table(table, family, m)
+        for max_degree in MAX_DEGREES:
+            report = assert_matches_sweep(target, family, table, max_degree)
+        decided += report.passed
+    assert decided  # some tables pass, so the variable check gets exercised
+
+
+def test_verify_zero_rows_fall_back_to_the_sweep(rng):
+    """Zero rows 1 and 3 leave the tags [exact, 5, exact, 5], out of order,
+    so the sweep decides; it agrees with the table on every monomial."""
+    field, n, m = GF(3), 2, 4
+    family = random_family(rng, n, m, field)
+    zero = Series.zero(n, field, 5)
+    rows = [[zero, zero], [random_series(rng, n, field, precision=5) for _ in range(n)],
+            [zero, zero], [random_series(rng, n, field, precision=5) for _ in range(n)]]
+    table = CoeffTable(rows, nvars=n, field=field)
+    target = target_from_table(table, family, m)
+    x = Series.variable(n, field, 0)
+    assert [apply_table(table, family, i, x).precision for i in range(1, m + 1)] == [None, 5, None, 5]
+    for max_degree in MAX_DEGREES:
+        assert_matches_sweep(target, family, table, max_degree)
+
+
+def test_verify_finds_a_failure_seen_only_at_degree_two():
+    """C[1] = X trusted to degree 2 makes C[1]^2 vanish, so weight 2 is
+    compared exactly while weight 1 is not: the tags increase, the table
+    agrees with the target on X, and the sweep finds X^2."""
+    field = QQ
+    x, one = Series.variable(1, field, 0), Series.one(1, field)
+    target = HSDerivation([TSeries([x, x, one])])
+    family = taylor_basis(1, 2, field)
+    table = CoeffTable([[x.truncate(2)], [one]])
+    report = assert_matches_sweep(target, family, table, 3)
+    assert not report.passed
+    assert (report.verified_to_degree, report.witness.i, report.witness.beta) == (1, 2, (2,))
+
+
+def test_verify_zero_entry_with_a_low_tag_falls_back():
+    """Monotone tags are not enough: C[2] = 0 trusted to degree 1 makes the
+    product C[2]C[3] trusted to degree 1 only, so the composition sum
+    C[1]C[4] + C[2]C[3] + C[3]C[2] + C[4]C[1] = 2X^2 vanishes at weight 5,
+    though every nonzero coefficient is trusted to degree 5.  The table
+    agrees with the target on X at every weight, yet not on X^2."""
+    field = QQ
+    x = Series.variable(1, field, 0)
+    target = HSDerivation([TSeries([x, x, Series.zero(1, field), x, x, x])])
+    family = taylor_basis(1, 5, field)
+    xt = x.truncate(5)
+    table = CoeffTable([[xt], [Series.zero(1, field, 1)], [xt], [xt], [xt]])
+    for i in range(1, 6):
+        rhs = apply_table(table, family, i, x)
+        assert rhs.precision == 5
+        assert_agree_to_trusted(target.apply_component(i, x), rhs)
+    report = assert_matches_sweep(target, family, table, 3)
+    assert not report.passed
+    assert (report.witness.i, report.witness.beta) == (5, (2,))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hasseschmidt import GF, QQ, CoeffTable, Series, TSeries
+from hasseschmidt import GF, QQ, CoeffTable, HSDerivation, Series, TSeries
 from hasseschmidt.errors import ProblemFormatError
 from hasseschmidt import serialize
 from hasseschmidt.derivations import taylor_derivation
@@ -105,6 +105,52 @@ def test_problem_rejects_mismatched_derivation():
     }
     with pytest.raises(ProblemFormatError):
         serialize.problem_from_json(obj)
+
+
+def worked_problem_json():
+    field = QQ
+    x = Series.variable(1, field, 0)
+    target = HSDerivation([TSeries([x, x, Series.one(1, field)])])
+    problem = serialize.Problem(
+        field=field, nvars=1, length=2, truncation=6, seed=42,
+        derivations=[taylor_derivation(1, 2, field, 0)], target=target,
+        coefficients=CoeffTable([[x], [Series.one(1, field)]]),
+    )
+    return serialize.problem_to_json(problem)
+
+
+@pytest.mark.parametrize("bad", [6.9, 2.0, True, "2"])
+@pytest.mark.parametrize("path", [
+    ("nvars",), ("length",), ("truncation",), ("seed",),
+    ("derivations", 0, "nvars"), ("derivations", 0, "length"),
+    ("target", "nvars"), ("coefficients", "m"), ("coefficients", "n"),
+])
+def test_problem_integers_must_be_json_integers(path, bad):
+    obj = worked_problem_json()
+    assert serialize.problem_from_json(obj).truncation == 6
+    *outer, key = path
+    node = obj
+    for step in outer:
+        node = node[step]
+    node[key] = bad
+    with pytest.raises(ProblemFormatError, match=repr(key)):
+        serialize.problem_from_json(obj)
+
+
+def test_empty_ambient_is_rejected():
+    with pytest.raises(ProblemFormatError):
+        serialize.derivation_from_json({"nvars": 0, "length": 2, "images": []}, QQ)
+    with pytest.raises(ProblemFormatError):
+        serialize.table_from_json({"m": 1, "n": 0, "C": [[]]}, QQ)
+
+
+def test_problem_table_levels_must_match_length():
+    obj = worked_problem_json()
+    for rows in (obj["coefficients"]["C"][:1], obj["coefficients"]["C"] * 2):
+        obj["coefficients"]["C"] = rows
+        obj["coefficients"]["m"] = len(rows)
+        with pytest.raises(ProblemFormatError, match="length=2"):
+            serialize.problem_from_json(obj)
 
 
 def test_load_problem_malformed_json(tmp_path):
