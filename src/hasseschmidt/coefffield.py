@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient, NotABasis, PrecisionExhausted
 from .fields import FieldSpec
-from .series import Series, grlex_key
+from .series import Series, monomials_of_degree
 from .derivations import HSDerivation
 from .decompose import _det, degree1_matrix
 
@@ -33,13 +33,10 @@ class QuotientBasis:
             raise ValueError("order must be >= 0")
         self.nvars = nvars
         self.order = order
-        monomials = [()]
-        for _ in range(nvars):
-            monomials = [e + (k,) for e in monomials for k in range(order)]
-        monomials = [e for e in monomials if sum(e) < order]
-        monomials.sort(key=grlex_key)
-        self.monomials = tuple(monomials)
-        self.index = {e: i for i, e in enumerate(monomials)}
+        self.monomials = tuple(
+            e for degree in range(order) for e in monomials_of_degree(nvars, degree)
+        )
+        self.index = {e: i for i, e in enumerate(self.monomials)}
 
     def __len__(self):
         return len(self.monomials)
@@ -94,7 +91,9 @@ def component_matrix(D: HSDerivation, i: int, order: int) -> ComponentMatrix:
     """Materialize D_i as a matrix k[X]/(X)^order -> k[X]/(X)^(order-i).
 
     Column for the monomial X^beta holds the coordinates of D_i(X^beta)
-    truncated below degree order - i.
+    truncated below degree order - i: the t^i coefficient of the image
+    E(X^beta) modulo J_order, which the derivation computes once per
+    monomial and order and shares between all weights.
     """
     if i > D.length or i < 0:
         raise ComponentOutOfRange(f"component {i} of a length-{D.length} derivation")
@@ -103,53 +102,69 @@ def component_matrix(D: HSDerivation, i: int, order: int) -> ComponentMatrix:
     source = QuotientBasis(D.nvars, order)
     target = QuotientBasis(D.nvars, order - i)
     field = D.field
-    columns = []
-    for beta in source.monomials:
-        value = D.apply_component(i, Series.monomial(D.nvars, field, beta))
-        columns.append(target.coords(value.truncate(order - i)))
-    rows = [[columns[c][r] for c in range(len(source))] for r in range(len(target))]
+    # the order is graded, so the target's monomials are the first ones of
+    # the source and a monomial has the same index in both
+    zero, index = field.zero(), source.index
+    rows = [[zero] * len(source) for _ in range(len(target))]
+    for c, beta in enumerate(source.monomials):
+        for e, v in D._image_of_monomial(beta, order).coeffs[i].terms.items():
+            rows[index[e]][c] = v
     label = f"{D.name or 'D'}_{i}"
     return ComponentMatrix(rows, source, target, i, field, label)
 
 
-def nullspace(rows, ncols: int, field: FieldSpec) -> list:
-    """Basis of the right nullspace by Gauss-Jordan elimination.
+def _eliminate(vec: dict, pivot: dict, factor, field: FieldSpec) -> None:
+    """vec -= factor * pivot on sparse rows, in place, dropping zeros."""
+    sub, mul, zero = field.sub, field.mul, field.zero()
+    for c, v in pivot.items():
+        x = sub(vec.get(c, zero), mul(factor, v))
+        if x:
+            vec[c] = x
+        else:
+            vec.pop(c, None)
 
-    Returns the canonical vectors obtained from the reduced row echelon
-    form: one per free column, with a 1 in that column.
+
+def nullspace(rows, ncols: int, field: FieldSpec) -> list:
+    """Basis of the right nullspace by sparse row reduction.
+
+    Each row becomes a {column: value} map and is reduced against the
+    pivot rows found so far, keyed by leading column and scaled to a
+    leading 1; what is left of it, if anything, becomes a new pivot row.
+    Reduction stops once every column has a pivot.  Back substitution
+    then brings the pivot rows to reduced row echelon form, which depends
+    only on the row space.  Returns the canonical vectors of that form:
+    one per free column, with a 1 in that column.
     """
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for rr in range(r, nrows):
-            if rows[rr][c]:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for rr in range(nrows):
-            if rr != r and rows[rr][c]:
-                factor = rows[rr][c]
-                rows[rr] = [
-                    field.sub(x, field.mul(factor, y)) for x, y in zip(rows[rr], rows[r])
-                ]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
+    pivots: dict = {}
+    for row in rows:
+        if len(pivots) == ncols:
             break
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+        vec = {c: x for c, x in enumerate(row) if x}
+        while vec:
+            lead = min(vec)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = field.inv(vec[lead])
+                pivots[lead] = {c: field.mul(inv, x) for c, x in vec.items()}
+                break
+            _eliminate(vec, pivot, vec[lead], field)
+    # pivot rows with larger leads are already reduced and vanish on every
+    # other pivot column, so each elimination clears exactly one entry
+    for lead in sorted(pivots, reverse=True):
+        vec = pivots[lead]
+        for c in [c for c in vec if c != lead and c in pivots]:
+            _eliminate(vec, pivots[c], vec[c], field)
+    zero, one = field.zero(), field.one()
     basis = []
-    for fc in free_cols:
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
-        for rr, pc in enumerate(pivot_cols):
-            v[pc] = field.neg(rows[rr][fc])
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for pc, pivot in pivots.items():
+            x = pivot.get(fc)
+            if x:
+                v[pc] = field.neg(x)
         basis.append(v)
     return basis
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient, NotABasis, PrecisionExhausted
-from .series import Series, min_prec
+from .series import Series, min_prec, monomials_of_degree
 from .derivations import HSDerivation, compose_multi
 from .formula import CoeffTable, apply_table, weighted_terms
 
@@ -73,7 +73,7 @@ def residual(target: HSDerivation, family, table: CoeffTable, level: int, f: Ser
     out = target.apply_component(level, f)
     family = list(family)
     for coeff, mu in weighted_terms(table, level, min_parts=2):
-        out = out - coeff * compose_multi(family, mu, f)
+        out = out - (coeff * compose_multi(family, mu, f) if coeff.terms else coeff)
     return out
 
 
@@ -144,15 +144,6 @@ class DecompositionResult:
         return self.witness is None
 
 
-def _monomials_up_to(nvars: int, max_degree: int):
-    out = [()]
-    for _ in range(nvars):
-        out = [e + (k,) for e in out for k in range(max_degree + 1)]
-    out = [e for e in out if sum(e) <= max_degree]
-    out.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
-    return out
-
-
 def _agree_to_trusted(a: Series, b: Series) -> bool:
     p = min_prec(a.precision, b.precision)
     return a.truncate(p) == b.truncate(p)
@@ -167,9 +158,7 @@ def _sweep(target: HSDerivation, family, table: CoeffTable, max_degree: int) -> 
     n, field = target.nvars, target.field
     verified = -1
     for degree in range(max_degree + 1):
-        for beta in _monomials_up_to(n, degree):
-            if sum(beta) != degree:
-                continue
+        for beta in monomials_of_degree(n, degree):
             f = Series.monomial(n, field, beta)
             for i in range(1, target.length + 1):
                 lhs = target.apply_component(i, f)
@@ -181,24 +170,15 @@ def _sweep(target: HSDerivation, family, table: CoeffTable, max_degree: int) -> 
 
 
 def _agrees_on_variables(target: HSDerivation, family, table: CoeffTable) -> bool:
-    """True when every weight agrees on every variable and the precision
-    tags make that agreement extend to all monomials (see
-    verify_decomposition)."""
+    """True when every weight agrees on every variable, each at the weaker
+    of the two precisions (see verify_decomposition)."""
     n, field = target.nvars, target.field
     variables = [Series.variable(n, field, j) for j in range(n)]
-    floor = None
-    for i in range(1, target.length + 1):
-        for x in variables:
-            rhs = apply_table(table, family, i, x)
-            if not _agree_to_trusted(target.apply_component(i, x), rhs):
-                return False
-        tag = rhs.precision  # P_i, the same for every exact input
-        for d in range(n):
-            floor = min_prec(floor, table.at(i, d).precision)
-        if min_prec(floor, tag) != tag:
-            return False
-        floor = tag
-    return True
+    return all(
+        _agree_to_trusted(target.apply_component(i, x), apply_table(table, family, i, x))
+        for i in range(1, target.length + 1)
+        for x in variables
+    )
 
 
 def verify_decomposition(
@@ -220,24 +200,22 @@ def verify_decomposition(
     X_1..X_n.
 
     Let P_i be the precision tag of apply_table at weight i on an exact
-    input: the minimum of the tags of the nonzero weight-i coefficients,
-    whatever the input.  The sweep compares weight i modulo (X)^{P_i}.
-    Suppose P_1 >= .. >= P_m (exact counting as largest) and no entry at
-    level r, zero or not, carries a tag below P_r.  Then every entry at
-    a level r <= i is trusted to at least P_i, so the truncated
-    arithmetic of apply_table reproduces the weight-i coefficient of the
-    exact E_C, built from the stored terms, modulo (X)^{P_i}.  The
+    input.  The sweep compares weight i modulo (X)^{P_i}.  Each weight-i
+    coefficient is a sum of products of table entries and carries the
+    least tag among them, even when the product truncates to zero, and
+    every entry C[r][d] with r <= i occurs at weight i (in
+    C[r][d] C[1][d]^(i-r)).  So P_i is the least tag of the entries at
+    levels <= i: P_1 >= .. >= P_m (exact counting as largest), and every
+    entry used at weight i is trusted to at least P_i.  The truncated
+    arithmetic of apply_table then reproduces the weight-i coefficient of
+    the exact E_C, built from the stored terms, modulo (X)^{P_i}.  The
     weight-wise ideal J = {sum_r a_r t^r : a_r in (X)^{P_r}} is an ideal
     because P is nonincreasing, and two homomorphisms that agree mod J on
     every X_j agree mod J on every product of them.  Hence agreement on
     the variables at every weight is agreement on every monomial, and
-    the sweep would pass to max_degree.
-
-    The condition on zero entries is needed: a zero entry tagged below
-    P_r makes intermediate composition sums vanish after truncation, so
-    apply_table drops terms that E_C keeps.  In every other case (a
-    disagreement on some variable, tags out of order, max_degree < 1)
-    the sweep runs; it alone finds witnesses.
+    the sweep would pass to max_degree.  In every other case (a
+    disagreement on some variable, max_degree < 1) the sweep runs; it
+    alone finds witnesses.
     """
     family = list(family)
     if max_degree >= 1 and _agrees_on_variables(target, family, table):

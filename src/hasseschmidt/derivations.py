@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient
 from .fields import FieldSpec
-from .series import Series, TSeries, substitute
+from .series import Series, TSeries, min_prec, monomials_of_degree, substitute
 
 
 class Derivation:
@@ -92,11 +92,11 @@ class HSDerivation:
 
     images[j] is a TSeries whose t^0 coefficient is exactly X_j and whose
     higher coefficients are exact polynomials.  Instances are immutable
-    apart from an internal memo table that only grows, so evaluating
+    apart from internal memo tables that only grow, so evaluating
     components of the same derivation from several threads is safe.
     """
 
-    __slots__ = ("nvars", "length", "field", "images", "name", "_mono_cache")
+    __slots__ = ("nvars", "length", "field", "images", "name", "_mono_cache", "_cut_caches")
 
     def __init__(self, images, name: str | None = None):
         images = list(images)
@@ -128,6 +128,7 @@ class HSDerivation:
         self.images = images
         self.name = name
         self._mono_cache: dict = {}
+        self._cut_caches: dict = {}  # order N -> {exps: E(X^exps) mod J_N}
 
     # -- constructors ------------------------------------------------
 
@@ -142,22 +143,38 @@ class HSDerivation:
     def with_name(self, name: str) -> "HSDerivation":
         renamed = HSDerivation(self.images, name=name)
         renamed._mono_cache = self._mono_cache
+        renamed._cut_caches = self._cut_caches
         return renamed
 
     # -- the components ----------------------------------------------
 
-    def _image_of_monomial(self, exps) -> TSeries:
-        cached = self._mono_cache.get(exps)
+    def _image_of_monomial(self, exps, order: int | None = None) -> TSeries:
+        """E(X^exps), built as E(X^(exps - e_j)) * E(X_j) and memoized.
+
+        With an ``order`` N the image is only computed modulo
+        J_N = {sum_k a_k t^k : a_k in (X)^(N-k)} (see TSeries.mul_cut): its
+        t^i coefficient is D_i(X^exps) below degree N - i, which is all a
+        component matrix on the order-N quotient reads.
+        """
+        if order is None:
+            cache = self._mono_cache
+        else:
+            cache = self._cut_caches.setdefault(order, {})
+        cached = cache.get(exps)
         if cached is not None:
             return cached
         if not any(exps):
             result = TSeries.from_series(Series.one(self.nvars, self.field), self.length)
         else:
             j = next(d for d, e in enumerate(exps) if e)
-            prev = list(exps)
-            prev[j] -= 1
-            result = self._image_of_monomial(tuple(prev)) * self.images[j]
-        self._mono_cache[exps] = result
+            lower = list(exps)
+            lower[j] -= 1
+            lower = self._image_of_monomial(tuple(lower), order)
+            if order is None:
+                result = lower * self.images[j]
+            else:
+                result = lower.mul_cut(self.images[j], range(order, order - self.length - 1, -1))
+        cache[exps] = result
         return result
 
     def apply_component(self, i: int, f: Series) -> Series:
@@ -401,39 +418,45 @@ def leibniz_check(
     else:
         (components, length, nvars, field) = D
 
-    def mismatch(i, f, g):
-        lhs = components(i, f * g)
-        rhs = Series.zero(nvars, field)
-        for r in range(i + 1):
-            rhs = rhs + components(r, f) * components(i - r, g)
-        if lhs != rhs:
-            return (i, f, g, lhs, rhs)
+    def parts(f):
+        return [components(r, f) for r in range(length + 1)]
+
+    def mismatch(f, g, f_parts, g_parts):
+        """The counterexample at the first weight where (f, g) fails, or None."""
+        fg = f * g
+        for i in range(1, length + 1):
+            lhs = components(i, fg)
+            rhs = Series.zero(nvars, field)
+            for r in range(i + 1):
+                a, b = f_parts[r], g_parts[i - r]
+                # otherwise a * b is an exact zero, which adds nothing
+                if a.terms and b.terms or min_prec(a.precision, b.precision) is not None:
+                    rhs = rhs + a * b
+            if lhs != rhs:
+                return (i, f, g, lhs, rhs)
         return None
 
-    monomials = [()]
-    for _ in range(nvars):
-        monomials = [e + (k,) for e in monomials for k in range(basis_degree + 1)]
-    monomials = [e for e in monomials if sum(e) <= basis_degree]
+    # lexicographic order of the exponent vectors
+    monomials = sorted(
+        e for degree in range(basis_degree + 1) for e in monomials_of_degree(nvars, degree)
+    )
+    basis = [(f, parts(f)) for f in (Series.monomial(nvars, field, e) for e in monomials)]
     checked = 0
-    for ea in monomials:
-        fa = Series.monomial(nvars, field, ea)
-        for eb in monomials:
-            fb = Series.monomial(nvars, field, eb)
+    for fa, pa in basis:
+        for fb, pb in basis:
             checked += 1
-            for i in range(1, length + 1):
-                bad = mismatch(i, fa, fb)
-                if bad:
-                    return LeibnizReport(False, checked, length, seed, bad)
+            bad = mismatch(fa, fb, pa, pb)
+            if bad:
+                return LeibnizReport(False, checked, length, seed, bad)
 
     rng = random.Random(seed)
     for _ in range(trials):
         f = _random_polynomial(rng, nvars, field, random_degree)
         g = _random_polynomial(rng, nvars, field, random_degree)
         checked += 1
-        for i in range(1, length + 1):
-            bad = mismatch(i, f, g)
-            if bad:
-                return LeibnizReport(False, checked, length, seed, bad)
+        bad = mismatch(f, g, parts(f), parts(g))
+        if bad:
+            return LeibnizReport(False, checked, length, seed, bad)
     return LeibnizReport(True, checked, length, seed, None)
 
 

@@ -11,28 +11,53 @@ canonical, so structural equality of values is field equality.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import IncompatibleAmbient, LengthMismatch
 
 
+PRIME_CAP = 2 ** 64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
+    """Primality of an integer below PRIME_CAP = 2**64 (ValueError above).
+
+    Miller-Rabin with the prime bases 2..37, which is deterministic far
+    beyond the cap (for every n < 3 * 10**23), so the answer is exact
+    and takes a few dozen modular powers.
+    """
+    if n >= PRIME_CAP:
+        raise ValueError(f"moduli must be below 2**64, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
+_GF_SCALAR = re.compile(r"-?[0-9]+")
+_Q_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 class FieldSpec:
-    """GF(p) when ``p`` is a prime, the rationals when ``p`` is None."""
+    """GF(p) when ``p`` is a prime below PRIME_CAP, the rationals when ``p`` is None."""
 
     __slots__ = ("p",)
 
@@ -102,11 +127,16 @@ class FieldSpec:
         return self.mul(a, self.inv(b))
 
     def parse_scalar(self, text: str):
-        """Parse the text form: a decimal residue for GF(p), "a/b" or "a" for Q."""
+        """Parse the text form: a decimal integer ``-?[0-9]+`` for GF(p),
+        reduced mod p; that or ``a/b`` for Q.  Nothing else is accepted:
+        no '+', spaces, underscores, decimal points or exponents."""
         if isinstance(text, int) and not isinstance(text, bool):
             return self.coerce(text)
         if not isinstance(text, str):
             raise ValueError(f"expected a scalar string, got {text!r}")
+        grammar = _GF_SCALAR if self.p is not None else _Q_SCALAR
+        if not grammar.fullmatch(text):
+            raise ValueError(f"{text!r} is not a scalar of {self!r}")
         if self.p is not None:
             return int(text, 10) % self.p
         return Fraction(text)

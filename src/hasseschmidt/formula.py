@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .errors import IncompatibleAmbient, LengthMismatch, OrderViolation
 from .fields import FieldSpec
-from .series import Series
+from .series import Series, min_prec, monomials_of_degree
 from .derivations import compose_multi
 
 
@@ -30,17 +30,6 @@ def succeq(beta, alpha) -> bool:
     if len(beta) != len(alpha):
         raise LengthMismatch(f"exponent lengths differ: {len(beta)} vs {len(alpha)}")
     return all(b >= a and (a > 0 or b == 0) for b, a in zip(beta, alpha))
-
-
-def _weak_compositions(total: int, parts: int):
-    """All tuples of `parts` naturals summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def ordered_compositions(total: int, parts: int):
@@ -64,9 +53,9 @@ def enumerate_pairs(i: int, m: int, n: int) -> list[tuple[tuple, tuple]]:
     if m > i or m < 0 or i < 0:
         return []
     pairs = []
-    for mu in _weak_compositions(m, n):
+    for mu in monomials_of_degree(n, m):
         support = [d for d, w in enumerate(mu) if w]
-        for extra in _weak_compositions(i - m, len(support)):
+        for extra in monomials_of_degree(len(support), i - m):
             lam = list(mu)
             for d, e in zip(support, extra):
                 lam[d] += e
@@ -158,9 +147,11 @@ class CoeffTable:
         else:
             out = Series.zero(self.nvars, self.field)
             for first in range(1, lam_d - mu_d + 2):
-                rest = self._slot_sum(lam_d - first, mu_d - 1, d)
-                if not rest.is_zero():
-                    out = out + self.at(first, d) * rest
+                entry, rest = self.at(first, d), self._slot_sum(lam_d - first, mu_d - 1, d)
+                if rest.terms:
+                    out = out + entry * rest
+                else:  # the product vanishes but still bounds the precision
+                    out = out.truncate(min_prec(entry.precision, rest.precision))
         self._slot_cache[key] = out
         return out
 
@@ -180,15 +171,21 @@ def composition_coeff(table: CoeffTable, lam, mu) -> Series:
         if lam[d] == 0 and mu[d] == 0:
             continue
         factor = table._slot_sum(lam[d], mu[d], d)
-        if factor.is_zero():
-            return Series.zero(table.nvars, table.field)
-        out = out * factor
+        if out.terms and factor.terms:
+            out = out * factor
+        else:  # the product vanishes but still bounds the precision
+            out = Series.zero(table.nvars, table.field, min_prec(out.precision, factor.precision))
     return out
 
 
 def weighted_terms(table: CoeffTable, i: int, min_parts: int = 1) -> list:
     """The (coefficient, mu) terms of the weight-i operator, skipping the
-    pairs with |mu| < min_parts; cached per table."""
+    pairs with |mu| < min_parts; cached per table.
+
+    A coefficient that truncates to zero stays in the list when its tag is
+    finite: the term contributes nothing but still limits the precision
+    of the result, so callers add the coefficient itself in place of
+    coefficient * D_mu(f)."""
     key = (i, min_parts)
     cached = table._term_cache.get(key)
     if cached is not None:
@@ -197,7 +194,7 @@ def weighted_terms(table: CoeffTable, i: int, min_parts: int = 1) -> list:
     for m in range(min_parts, i + 1):
         for lam, mu in enumerate_pairs(i, m, table.nvars):
             coeff = composition_coeff(table, lam, mu)
-            if not coeff.is_zero():
+            if coeff.terms or coeff.precision is not None:
                 terms.append((coeff, mu))
     table._term_cache[key] = terms
     return terms
@@ -212,5 +209,5 @@ def apply_table(table: CoeffTable, family, i: int, f: Series) -> Series:
         )
     out = Series.zero(f.nvars, f.field, f.precision)
     for coeff, mu in weighted_terms(table, i):
-        out = out + coeff * compose_multi(family, mu, f)
+        out = out + (coeff * compose_multi(family, mu, f) if coeff.terms else coeff)
     return out

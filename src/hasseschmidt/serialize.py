@@ -73,7 +73,7 @@ def series_from_json(obj, nvars: int, field: FieldSpec) -> Series:
     prec = obj.get("prec", "exact")
     if prec == "exact":
         prec = None
-    elif not isinstance(prec, int) or prec < 0:
+    elif type(prec) is not int or prec < 0:
         raise ProblemFormatError(f"bad precision {prec!r}")
     terms = {}
     for row in obj["terms"]:
@@ -82,7 +82,7 @@ def series_from_json(obj, nvars: int, field: FieldSpec) -> Series:
                 f"term {row!r} must list {nvars} exponents and one coefficient"
             )
         exps, coeff = row[:-1], row[-1]
-        if not all(isinstance(e, int) and e >= 0 for e in exps):
+        if not all(type(e) is int and e >= 0 for e in exps):
             raise ProblemFormatError(f"bad exponents in term {row!r}")
         try:
             value = field.parse_scalar(coeff)

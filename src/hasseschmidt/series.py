@@ -15,6 +15,8 @@ X_j |-> image_j, which is how Hasse-Schmidt derivations act.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import IncompatibleAmbient, NotAUnit
 from .fields import FieldSpec
 
@@ -30,6 +32,29 @@ def min_prec(a: int | None, b: int | None) -> int | None:
 def grlex_key(exponents):
     """Sort key realizing graded lexicographic order, X1 largest."""
     return (sum(exponents), tuple(-e for e in exponents))
+
+
+def monomials_of_degree(nvars: int, degree: int):
+    """The exponent vectors of total degree ``degree`` in ``nvars``
+    variables, in graded-lex order (see grlex_key): X1 largest first."""
+    if degree < 0 or (nvars == 0 and degree):
+        return
+    if nvars == 0:
+        yield ()
+        return
+    e = [degree] + [0] * (nvars - 1)
+    while True:
+        yield tuple(e)
+        # the next vector moves one unit from the last nonzero entry
+        # before the end to its right neighbour, which also takes the tail
+        j = nvars - 2
+        while j >= 0 and not e[j]:
+            j -= 1
+        if j < 0:
+            return
+        tail, e[-1] = e[-1], 0
+        e[j] -= 1
+        e[j + 1] = tail + 1
 
 
 class Series:
@@ -358,26 +383,41 @@ class TSeries:
         """Product in A[t]/(t^{tlen+1}); t-degrees beyond tlen are discarded."""
         if isinstance(other, Series):
             return TSeries([c * other for c in self.coeffs])
+        return self.mul_cut(other, None)
+
+    def mul_cut(self, other: "TSeries", cuts) -> "TSeries":
+        """The product with its t^k coefficient kept only below total degree
+        cuts[k]; ``cuts`` None cuts nothing (the product ``self * other``).
+
+        With cuts[k] = N - k this is the product modulo
+        J_N = {sum_k a_k t^k : a_k in (X)^(N-k)}, which is an ideal because
+        the cuts do not increase with k, so the operands may themselves be
+        cut results.  The tags stay those of the operands: a cut result is
+        one exact representative of its class modulo J_N.
+        """
         self._check_ambient(other)
         tlen = self.tlen
         nvars, field = self.nvars, self.field
         prec = min_prec(self.precision, other.precision)
         add, mul = field.add, field.mul
         slots: list[dict] = [dict() for _ in range(tlen + 1)]
+        other_parts = [(tb, fb.terms) for tb, fb in enumerate(other.coeffs) if fb.terms]
         for ta, fa in enumerate(self.coeffs):
             if fa.is_zero():
                 continue
-            for tb in range(tlen + 1 - ta):
-                fb = other.coeffs[tb]
-                if fb.is_zero():
-                    continue
+            for tb, fb_terms in other_parts:
+                if ta + tb > tlen:
+                    break
+                bound = prec if cuts is None else min_prec(prec, cuts[ta + tb])
                 acc = slots[ta + tb]
                 for e1, c1 in fa.terms.items():
                     d1 = sum(e1)
-                    for e2, c2 in fb.terms.items():
-                        if prec is not None and d1 + sum(e2) >= prec:
+                    if bound is not None and d1 >= bound:
+                        continue
+                    for e2, c2 in fb_terms.items():
+                        if bound is not None and d1 + sum(e2) >= bound:
                             continue
-                        e = tuple(x + y for x, y in zip(e1, e2))
+                        e = tuple(map(operator.add, e1, e2))
                         v = mul(c1, c2)
                         prev = acc.get(e)
                         acc[e] = v if prev is None else add(prev, v)

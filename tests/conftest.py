@@ -51,6 +51,24 @@ def random_hsd(rng, nvars, length, field, max_degree=2, max_terms=2):
     return HSDerivation(images)
 
 
+def random_family(rng, n, m, field):
+    """A non-Taylor family: member d sends X_j to X_j + (delta_jd + X_1 r) t
+    + random higher terms, so the degree-1 determinant is a unit but not
+    a constant."""
+    x1 = Series.variable(n, field, 0)
+    family = []
+    for d in range(n):
+        images = []
+        for j in range(n):
+            first = x1 * random_series(rng, n, field, max_degree=1, max_terms=2)
+            if j == d:
+                first = first + Series.one(n, field)
+            rest = [random_series(rng, n, field, max_degree=2, max_terms=2) for _ in range(m - 1)]
+            images.append(TSeries([Series.variable(n, field, j), first] + rest))
+        family.append(HSDerivation(images))
+    return family
+
+
 def assert_agree_to_trusted(a, b, msg=""):
     from hasseschmidt.series import min_prec
 

@@ -80,6 +80,45 @@ def test_malformed_json_exits_1(tmp_path):
     assert main(["verify", str(path)]) == 1
 
 
+def rewritten(tmp_path, name, problem, **changes):
+    """A problem file with some top-level fields replaced by raw JSON values."""
+    obj = serialize.problem_to_json(problem)
+    obj.update(changes)
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_19_digit_prime_field_is_accepted_quickly(tmp_path):
+    import time
+
+    start = time.perf_counter()
+    path = rewritten(tmp_path, "big.json", char2_problem(), field="F1000000000000000003")
+    out = tmp_path / "out.json"
+    assert main(["kernel", path, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["dimension"] == 1
+    # trial division up to the square root would take minutes
+    assert time.perf_counter() - start < 5
+
+
+def test_40_digit_prime_field_exits_1(tmp_path, capsys):
+    path = rewritten(tmp_path, "huge.json", char2_problem(),
+                     field="F1000000000000000000000000000000000000003")
+    for command in ("decompose", "kernel", "verify"):
+        assert main([command, path]) == 1
+        assert "2**64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeff", ["3_0", "1e3", " 2 ", "+1"])
+def test_loose_scalar_exits_1(tmp_path, capsys, coeff):
+    obj = serialize.problem_to_json(worked_problem())
+    obj["target"]["images"][0][1]["terms"][0][-1] = coeff
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 1
+    assert "not a scalar" in capsys.readouterr().err
+
+
 # -- kernel --------------------------------------------------------------------
 
 def test_kernel_full_and_degree1_modes(tmp_path):

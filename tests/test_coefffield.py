@@ -1,6 +1,7 @@
 """Component matrices on truncated quotients and joint-kernel extraction."""
 
 import itertools
+import json
 import math
 
 import pytest
@@ -20,9 +21,13 @@ from hasseschmidt import (
     taylor_basis,
     taylor_derivation,
 )
+from hasseschmidt import coefffield, serialize
+from hasseschmidt.cli import main
+from hasseschmidt.coefffield import nullspace
 from hasseschmidt.errors import ComponentOutOfRange, NotABasis, PrecisionExhausted
 
-from conftest import random_hsd, random_series
+from conftest import FIELDS, random_family, random_hsd, random_scalar, random_series
+from reference import dense_component_matrix, dense_nullspace
 
 
 # -- the quotient basis -------------------------------------------------------
@@ -242,3 +247,129 @@ def test_nomura_euler_derivation_fails():
     x = Series.variable(1, QQ, 0)
     family = [integrate(Derivation([x]), 2)]
     assert not nomura_unit_test(family, [x])
+
+
+# -- the fast paths against the dense references -------------------------------------
+
+def family_for(kind, rng, n, m, field):
+    return taylor_basis(n, m, field) if kind == "taylor" else random_family(rng, n, m, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["taylor", "random"])
+def test_component_matrix_matches_the_reference(field, kind, rng):
+    for n, N in ((1, 7), (2, 5), (3, 4)):
+        for D in family_for(kind, rng, n, N - 1, field):
+            for i in range(N):
+                fast, slow = component_matrix(D, i, N), dense_component_matrix(D, i, N)
+                assert fast == slow
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_component_matrix_matches_the_reference_at_any_length(field, rng):
+    """Lengths both shorter and longer than the quotient has weights for,
+    so some t-degrees of the images are cut away entirely."""
+    for n, m, N in ((1, 2, 6), (1, 6, 3), (2, 1, 4), (2, 4, 3), (3, 3, 2)):
+        D = random_hsd(rng, n, m, field, max_degree=3, max_terms=3)
+        for i in range(min(m, N - 1) + 1):
+            assert component_matrix(D, i, N) == dense_component_matrix(D, i, N)
+
+
+def random_rows(rng, field, nrows, ncols, density):
+    return [
+        [random_scalar(rng, field, nonzero=True) if rng.random() < density else field.zero()
+         for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def combination(rng, field, rows, ncols):
+    out = [field.zero()] * ncols
+    for row in rows:
+        c = random_scalar(rng, field)
+        out = [field.add(x, field.mul(c, y)) for x, y in zip(out, row)]
+    return out
+
+
+def assert_nullspace_matches(rows, ncols, field):
+    fast, slow = nullspace(rows, ncols, field), dense_nullspace(rows, ncols, field)
+    assert fast == slow
+    assert [[type(x) for x in v] for v in fast] == [[type(x) for x in v] for v in slow]
+    return fast
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_nullspace_matches_the_reference(field, rng):
+    zero = field.zero()
+    assert_nullspace_matches([], 0, field)
+    assert_nullspace_matches([[], []], 0, field)
+    assert len(assert_nullspace_matches([], 4, field)) == 4
+    assert len(assert_nullspace_matches([[zero] * 3] * 2, 3, field)) == 3
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = random_rows(rng, field, nrows, ncols, rng.choice([0.15, 0.4, 0.9]))
+        # rank-deficient stacks: zero rows and combinations of other rows
+        for _ in range(rng.randint(0, 3)):
+            extra = combination(rng, field, rng.sample(rows, min(len(rows), 3)), ncols)
+            rows.insert(rng.randint(0, len(rows)), extra)
+        if rng.random() < 0.3:
+            rows.insert(rng.randint(0, len(rows)), [zero] * ncols)
+        assert_nullspace_matches(rows, ncols, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_nullspace_of_a_full_rank_stack_is_empty(field, rng):
+    """Rows after the stack reaches full rank change nothing."""
+    for n in range(7):
+        identity = [[field.one() if r == c else field.zero() for c in range(n)] for r in range(n)]
+        mixed = [combination(rng, field, identity, n) for _ in range(n)]
+        assert_nullspace_matches(mixed, n, field)
+        rows = mixed + identity + random_rows(rng, field, rng.randint(0, 3), n, 0.5)
+        assert assert_nullspace_matches(rows, n, field) == []
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["taylor", "random"])
+@pytest.mark.parametrize("degree1_only", [False, True])
+def test_coefficient_field_matches_the_references(field, kind, degree1_only, rng, monkeypatch):
+    for n, N in ((1, 8), (2, 5), (3, 4)):
+        family = family_for(kind, rng, n, N - 1, field)
+        fast = coefficient_field(family, N, degree1_only)
+        with monkeypatch.context() as patched:
+            patched.setattr(coefffield, "component_matrix", dense_component_matrix)
+            patched.setattr(coefffield, "nullspace", dense_nullspace)
+            slow = coefficient_field(family, N, degree1_only)
+        assert (fast.dimension, fast.basis, fast.operators_used) == (
+            slow.dimension, slow.basis, slow.operators_used)
+
+
+def test_kernel_reports_are_byte_identical_with_the_references(tmp_path, monkeypatch):
+    import random
+
+    rng = random.Random(7)
+    paths = []
+    for field in FIELDS:
+        for kind, n, N in (("taylor", 2, 5), ("random", 1, 7), ("random", 2, 4)):
+            problem = serialize.Problem(
+                field=field, nvars=n, length=N - 1, truncation=N, seed=1,
+                derivations=family_for(kind, rng, n, N - 1, field),
+            )
+            path = tmp_path / f"{field!r}-{kind}-{n}-{N}.json"
+            path.write_text(serialize.dumps(serialize.problem_to_json(problem)))
+            paths.append(path)
+
+    def reports(tag):
+        out = []
+        for path in paths:
+            for flags in ([], ["--degree1-only"]):
+                report = tmp_path / f"{path.stem}{''.join(flags)}.{tag}"
+                assert main(["kernel", str(path), "--out", str(report)] + flags) == 0
+                out.append(report.read_bytes())
+        return out
+
+    fast = reports("fast")
+    monkeypatch.setattr(coefffield, "component_matrix", dense_component_matrix)
+    monkeypatch.setattr(coefffield, "nullspace", dense_nullspace)
+    slow = reports("slow")
+    assert fast == slow
+    assert all(json.loads(r)["dimension"] >= 1 for r in fast)

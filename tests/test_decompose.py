@@ -23,8 +23,9 @@ from hasseschmidt import (
 from hasseschmidt import serialize
 from hasseschmidt.decompose import _sweep
 from hasseschmidt.errors import NotABasis, PrecisionExhausted
+from hasseschmidt.series import min_prec
 
-from conftest import assert_agree_to_trusted, random_hsd, random_series
+from conftest import assert_agree_to_trusted, random_family, random_hsd, random_series
 
 
 def worked_target(field=QQ):
@@ -298,24 +299,6 @@ def assert_matches_sweep(target, family, table, max_degree):
     return report
 
 
-def random_family(rng, n, m, field):
-    """A non-Taylor family: member d sends X_j to X_j + (delta_jd + X_1 r) t
-    + random higher terms, so the degree-1 determinant is a unit but not
-    a constant."""
-    x1 = Series.variable(n, field, 0)
-    family = []
-    for d in range(n):
-        images = []
-        for j in range(n):
-            first = x1 * random_series(rng, n, field, max_degree=1, max_terms=2)
-            if j == d:
-                first = first + Series.one(n, field)
-            rest = [random_series(rng, n, field, max_degree=2, max_terms=2) for _ in range(m - 1)]
-            images.append(TSeries([Series.variable(n, field, j), first] + rest))
-        family.append(HSDerivation(images))
-    return family
-
-
 def target_from_table(table, family, m):
     """The HS derivation whose variable images are the stored terms of the
     table's reconstruction: it agrees with the table on every variable."""
@@ -370,6 +353,14 @@ def test_verify_matches_sweep_on_mixed_precision_tables(field, rng):
             for _ in range(m)
         ]
         table = CoeffTable(rows, nvars=n, field=field)
+        # the weight-i tag is the least tag of the entries at levels <= i,
+        # which is what lets the variable check decide (verify_decomposition)
+        x = Series.variable(n, field, 0)
+        floor = None
+        for i in range(1, m + 1):
+            for entry in rows[i - 1]:
+                floor = min_prec(floor, entry.precision)
+            assert apply_table(table, family, i, x).precision == floor
         target = target_from_table(table, family, m)
         for max_degree in MAX_DEGREES:
             report = assert_matches_sweep(target, family, table, max_degree)
@@ -377,9 +368,10 @@ def test_verify_matches_sweep_on_mixed_precision_tables(field, rng):
     assert decided  # some tables pass, so the variable check gets exercised
 
 
-def test_verify_zero_rows_fall_back_to_the_sweep(rng):
-    """Zero rows 1 and 3 leave the tags [exact, 5, exact, 5], out of order,
-    so the sweep decides; it agrees with the table on every monomial."""
+def test_verify_zero_rows_keep_their_tags(rng):
+    """Zero rows 1 and 3 tagged 5 bound every weight's precision by 5, so
+    the tags are [5, 5, 5, 5] and the variable check may decide; it agrees
+    with the sweep, which agrees with the table on every monomial."""
     field, n, m = GF(3), 2, 4
     family = random_family(rng, n, m, field)
     zero = Series.zero(n, field, 5)
@@ -388,41 +380,46 @@ def test_verify_zero_rows_fall_back_to_the_sweep(rng):
     table = CoeffTable(rows, nvars=n, field=field)
     target = target_from_table(table, family, m)
     x = Series.variable(n, field, 0)
-    assert [apply_table(table, family, i, x).precision for i in range(1, m + 1)] == [None, 5, None, 5]
+    assert [apply_table(table, family, i, x).precision for i in range(1, m + 1)] == [5, 5, 5, 5]
     for max_degree in MAX_DEGREES:
         assert_matches_sweep(target, family, table, max_degree)
 
 
-def test_verify_finds_a_failure_seen_only_at_degree_two():
-    """C[1] = X trusted to degree 2 makes C[1]^2 vanish, so weight 2 is
-    compared exactly while weight 1 is not: the tags increase, the table
-    agrees with the target on X, and the sweep finds X^2."""
+def test_verify_vanished_square_keeps_its_tag():
+    """C[1] = X trusted to degree 2 makes C[1]^2 vanish, but its tag still
+    bounds weight 2: the table gives 2X + O(deg 2) on X^2, which agrees
+    with the target's X^2 + 2X there, and the check passes."""
     field = QQ
     x, one = Series.variable(1, field, 0), Series.one(1, field)
     target = HSDerivation([TSeries([x, x, one])])
     family = taylor_basis(1, 2, field)
     table = CoeffTable([[x.truncate(2)], [one]])
+    x2 = x * x
+    assert apply_table(table, family, 2, x2) == Series(1, field, {(1,): field.coerce(2)}, 2)
+    assert target.apply_component(2, x2) == x2 + x.scale(2)
     report = assert_matches_sweep(target, family, table, 3)
-    assert not report.passed
-    assert (report.verified_to_degree, report.witness.i, report.witness.beta) == (1, 2, (2,))
+    assert (report.passed, report.verified_to_degree) == (True, 3)
 
 
 def test_verify_zero_entry_with_a_low_tag_falls_back():
-    """Monotone tags are not enough: C[2] = 0 trusted to degree 1 makes the
-    product C[2]C[3] trusted to degree 1 only, so the composition sum
-    C[1]C[4] + C[2]C[3] + C[3]C[2] + C[4]C[1] = 2X^2 vanishes at weight 5,
-    though every nonzero coefficient is trusted to degree 5.  The table
-    agrees with the target on X at every weight, yet not on X^2."""
+    """C[2] = 0 trusted to degree 1 enters every weight from 2 on, so those
+    weights are compared modulo degree 1 only, though every nonzero entry
+    is trusted to degree 5.  At weight 5 on X^2 the table gives
+    0 + O(deg 1); the exact composite of the stored entries gives 4X^2,
+    the target's value, so nothing the table claims is false.  The sweep
+    and the variable check both pass."""
     field = QQ
     x = Series.variable(1, field, 0)
     target = HSDerivation([TSeries([x, x, Series.zero(1, field), x, x, x])])
     family = taylor_basis(1, 5, field)
     xt = x.truncate(5)
     table = CoeffTable([[xt], [Series.zero(1, field, 1)], [xt], [xt], [xt]])
+    assert [apply_table(table, family, i, x).precision for i in range(1, 6)] == [5, 1, 1, 1, 1]
     for i in range(1, 6):
-        rhs = apply_table(table, family, i, x)
-        assert rhs.precision == 5
-        assert_agree_to_trusted(target.apply_component(i, x), rhs)
+        assert_agree_to_trusted(target.apply_component(i, x), apply_table(table, family, i, x))
+    x2 = x * x
+    exact = CoeffTable([[x], [Series.zero(1, field)], [x], [x], [x]])
+    assert apply_table(exact, family, 5, x2) == target.apply_component(5, x2) == x2.scale(4)
+    assert apply_table(table, family, 5, x2) == Series.zero(1, field, 1)
     report = assert_matches_sweep(target, family, table, 3)
-    assert not report.passed
-    assert (report.witness.i, report.witness.beta) == (5, (2,))
+    assert (report.passed, report.verified_to_degree) == (True, 3)

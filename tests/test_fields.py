@@ -28,6 +28,28 @@ def test_is_prime_small_values():
         assert is_prime(n) == (n in primes)
 
 
+def test_is_prime_matches_trial_division():
+    for n in range(5000):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)))
+
+
+def test_is_prime_large_values():
+    # strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; 2..7; 2..23
+    for n in (2047, 1373653, 25326001, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    for p in (2 ** 61 - 1, 10 ** 18 + 3, 2 ** 64 - 59):
+        assert is_prime(p)
+    assert not is_prime((2 ** 31 - 1) * (2 ** 32 - 5))
+
+
+def test_moduli_are_capped_below_2_to_the_64():
+    with pytest.raises(ValueError):
+        is_prime(2 ** 64)
+    with pytest.raises(ValueError):
+        FieldSpec(10 ** 39 + 3)  # a prime
+    assert GF(2 ** 64 - 59).p == 2 ** 64 - 59
+
+
 # -- inverses --------------------------------------------------------------
 
 def test_inverse_of_one_is_one():
@@ -130,3 +152,26 @@ def test_scalar_text_round_trip():
     assert QQ.parse_scalar("2/3") == Fraction(2, 3)
     assert QQ.parse_scalar("-7") == Fraction(-7)
     assert QQ.format_scalar(Fraction(4, 6)) == "2/3"
+
+
+@pytest.mark.parametrize("text", ["3_0", "1e3", " 2 ", "2 ", "+3", "--1", "0x10", "", "1.5",
+                                  "\u0663", "2/3", "2/-3", "/3", "2/"])
+def test_scalar_grammar_over_gf_p(text):
+    with pytest.raises(ValueError):
+        GF(5).parse_scalar(text)
+
+
+@pytest.mark.parametrize("text", ["3_0", "1e3", " 2 ", "+3", "--1", "1.5", "", "\u0663",
+                                  "2/-3", "/3", "2/", "2/3/4", "2 /3", "1_0/3"])
+def test_scalar_grammar_over_q(text):
+    with pytest.raises(ValueError):
+        QQ.parse_scalar(text)
+
+
+def test_scalar_grammar_accepts_signed_integers_and_fractions():
+    assert GF(5).parse_scalar("-7") == 3
+    assert GF(5).parse_scalar("007") == 2
+    assert QQ.parse_scalar("-6/4") == Fraction(-3, 2)
+    assert QQ.parse_scalar("0") == Fraction(0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.parse_scalar("1/0")

@@ -167,3 +167,18 @@ def test_apply_table_worked_case():
     table = CoeffTable([[x], [Series.one(1, field)]])
     assert apply_table(table, family, 2, x * x) == 2 * x + x * x
     assert apply_table(table, family, 1, x * x) == x * (2 * x)
+
+
+@pytest.mark.parametrize("zero_level", [1, 2])
+def test_apply_table_keeps_the_tag_of_a_vanished_term(zero_level):
+    """A zero entry trusted to degree 1 makes every product it enters
+    vanish, and still bounds the precision of every weight from its level
+    on, including through powers such as C[1]^2 and C[1]^3."""
+    field = QQ
+    x = Series.variable(1, field, 0)
+    family = taylor_basis(1, 3, field)
+    rows = [[x], [x], [x]]
+    rows[zero_level - 1] = [Series.zero(1, field, 1)]
+    table = CoeffTable(rows)
+    tags = [apply_table(table, family, i, x).precision for i in (1, 2, 3)]
+    assert tags == [None if i < zero_level else 1 for i in (1, 2, 3)]

@@ -50,6 +50,20 @@ def test_series_json_rejects_garbage():
         serialize.series_from_json({"prec": -2, "terms": []}, 2, QQ)
 
 
+@pytest.mark.parametrize("obj", [
+    {"terms": [[True, 0, "1"]]},          # true would load as exponent 1
+    {"terms": [[0, False, "1"]]},
+    {"prec": True, "terms": []},          # and as precision 1
+    {"terms": [[0, 0, "3_0"]]},
+    {"terms": [[0, 0, "1e3"]]},
+    {"terms": [[0, 0, " 2 "]]},
+])
+def test_series_json_rejects_loose_values(obj):
+    for field in (QQ, GF(5)):
+        with pytest.raises(ProblemFormatError):
+            serialize.series_from_json(obj, 2, field)
+
+
 def test_derivation_round_trip(rng):
     D = random_hsd(rng, 2, 3, GF(5))
     obj = serialize.derivation_to_json(D)
