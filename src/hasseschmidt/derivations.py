@@ -18,7 +18,15 @@ from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient
 from .fields import FieldSpec
-from .series import Series, TSeries, min_prec, monomials_of_degree, substitute
+from .series import (
+    Series,
+    TSeries,
+    image_sum,
+    min_prec,
+    monomial_image,
+    monomials_of_degree,
+    substitute,
+)
 
 
 class Derivation:
@@ -140,12 +148,6 @@ class HSDerivation:
         ]
         return cls(images, name=name)
 
-    def with_name(self, name: str) -> "HSDerivation":
-        renamed = HSDerivation(self.images, name=name)
-        renamed._mono_cache = self._mono_cache
-        renamed._cut_caches = self._cut_caches
-        return renamed
-
     # -- the components ----------------------------------------------
 
     def _image_of_monomial(self, exps, order: int | None = None) -> TSeries:
@@ -157,25 +159,11 @@ class HSDerivation:
         component matrix on the order-N quotient reads.
         """
         if order is None:
-            cache = self._mono_cache
+            cache, cuts = self._mono_cache, None
         else:
             cache = self._cut_caches.setdefault(order, {})
-        cached = cache.get(exps)
-        if cached is not None:
-            return cached
-        if not any(exps):
-            result = TSeries.from_series(Series.one(self.nvars, self.field), self.length)
-        else:
-            j = next(d for d, e in enumerate(exps) if e)
-            lower = list(exps)
-            lower[j] -= 1
-            lower = self._image_of_monomial(tuple(lower), order)
-            if order is None:
-                result = lower * self.images[j]
-            else:
-                result = lower.mul_cut(self.images[j], range(order, order - self.length - 1, -1))
-        cache[exps] = result
-        return result
+            cuts = range(order, order - self.length - 1, -1)
+        return monomial_image(exps, self.images, cache, cuts)
 
     def apply_component(self, i: int, f: Series) -> Series:
         """D_i(f): the t^i coefficient of E(f).
@@ -190,19 +178,8 @@ class HSDerivation:
             raise IncompatibleAmbient("series does not match the derivation's ambient ring")
         if i == 0:
             return f
-        field = self.field
-        add, mul = field.add, field.mul
         prec = None if f.precision is None else max(f.precision - i, 0)
-        acc: dict = {}
-        for exps, coeff in f.terms.items():
-            part = self._image_of_monomial(exps).coeffs[i]
-            for e, v in part.terms.items():
-                if prec is not None and sum(e) >= prec:
-                    continue
-                w = mul(coeff, v)
-                prev = acc.get(e)
-                acc[e] = w if prev is None else add(prev, w)
-        return Series(self.nvars, field, acc, prec)
+        return image_sum(f, self.images, self._mono_cache, (i,), prec)[0]
 
     def apply(self, f: Series) -> TSeries:
         """E(f), the full image in A[t]/(t^{length+1})."""
@@ -252,36 +229,22 @@ def taylor_delta_table(f: Series, alpha_max) -> dict:
     """All divided-power coefficients of the shift f(X + T) up to alpha_max.
 
     Returns {alpha: coefficient of T^alpha}, for every alpha <= alpha_max
-    componentwise.  Computed coefficientwise from the binomial expansion
-    of each shifted monomial; tests cross-check this against an explicit
-    two-block shift.
+    componentwise, in lexicographic order of alpha.  The coefficient of
+    T^alpha is Delta^alpha f, the composite of the divided-power (Taylor)
+    components of weights alpha_1..alpha_n; tests cross-check it against
+    an explicit two-block shift and against partial derivatives.
     """
     if f.precision is not None:
         raise IncompatibleAmbient("the shift table is only defined for exact polynomials")
     alpha_max = tuple(alpha_max)
     if len(alpha_max) != f.nvars:
         raise IncompatibleAmbient(f"alpha_max has length {len(alpha_max)}, expected {f.nvars}")
-    from .fields import binom_multi
-
-    field = f.field
-    add, mul = field.add, field.mul
-    out: dict = {}
+    family = taylor_basis(f.nvars, max(1, *alpha_max), f.field)
     # iterate over the box 0 <= alpha <= alpha_max
     alphas = [()]
     for bound in alpha_max:
         alphas = [a + (e,) for a in alphas for e in range(bound + 1)]
-    for alpha in alphas:
-        acc: dict = {}
-        for beta, coeff in f.terms.items():
-            b = binom_multi(beta, alpha, field)
-            if not b:
-                continue
-            e = tuple(x - y for x, y in zip(beta, alpha))
-            w = mul(coeff, b)
-            prev = acc.get(e)
-            acc[e] = w if prev is None else add(prev, w)
-        out[alpha] = Series(f.nvars, field, acc)
-    return out
+    return {alpha: compose_multi(family, alpha, f) for alpha in alphas}
 
 
 # -- construction from ordinary derivations -------------------------------

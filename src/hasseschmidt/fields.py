@@ -14,7 +14,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import IncompatibleAmbient, LengthMismatch
+from .errors import LengthMismatch
 
 
 PRIME_CAP = 2 ** 64
@@ -65,10 +65,6 @@ class FieldSpec:
         if p is not None and not is_prime(p):
             raise ValueError(f"modulus must be a prime, got {p!r}")
         self.p = p
-
-    @property
-    def is_prime_field(self) -> bool:
-        return self.p is not None
 
     @property
     def characteristic(self) -> int:
@@ -123,9 +119,6 @@ class FieldSpec:
             raise ZeroDivisionError("0 is not invertible in the rationals")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def parse_scalar(self, text: str):
         """Parse the text form: a decimal integer ``-?[0-9]+`` for GF(p),
         reduced mod p; that or ``a/b`` for Q.  Nothing else is accepted:
@@ -164,11 +157,6 @@ def GF(p: int) -> FieldSpec:
     if field is None:
         field = _gf_cache[p] = FieldSpec(p)
     return field
-
-
-def check_same_field(a: FieldSpec, b: FieldSpec) -> None:
-    if a != b:
-        raise IncompatibleAmbient(f"mixed coefficient fields {a!r} and {b!r}")
 
 
 def binom_mod_p(top: int, bot: int, p: int) -> int:

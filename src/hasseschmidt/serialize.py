@@ -20,6 +20,7 @@ inputs produce byte-identical reports.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .errors import HasseSchmidtError, ProblemFormatError
@@ -35,12 +36,16 @@ def field_to_str(field: FieldSpec) -> str:
     return "Q" if field.p is None else f"F{field.p}"
 
 
+_GF_NAME = re.compile(r"F[1-9][0-9]*")
+
+
 def field_from_str(text) -> FieldSpec:
+    """'Q' or ASCII 'F<p>' with p a prime written without a leading zero."""
     if not isinstance(text, str):
         raise ProblemFormatError(f"field must be a string, got {text!r}")
     if text == "Q":
         return QQ
-    if text.startswith("F"):
+    if _GF_NAME.fullmatch(text):
         try:
             return GF(int(text[1:], 10))
         except ValueError as exc:

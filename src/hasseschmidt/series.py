@@ -86,6 +86,19 @@ class Series:
     # -- constructors ------------------------------------------------
 
     @classmethod
+    def _of(cls, nvars, field, terms, precision):
+        """Internal constructor for a fresh dict the engine below made:
+        tuple keys of length nvars below the precision, which is not
+        negative.  Only zero coefficients are dropped; a dict without
+        them becomes the terms itself, not a copy."""
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.field = field
+        self.precision = precision
+        self.terms = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
+        return self
+
+    @classmethod
     def zero(cls, nvars, field, precision=None):
         return cls(nvars, field, {}, precision)
 
@@ -120,9 +133,6 @@ class Series:
     def degree(self) -> int:
         """Maximal total degree of a stored monomial; -1 for the zero series."""
         return max((sum(e) for e in self.terms), default=-1)
-
-    def coefficient(self, exponents):
-        return self.terms.get(tuple(exponents), self.field.zero())
 
     def _check_ambient(self, other: "Series") -> None:
         if self.nvars != other.nvars or self.field != other.field:
@@ -174,17 +184,8 @@ class Series:
         if len(a) > len(b):
             a, b = b, a
         acc: dict = {}
-        add, mul = field.add, field.mul
-        for e1, c1 in a.items():
-            d1 = sum(e1)
-            for e2, c2 in b.items():
-                if prec is not None and d1 + sum(e2) >= prec:
-                    continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                prev = acc.get(e)
-                v = mul(c1, c2)
-                acc[e] = v if prev is None else add(prev, v)
-        return Series(self.nvars, field, acc, prec)
+        _mac(acc, a, b, prec, field.add, field.mul)
+        return Series._of(self.nvars, field, acc, prec)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -250,12 +251,7 @@ class Series:
                 slice_b = out.get(d - da)
                 if not slice_b:
                     continue
-                for e1, c1 in slice_a.items():
-                    for e2, c2 in slice_b.items():
-                        e = tuple(x + y for x, y in zip(e1, e2))
-                        v = mul(c1, c2)
-                        prev = acc.get(e)
-                        acc[e] = v if prev is None else add(prev, v)
+                _mac(acc, slice_a, slice_b, None, add, mul)
             slice_d = {}
             for e, c in acc.items():
                 if c:
@@ -265,7 +261,7 @@ class Series:
         terms: dict = {}
         for slice_d in out.values():
             terms.update(slice_d)
-        return Series(self.nvars, field, terms, prec)
+        return Series._of(self.nvars, field, terms, prec)
 
     # -- comparison / display ----------------------------------------
 
@@ -360,9 +356,6 @@ class TSeries:
         out.extend(Series.zero(f.nvars, f.field, f.precision) for _ in range(tlen))
         return cls(out)
 
-    def coefficient(self, i: int) -> Series:
-        return self.coeffs[i]
-
     def _check_ambient(self, other: "TSeries") -> None:
         if (
             self.nvars != other.nvars
@@ -409,19 +402,8 @@ class TSeries:
                 if ta + tb > tlen:
                     break
                 bound = prec if cuts is None else min_prec(prec, cuts[ta + tb])
-                acc = slots[ta + tb]
-                for e1, c1 in fa.terms.items():
-                    d1 = sum(e1)
-                    if bound is not None and d1 >= bound:
-                        continue
-                    for e2, c2 in fb_terms.items():
-                        if bound is not None and d1 + sum(e2) >= bound:
-                            continue
-                        e = tuple(map(operator.add, e1, e2))
-                        v = mul(c1, c2)
-                        prev = acc.get(e)
-                        acc[e] = v if prev is None else add(prev, v)
-        return TSeries([Series(nvars, field, s, prec) for s in slots])
+                _mac(slots[ta + tb], fa.terms, fb_terms, bound, add, mul)
+        return TSeries([Series._of(nvars, field, s, prec) for s in slots])
 
     def scale(self, value):
         return TSeries([c.scale(value) for c in self.coeffs])
@@ -479,33 +461,76 @@ def substitute(f: Series, images, *, _mono_cache=None) -> TSeries:
             raise IncompatibleAmbient("images disagree on t-length")
         if img.precision is not None:
             raise IncompatibleAmbient("substitution images must be exact polynomials")
-    field = f.field
-    nvars = f.nvars
-    mono_cache = _mono_cache if _mono_cache is not None else {}
+    cache = _mono_cache if _mono_cache is not None else {}
+    prec = None if f.precision is None else max(f.precision - tlen, 0)
+    return TSeries(image_sum(f, images, cache, range(tlen + 1), prec))
 
-    def image_of_monomial(exps) -> TSeries:
-        cached = mono_cache.get(exps)
-        if cached is not None:
-            return cached
+
+# -- the shared engine: products, monomial images, linear images ----------
+
+
+def _mac(acc: dict, a: dict, b: dict, bound, add, mul) -> None:
+    """acc += a * b on exponent -> coefficient maps, keeping only the
+    products of total degree below ``bound`` (None keeps every one)."""
+    for e1, c1 in a.items():
+        if bound is not None:
+            room = bound - sum(e1)
+            if room <= 0:
+                continue
+        for e2, c2 in b.items():
+            if bound is not None and sum(e2) >= room:
+                continue
+            e = tuple(map(operator.add, e1, e2))
+            v = mul(c1, c2)
+            prev = acc.get(e)
+            acc[e] = v if prev is None else add(prev, v)
+
+
+def monomial_image(exps, images, cache: dict, cuts=None) -> TSeries:
+    """The image of X^exps under X_j -> images[j], memoized in ``cache``.
+
+    Built as image(X^(exps - e_j)) * images[j] with j the first nonzero
+    exponent: the loop walks down to the nearest cached monomial (or to
+    1) and multiplies back up, caching every intermediate image, so no
+    exponent is too large for it.  ``cuts`` as in TSeries.mul_cut; the
+    cache must only ever see one value of it.
+    """
+    chain = []
+    result = cache.get(exps)
+    while result is None:
         if not any(exps):
-            result = TSeries.from_series(Series.one(nvars, field), tlen)
-        else:
-            j = next(d for d, e in enumerate(exps) if e)
-            prev = list(exps)
-            prev[j] -= 1
-            result = image_of_monomial(tuple(prev)) * images[j]
-        mono_cache[exps] = result
-        return result
+            first = images[0]
+            result = TSeries.from_series(Series.one(first.nvars, first.field), first.tlen)
+            cache[exps] = result
+            break
+        j = next(d for d, e in enumerate(exps) if e)
+        chain.append((exps, j))
+        exps = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+        result = cache.get(exps)
+    for exps, j in reversed(chain):
+        result = result * images[j] if cuts is None else result.mul_cut(images[j], cuts)
+        cache[exps] = result
+    return result
 
+
+def image_sum(f: Series, images, cache: dict, slots, prec) -> list:
+    """[sum_e c_e * image(X^e).coeffs[s] for s in slots] over the terms
+    c_e X^e of f, each kept below total degree ``prec`` (None keeps all)
+    and carrying that precision; images memoized in ``cache``."""
+    field = f.field
     add, mul = field.add, field.mul
-    slots: list[dict] = [dict() for _ in range(tlen + 1)]
-    for exps, coeff in f.terms.items():
-        mono = image_of_monomial(exps)
-        for i, part in enumerate(mono.coeffs):
-            acc = slots[i]
-            for e, v in part.terms.items():
+    out = []
+    for s in slots:
+        acc: dict = {}
+        for exps, coeff in f.terms.items():
+            mono = cache.get(exps)
+            if mono is None:
+                mono = monomial_image(exps, images, cache)
+            for e, v in mono.coeffs[s].terms.items():
+                if prec is not None and sum(e) >= prec:
+                    continue
                 w = mul(coeff, v)
                 prev = acc.get(e)
                 acc[e] = w if prev is None else add(prev, w)
-    prec = None if f.precision is None else max(f.precision - tlen, 0)
-    return TSeries([Series(nvars, field, s, prec) for s in slots])
+        out.append(Series._of(f.nvars, field, acc, prec))
+    return out

@@ -119,6 +119,33 @@ def test_loose_scalar_exits_1(tmp_path, capsys, coeff):
     assert "not a scalar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["F1_3", "F 5", "F+5", "F\u0665", "F05", "F5 "])
+def test_loose_field_name_exits_1(tmp_path, capsys, name):
+    path = rewritten(tmp_path, "loose.json", char2_problem(), field=name)
+    for command in ("decompose", "kernel", "verify"):
+        assert main([command, path]) == 1
+        assert "unknown field" in capsys.readouterr().err
+
+
+def test_decompose_through_a_degree_3000_image(tmp_path):
+    """E_B(X2) has an X1^3000 term; the images of its powers are built
+    without recursion, so the decomposition goes through."""
+    field = QQ
+    x1, x2 = Series.variable(2, field, 0), Series.variable(2, field, 1)
+    one, zero = Series.one(2, field), Series.zero(2, field)
+    A = HSDerivation([TSeries([x1, one, zero]), TSeries([x2, zero, zero])], name="A")
+    B = HSDerivation([TSeries([x1, zero, zero]), TSeries([x2, one + x1 ** 3000, zero])],
+                     name="B")
+    target = HSDerivation([TSeries([x, x, one]) for x in (x1, x2)], name="target")
+    problem = serialize.Problem(
+        field=field, nvars=2, length=2, truncation=6, seed=0, derivations=[A, B], target=target,
+    )
+    path = write_problem(tmp_path / "deep.json", problem)
+    out = tmp_path / "out.json"
+    assert main(["decompose", path, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["witness"] is None
+
+
 # -- kernel --------------------------------------------------------------------
 
 def test_kernel_full_and_degree1_modes(tmp_path):

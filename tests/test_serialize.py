@@ -15,7 +15,8 @@ def test_field_strings():
     assert serialize.field_to_str(GF(7)) == "F7"
     assert serialize.field_from_str("Q") is QQ
     assert serialize.field_from_str("F5").p == 5
-    for bad in ("R", "F6", "F", 3, "GF(5)"):
+    for bad in ("R", "F6", "F", 3, "GF(5)",
+                "F1_3", "F 5", "F+5", "F\u0665", "F05", "F5 ", "F-5", "f5", "F1"):
         with pytest.raises(ProblemFormatError):
             serialize.field_from_str(bad)
 
