@@ -223,12 +223,19 @@ def coefficient_field(family, order: int, degree1_only: bool = False) -> KernelR
             raise ComponentOutOfRange(
                 f"derivation of length {D.length} has no component {max_weight}"
             )
+    if max_weight:
+        # no weight above max_weight is read, so the monomial images need
+        # no t-slot beyond it
+        family = [D.truncated(max_weight) for D in family]
     mats = [
         component_matrix(D, i, order)
         for D in family
         for i in range(1, max_weight + 1)
     ]
-    report = joint_kernel(mats)
+    if mats:
+        report = joint_kernel(mats)
+    else:  # order 1: no weight acts, and the kernel is the whole quotient
+        report = joint_kernel([], QuotientBasis(family[0].nvars, order), family[0].field)
     which = "weight-1 components only" if degree1_only else f"all weights 1..{max_weight}"
     report.operators_used = f"{which} of {len(family)} derivation(s)"
     return report

@@ -11,12 +11,15 @@ coordinates in the degree-1 basis fill row N of the table.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient, NotABasis, PrecisionExhausted
 from .series import Series, min_prec, monomials_of_degree
-from .derivations import HSDerivation, compose_multi
-from .formula import CoeffTable, apply_table, weighted_terms
+# compose_multi and weighted_terms run inside table_sum; bench/spans.py
+# patches them in this namespace as well
+from .derivations import HSDerivation, compose_multi  # noqa: F401
+from .formula import CoeffTable, apply_table, table_sum, weighted_terms  # noqa: F401
 
 
 @dataclass
@@ -26,6 +29,20 @@ class Degree1Matrix:
     entries: list  # entries[j][d] : Series
     det: Series
     det_unit: bool
+    _inverses: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
+
+    def det_inverse(self, precision: int) -> Series:
+        """1/det: exact when det is a nonzero constant, otherwise modulo
+        (X)^precision; computed once per precision."""
+        inv = self._inverses.get(precision)
+        if inv is None:
+            det = self.det
+            if det.degree() <= 0:
+                inv = Series.constant(det.nvars, det.field, det.field.inv(det.constant_term()))
+            else:
+                inv = det.inverse(precision)
+            self._inverses[precision] = inv
+        return inv
 
 
 def _det(rows) -> Series:
@@ -64,17 +81,16 @@ def residual(target: HSDerivation, family, table: CoeffTable, level: int, f: Ser
 
     The single-factor terms are excluded because their coefficients are
     exactly the unknowns of level N.  When the table already reproduces
-    the target below N, this map is an ordinary derivation.
+    the target below N, this map is an ordinary derivation.  The
+    subtracted sum is ``table_sum``'s, memoized on the table, and
+    ``apply_table`` at weight N on the same f adds only the single-factor
+    terms to it.
     """
     if level < 1 or level > target.length:
         raise ComponentOutOfRange(f"level {level} outside 1..{target.length}")
     if table.levels < level - 1:
         raise ValueError(f"table has {table.levels} levels, need {level - 1}")
-    out = target.apply_component(level, f)
-    family = list(family)
-    for coeff, mu in weighted_terms(table, level, min_parts=2):
-        out = out - (coeff * compose_multi(family, mu, f) if coeff.terms else coeff)
-    return out
+    return target.apply_component(level, f) - table_sum(table, family, level, f, 2)
 
 
 def solve_derivation_coords(values, matrix: Degree1Matrix, out_precision: int) -> list:
@@ -90,11 +106,7 @@ def solve_derivation_coords(values, matrix: Degree1Matrix, out_precision: int) -
     values = list(values)
     if len(values) != n:
         raise ValueError(f"expected {n} values, got {len(values)}")
-    det = matrix.det
-    if det.degree() <= 0:
-        det_inv = Series.constant(det.nvars, det.field, det.field.inv(det.constant_term()))
-    else:
-        det_inv = det.inverse(out_precision)
+    det_inv = matrix.det_inverse(out_precision)
     coords = []
     for d in range(n):
         replaced = [
@@ -230,8 +242,11 @@ def decompose(
 
     Proceeds level by level:  the residual at level N, evaluated on the
     variables, is solved against the degree-1 matrix; its coordinates
-    are row N.  The filled table is then checked by reconstruction up to
-    verify_degree.  The family's degree-1 parts must form a basis
+    are row N.  Each level extends the table with its caches (composition
+    coefficients, term lists and the residual sums), so no composition
+    coefficient is built twice, and the check on the variables reuses
+    the residual sums.  The filled table is then checked by
+    reconstruction up to verify_degree.  The family's degree-1 parts must form a basis
     (NotABasis otherwise) and out_precision must exceed the length
     (PrecisionExhausted otherwise); the result is unique, hence
     deterministic.

@@ -148,6 +148,15 @@ class HSDerivation:
         ]
         return cls(images, name=name)
 
+    def truncated(self, w: int) -> "HSDerivation":
+        """The derivation (D_0, .., D_w): the images cut to t^w, same name;
+        self when w is the length."""
+        if w == self.length:
+            return self
+        if not 1 <= w < self.length:
+            raise ComponentOutOfRange(f"cannot truncate a length-{self.length} derivation to {w}")
+        return HSDerivation([TSeries(img.coeffs[: w + 1]) for img in self.images], name=self.name)
+
     # -- the components ----------------------------------------------
 
     def _image_of_monomial(self, exps, order: int | None = None) -> TSeries:

@@ -18,6 +18,10 @@ from .errors import LengthMismatch
 
 
 PRIME_CAP = 2 ** 64
+# The largest exponent a problem file may hold.  Monomial images are
+# memoized power by power, about 1.6 kB per unit of exponent, so an
+# uncapped exponent in a short file could exhaust memory.
+EXPONENT_CAP = 4096
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

@@ -68,11 +68,14 @@ class CoeffTable:
     """The series coefficients C[l][d], l a weight level >= 1, d a variable slot.
 
     ``rows[l-1][d]`` stores C at level l and variable d (0-based d).
-    The table is treated as immutable; derived enumerations are cached on
-    the instance.
+    The table is treated as immutable; derived values are cached on the
+    instance: slot sums, composition coefficients keyed by (lambda, mu),
+    weighted-term lists and, per family, the sums of ``table_sum``.  A
+    cached value at weight i reads only the rows at levels <= i, so
+    ``extended`` hands every cache on to the longer table.
     """
 
-    __slots__ = ("rows", "nvars", "field", "_term_cache", "_slot_cache")
+    __slots__ = ("rows", "nvars", "field", "_term_cache", "_slot_cache", "_coeff_cache", "_sums")
 
     def __init__(self, rows, nvars: int | None = None, field: FieldSpec | None = None):
         rows = [list(r) for r in rows]
@@ -93,6 +96,8 @@ class CoeffTable:
         self.field = field
         self._term_cache: dict = {}
         self._slot_cache: dict = {}
+        self._coeff_cache: dict = {}
+        self._sums: dict = {}  # see _family_sums
 
     @property
     def levels(self) -> int:
@@ -109,7 +114,17 @@ class CoeffTable:
         return cls([], nvars=nvars, field=field)
 
     def extended(self, row) -> "CoeffTable":
-        return CoeffTable(self.rows + [list(row)], nvars=self.nvars, field=self.field)
+        """This table with one more level, holding a copy of every cache:
+        an entry was computed from the rows this table has, which the new
+        row leaves alone."""
+        out = CoeffTable(self.rows + [list(row)], nvars=self.nvars, field=self.field)
+        out._term_cache.update(self._term_cache)
+        out._slot_cache.update(self._slot_cache)
+        out._coeff_cache.update(self._coeff_cache)
+        out._sums.update(
+            (key, (members, dict(sums))) for key, (members, sums) in self._sums.items()
+        )
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, CoeffTable):
@@ -164,17 +179,25 @@ def composition_coeff(table: CoeffTable, lam, mu) -> Series:
     mu = (2) gives C[1]C[2] + C[2]C[1] = 2 C[1] C[2].
     """
     lam, mu = tuple(lam), tuple(mu)
+    cached = table._coeff_cache.get((lam, mu))
+    if cached is not None:
+        return cached
     if not succeq(lam, mu):
         raise OrderViolation(f"{lam} does not refine {mu}")
-    out = Series.one(table.nvars, table.field)
+    out = None
     for d in range(table.nvars):
         if lam[d] == 0 and mu[d] == 0:
             continue
         factor = table._slot_sum(lam[d], mu[d], d)
-        if out.terms and factor.terms:
+        if out is None:
+            out = factor
+        elif out.terms and factor.terms:
             out = out * factor
         else:  # the product vanishes but still bounds the precision
             out = Series.zero(table.nvars, table.field, min_prec(out.precision, factor.precision))
+    if out is None:
+        out = Series.one(table.nvars, table.field)
+    table._coeff_cache[(lam, mu)] = out
     return out
 
 
@@ -200,14 +223,53 @@ def weighted_terms(table: CoeffTable, i: int, min_parts: int = 1) -> list:
     return terms
 
 
+def _family_sums(table: CoeffTable, family) -> tuple:
+    """(members, sums) of the family on this table: ``sums`` maps
+    (i, min_parts, f) to a ``table_sum``.  Keyed by the identity of the
+    members, which the entry holds on to so that no other family can take
+    their ids."""
+    family = tuple(family)
+    key = tuple(map(id, family))
+    entry = table._sums.get(key)
+    if entry is None:
+        entry = table._sums[key] = (family, {})
+    return entry
+
+
+def _add_term(out: Series, coeff: Series, mu, family, f: Series) -> Series:
+    """out + coeff * D_mu(f); a coefficient that truncates to zero is added
+    itself, which bounds the precision."""
+    return out + (coeff * compose_multi(family, mu, f) if coeff.terms else coeff)
+
+
+def table_sum(table: CoeffTable, family, i: int, f: Series, min_parts: int = 1) -> Series:
+    """sum of coefficient * D_mu(f) over the weight-i terms with
+    |mu| >= min_parts, memoized on the table per family (see
+    _family_sums); f is compared by value."""
+    family, sums = _family_sums(table, family)
+    out = sums.get((i, min_parts, f))
+    if out is None:
+        out = Series.zero(f.nvars, f.field, f.precision)
+        for coeff, mu in weighted_terms(table, i, min_parts):
+            out = _add_term(out, coeff, mu, family, f)
+        sums[(i, min_parts, f)] = out
+    return out
+
+
 def apply_table(table: CoeffTable, family, i: int, f: Series) -> Series:
-    """Apply the weight-i operator built from the family through the table."""
+    """Apply the weight-i operator built from the family through the table:
+    the memoized sum of the terms with at least two factors, which the
+    level-i residual of a decomposition has already built, plus the
+    single-factor terms C[i][d] * D^d_1(f)."""
     family = list(family)
     if len(family) != table.nvars:
         raise IncompatibleAmbient(
             f"table is over {table.nvars} slots but the family has {len(family)} members"
         )
-    out = Series.zero(f.nvars, f.field, f.precision)
+    out = table_sum(table, family, i, f, 2)
+    # weighted_terms lists the single-factor terms first
     for coeff, mu in weighted_terms(table, i):
-        out = out + (coeff * compose_multi(family, mu, f) if coeff.terms else coeff)
+        if sum(mu) > 1:
+            break
+        out = _add_term(out, coeff, mu, family, f)
     return out

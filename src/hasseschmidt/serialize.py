@@ -3,6 +3,7 @@
 Formats:
   field        "Q" or "F<p>", e.g. "F5"
   series       {"prec": N or "exact", "terms": [[e1, .., en, "coeff"], ..]}
+               (exponents are integers from 0 to fields.EXPONENT_CAP)
   tseries      [series, ..] indexed by t-degree
   derivation   {"nvars": n, "length": m, "images": [tseries, ..]}
                (the t^0 entry is the variable itself and is validated)
@@ -24,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import HasseSchmidtError, ProblemFormatError
-from .fields import GF, QQ, FieldSpec
+from .fields import EXPONENT_CAP, GF, QQ, FieldSpec
 from .series import Series, TSeries, grlex_key
 from .derivations import HSDerivation
 from .formula import CoeffTable
@@ -89,6 +90,10 @@ def series_from_json(obj, nvars: int, field: FieldSpec) -> Series:
         exps, coeff = row[:-1], row[-1]
         if not all(type(e) is int and e >= 0 for e in exps):
             raise ProblemFormatError(f"bad exponents in term {row!r}")
+        if max(exps, default=0) > EXPONENT_CAP:
+            raise ProblemFormatError(
+                f"exponent above the cap {EXPONENT_CAP} in term {row[:-1]!r}"
+            )
         try:
             value = field.parse_scalar(coeff)
         except (ValueError, ZeroDivisionError) as exc:

@@ -100,11 +100,18 @@ class Series:
 
     @classmethod
     def zero(cls, nvars, field, precision=None):
-        return cls(nvars, field, {}, precision)
+        if precision is not None and precision < 0:
+            precision = 0
+        return cls._of(nvars, field, {}, precision)
 
     @classmethod
     def constant(cls, nvars, field, value, precision=None):
-        return cls(nvars, field, {(0,) * nvars: field.coerce(value)}, precision)
+        """The constant ``value``; at precision 0 (or below, which clamps
+        to 0) it holds no term."""
+        c = field.coerce(value)
+        if precision is not None and precision <= 0:
+            return cls._of(nvars, field, {}, 0)
+        return cls._of(nvars, field, {(0,) * nvars: c}, precision)
 
     @classmethod
     def one(cls, nvars, field, precision=None):
@@ -153,17 +160,25 @@ class Series:
         self._check_ambient(other)
         field = self.field
         prec = min_prec(self.precision, other.precision)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
+        # only an operand trusted beyond prec can hold terms at or above it
+        if self.precision == prec:
+            terms = dict(self.terms)
+        else:
+            terms = {e: c for e, c in self.terms.items() if sum(e) < prec}
+        b = other.terms
+        if other.precision != prec:
+            b = {e: c for e, c in b.items() if sum(e) < prec}
+        add = field.add
+        for e, c in b.items():
             prev = terms.get(e)
-            terms[e] = c if prev is None else field.add(prev, c)
-        return Series(self.nvars, field, terms, prec)
+            terms[e] = c if prev is None else add(prev, c)
+        return Series._of(self.nvars, field, terms, prec)
 
     __radd__ = __add__
 
     def __neg__(self):
         neg = self.field.neg
-        return Series(
+        return Series._of(
             self.nvars, self.field, {e: neg(c) for e, c in self.terms.items()}, self.precision
         )
 

@@ -7,14 +7,20 @@ nullspace.  Substitution is the version from before the products and
 monomial images moved into shared helpers, with its own recursion and
 its own scaled sum; its image products, and the products and inverses
 here, are pair-by-pair brute force, so they share no loop with the
-library's product kernel.  They are slow on purpose and must not change
-with the library.
+library's product kernel.  The residual, table application, coordinate
+solve and decomposition are the versions from before a decomposition
+kept its sums: every call works on a fresh table, so nothing is cached
+between calls, and the determinant is inverted on every solve.  They are
+slow on purpose and must not change with the library.
 """
 
-from hasseschmidt import Series, TSeries
+from hasseschmidt import CoeffTable, Series, TSeries
 from hasseschmidt.coefffield import ComponentMatrix, QuotientBasis
-from hasseschmidt.errors import ComponentOutOfRange, PrecisionExhausted
-from hasseschmidt.series import min_prec
+from hasseschmidt.decompose import _agree_to_trusted, _det, degree1_matrix
+from hasseschmidt.derivations import compose_multi
+from hasseschmidt.errors import ComponentOutOfRange, NotABasis, PrecisionExhausted
+from hasseschmidt.formula import weighted_terms
+from hasseschmidt.series import min_prec, monomials_of_degree
 
 
 def product(a, b):
@@ -150,3 +156,81 @@ def dense_nullspace(rows, ncols, field):
             v[pc] = field.neg(rows[rr][fc])
         basis.append(v)
     return basis
+
+
+# -- decomposition without shared sums ------------------------------------------
+
+
+def fresh(table):
+    """The same rows in a table with empty caches."""
+    return CoeffTable(table.rows, nvars=table.nvars, field=table.field)
+
+
+def apply_table(table, family, i, f):
+    """Every weight-i term, one after the other, on a fresh table."""
+    family = list(family)
+    out = Series.zero(f.nvars, f.field, f.precision)
+    for coeff, mu in weighted_terms(fresh(table), i):
+        out = out + (coeff * compose_multi(family, mu, f) if coeff.terms else coeff)
+    return out
+
+
+def residual(target, family, table, level, f):
+    """The target component minus each term with at least two factors."""
+    out = target.apply_component(level, f)
+    family = list(family)
+    for coeff, mu in weighted_terms(fresh(table), level, min_parts=2):
+        out = out - (coeff * compose_multi(family, mu, f) if coeff.terms else coeff)
+    return out
+
+
+def solve_derivation_coords(values, matrix, out_precision):
+    """Cramer's rule, inverting a non-constant determinant on every call."""
+    if not matrix.det_unit:
+        raise NotABasis("degree-1 values have non-unit determinant")
+    n = len(matrix.entries)
+    det = matrix.det
+    if det.degree() <= 0:
+        det_inv = Series.constant(det.nvars, det.field, det.field.inv(det.constant_term()))
+    else:
+        det_inv = det.inverse(out_precision)
+    coords = []
+    for d in range(n):
+        replaced = [
+            [values[j] if c == d else matrix.entries[j][c] for c in range(n)]
+            for j in range(n)
+        ]
+        coords.append(_det(replaced) * det_inv)
+    return coords
+
+
+def sweep(target, family, table, max_degree):
+    """(verified degree, witness as (i, beta, lhs, rhs) or None): every
+    monomial up to max_degree at every weight, through ``apply_table``."""
+    n, field = target.nvars, target.field
+    verified = -1
+    for degree in range(max_degree + 1):
+        for beta in monomials_of_degree(n, degree):
+            f = Series.monomial(n, field, beta)
+            for i in range(1, target.length + 1):
+                lhs = target.apply_component(i, f)
+                rhs = apply_table(table, family, i, f)
+                if not _agree_to_trusted(lhs, rhs):
+                    return verified, (i, beta, lhs, rhs)
+        verified = degree
+    return verified, None
+
+
+def decompose(target, family, out_precision, verify_degree):
+    """(table, verified degree, witness): level by level through the
+    functions above, then the sweep."""
+    family = list(family)
+    n, field = target.nvars, target.field
+    matrix = degree1_matrix(family)
+    variables = [Series.variable(n, field, j) for j in range(n)]
+    table = CoeffTable.empty(n, field)
+    for level in range(1, target.length + 1):
+        values = [residual(target, family, table, level, x) for x in variables]
+        row = solve_derivation_coords(values, matrix, out_precision)
+        table = CoeffTable(table.rows + [row], nvars=n, field=field)
+    return (table,) + sweep(target, family, table, verify_degree)

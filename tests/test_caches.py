@@ -1,0 +1,254 @@
+"""Decomposition with carried table caches and shared sums, against the
+uncached versions in ``reference``."""
+
+import gc
+
+import pytest
+
+from hasseschmidt import (
+    GF,
+    QQ,
+    CoeffTable,
+    Derivation,
+    Series,
+    apply_table,
+    decompose,
+    degree1_matrix,
+    integrate,
+    residual,
+    solve_derivation_coords,
+    taylor_basis,
+    verify_decomposition,
+)
+from hasseschmidt import formula
+from hasseschmidt.formula import table_sum
+
+import reference
+from conftest import FIELDS, random_family, random_hsd, random_series
+
+TAGS = (None, None, 1, 2, 3, 5)
+
+
+def scaled_taylor(n, m, field):
+    """Members (1 + X_1) d/dX_d: the degree-1 matrix is (1 + X_1) times the
+    Taylor matrix, a unit whose determinant (1 + X_1)^n is not constant."""
+    one, zero, x1 = Series.one(n, field), Series.zero(n, field), Series.variable(n, field, 0)
+    return [
+        integrate(Derivation([one + x1 if j == d else zero for j in range(n)]), m)
+        for d in range(n)
+    ]
+
+
+def family_for(kind, rng, n, m, field):
+    if kind == "taylor":
+        return taylor_basis(n, m, field)
+    if kind == "random":
+        return random_family(rng, n, m, field)
+    return scaled_taylor(n, m, field)
+
+
+def witness_of(report_witness):
+    w = report_witness
+    return None if w is None else (w.i, w.beta, w.lhs, w.rhs)
+
+
+def tags(table):
+    return [[entry.precision for entry in row] for row in table.rows]
+
+
+SHAPES = ((1, 2), (1, 4), (2, 2), (2, 3), (3, 2))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["taylor", "random", "scaled"])
+def test_decompose_matches_the_reference(field, kind, rng):
+    for n, m in SHAPES:
+        family = family_for(kind, rng, n, m, field)
+        target = random_hsd(rng, n, m, field)
+        out_precision = m + rng.randint(1, 3)
+        verify_degree = rng.choice((-1, 0, 1, 3))
+        result = decompose(target, family, out_precision, verify_degree)
+        table, verified, witness = reference.decompose(target, family, out_precision,
+                                                       verify_degree)
+        assert result.table == table
+        assert tags(result.table) == tags(table)
+        assert result.verified_to_degree == verified
+        assert witness_of(result.witness) == witness
+
+
+def perturbed_decomposition(target, family, out_precision, rng):
+    """The level loop of ``decompose`` through the library's residual,
+    solve and ``extended``, with one entry changed by a random series with
+    a random tag before its row is added: later levels build on it from
+    the carried sums, and the table fails where the change shows."""
+    n, m, field = target.nvars, target.length, target.field
+    matrix = degree1_matrix(family)
+    variables = [Series.variable(n, field, j) for j in range(n)]
+    bad_level, bad_d = rng.randint(1, m), rng.randrange(n)
+    table = CoeffTable.empty(n, field)
+    for level in range(1, m + 1):
+        values = [residual(target, family, table, level, x) for x in variables]
+        row = solve_derivation_coords(values, matrix, out_precision)
+        if level == bad_level:
+            row[bad_d] = row[bad_d] + Series.one(n, field) + random_series(
+                rng, n, field, precision=rng.choice(TAGS)
+            )
+        table = table.extended(row)
+    return table
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["taylor", "random", "scaled"])
+def test_verify_of_perturbed_tables_matches_the_reference(field, kind, rng):
+    failed = 0
+    for n, m in SHAPES:
+        family = family_for(kind, rng, n, m, field)
+        target = random_hsd(rng, n, m, field)
+        table = perturbed_decomposition(target, family, m + 3, rng)
+        for max_degree in (-1, 0, 1, 3):
+            report = verify_decomposition(target, family, table, max_degree)
+            verified, witness = reference.sweep(target, family, table, max_degree)
+            assert (report.verified_to_degree, witness_of(report.witness)) == (verified, witness)
+        failed += not report.passed
+    assert failed
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_apply_table_on_an_extended_table_matches_a_fresh_one(field, rng):
+    """Caches filled level by level on shorter tables, with mixed tags and
+    zero entries, give what a fresh table of the same rows gives at every
+    weight."""
+    for trial, (n, m) in enumerate(((1, 4), (2, 3), (3, 2))):
+        family = taylor_basis(n, m, field) if trial % 2 else random_family(rng, n, m, field)
+        rows = [
+            [random_series(rng, n, field, max_degree=2, max_terms=2, precision=rng.choice(TAGS))
+             for _ in range(n)]
+            for _ in range(m)
+        ]
+        fs = [Series.variable(n, field, j) for j in range(n)]
+        fs += [random_series(rng, n, field, max_degree=3, precision=rng.choice(TAGS))
+               for _ in range(2)]
+        table = CoeffTable.empty(n, field)
+        for level, row in enumerate(rows, 1):
+            for f in fs:
+                for i in range(1, level):
+                    apply_table(table, family, i, f)
+                table_sum(table, family, level, f, 2)  # what the level residual reads
+            table = table.extended(row)
+        fresh = CoeffTable(rows, nvars=n, field=field)
+        for i in range(1, m + 1):
+            for f in fs:
+                got = apply_table(table, family, i, f)
+                assert got == apply_table(fresh, family, i, f)
+                assert got == reference.apply_table(table, family, i, f)
+                assert got == table_sum(table, family, i, f, 1)
+
+
+def test_one_table_keeps_each_familys_own_sums(rng):
+    field, n, m = QQ, 2, 3
+    rows = [[random_series(rng, n, field, max_degree=2) for _ in range(n)] for _ in range(m)]
+    table = CoeffTable(rows, nvars=n, field=field)
+    variables = [Series.variable(n, field, j) for j in range(n)]
+
+    def check(family):
+        for i in range(1, m + 1):
+            for x in variables:
+                assert apply_table(table, family, i, x) == reference.apply_table(
+                    table, family, i, x
+                )
+
+    A, B = taylor_basis(n, m, field), random_family(rng, n, m, field)
+    for family in (A, B, A, B):
+        check(family)
+    # a family dropped by its caller may not leave its sums to a new one
+    # that the allocator places at the same addresses
+    for _ in range(4):
+        C = random_family(rng, n, m, field)
+        check(C)
+        del C
+        gc.collect()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_a_non_constant_determinant_is_inverted_once_per_matrix(field, rng, monkeypatch):
+    calls = []
+    inverse = Series.inverse
+
+    def counted(self, precision):
+        calls.append(precision)
+        return inverse(self, precision)
+
+    monkeypatch.setattr(Series, "inverse", counted)
+    for n, m in ((1, 3), (2, 3), (3, 2)):
+        family = scaled_taylor(n, m, field)
+        matrix = degree1_matrix(family)
+        x1 = Series.variable(n, field, 0)
+        assert matrix.det == (Series.one(n, field) + x1) ** n
+        assert matrix.det_unit
+        target = random_hsd(rng, n, m, field)
+        out_precision = m + 3
+        del calls[:]
+        result = decompose(target, family, out_precision, verify_degree=2)
+        assert calls == [out_precision]
+        # every coordinate is trusted to out_precision, no further
+        assert tags(result.table) == [[out_precision] * n for _ in range(m)]
+        assert result.passed
+        values = [random_series(rng, n, field) for _ in range(n)]
+        del calls[:]
+        first = solve_derivation_coords(values, matrix, out_precision)
+        assert solve_derivation_coords(values, matrix, out_precision) == first
+        assert calls == [out_precision]
+        assert first == reference.solve_derivation_coords(values, matrix, out_precision)
+
+
+def test_extended_carries_every_cache(rng):
+    field, n, m = GF(3), 2, 3
+    family = random_family(rng, n, m + 1, field)
+    rows = [[random_series(rng, n, field, max_degree=2) for _ in range(n)] for _ in range(m)]
+    table = CoeffTable(rows[:-1], nvars=n, field=field)
+    x = Series.variable(n, field, 0)
+    for i in range(1, m):
+        apply_table(table, family, i, x)
+    table_sum(table, family, m, x, 2)
+    longer = table.extended(rows[-1])
+    for name in ("_term_cache", "_slot_cache", "_coeff_cache"):
+        cache = getattr(table, name)
+        assert cache
+        assert all(getattr(longer, name)[key] is value for key, value in cache.items())
+    ((members, sums),) = table._sums.values()
+    ((longer_members, longer_sums),) = longer._sums.values()
+    assert longer_members == members == tuple(family)
+    assert sums and all(longer_sums[key] is value for key, value in sums.items())
+    # the longer table's own entries stay out of the shorter one's caches:
+    # that one has no row m to build weight m or m + 1 from
+    apply_table(longer, family, m, x)
+    assert (m, 1) in longer._term_cache and (m, 1) not in table._term_cache
+    table_sum(longer, family, m + 1, x, 2)
+    with pytest.raises(IndexError):
+        table_sum(table, family, m + 1, x, 2)
+
+
+@pytest.mark.parametrize("kind", ["taylor", "random", "scaled"])
+def test_decompose_applies_each_term_once_per_variable(kind, rng, monkeypatch):
+    """The residuals apply every term with at least two factors to each
+    variable, and the check on the variables adds only the single-factor
+    ones: no term is applied to a variable twice."""
+    calls = []
+    compose = formula.compose_multi
+
+    def counted(family, mu, f):
+        calls.append((mu, f))
+        return compose(family, mu, f)
+
+    monkeypatch.setattr(formula, "compose_multi", counted)
+    field = GF(5)
+    for n, m in ((1, 4), (2, 3), (3, 2)):
+        family = family_for(kind, rng, n, m, field)
+        target = random_hsd(rng, n, m, field)
+        del calls[:]
+        table = decompose(target, family, m + 2, verify_degree=3).table
+        applied = [
+            mu for i in range(1, m + 1) for coeff, mu in formula.weighted_terms(table, i)
+            if coeff.terms
+        ]
+        assert len(calls) == n * len(applied)

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -144,6 +145,36 @@ def test_decompose_through_a_degree_3000_image(tmp_path):
     out = tmp_path / "out.json"
     assert main(["decompose", path, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["witness"] is None
+
+
+def test_a_huge_exponent_exits_1_quickly(tmp_path, capsys):
+    """E_B(X2) = X2 + (1 + X1^10000000) t would need gigabytes of monomial
+    images; the exponent cap rejects the file before any is built."""
+    field = QQ
+    x1, x2 = Series.variable(2, field, 0), Series.variable(2, field, 1)
+    one, zero = Series.one(2, field), Series.zero(2, field)
+    A = HSDerivation([TSeries([x1, one, zero]), TSeries([x2, zero, zero])], name="A")
+    B = HSDerivation([TSeries([x1, zero, zero]), TSeries([x2, one, zero])], name="B")
+    problem = serialize.Problem(
+        field=field, nvars=2, length=2, truncation=6, seed=0, derivations=[A, B], target=A,
+    )
+    obj = serialize.problem_to_json(problem)
+    obj["derivations"][1]["images"][1][1]["terms"].append([10 ** 7, 0, "1"])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    for command in ("decompose", "kernel", "verify"):
+        start = time.perf_counter()
+        assert main([command, str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "cap" in capsys.readouterr().err
+
+
+def test_kernel_at_truncation_one_is_the_constants(tmp_path, capsys):
+    path = rewritten(tmp_path, "order1.json", char2_problem(), truncation=1)
+    assert main(["kernel", path]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "N": 1, "dimension": 1, "basis": [{"prec": "exact", "terms": [[0, "1"]]}]
+    }
 
 
 # -- kernel --------------------------------------------------------------------

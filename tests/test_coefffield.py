@@ -202,6 +202,41 @@ def test_degree1_only_char2_sees_the_squares():
     ]
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["taylor", "random"])
+def test_truncated_derivations_give_the_same_component_matrices(field, kind, rng):
+    for n, m, N in ((1, 5, 6), (2, 3, 4), (3, 2, 3)):
+        for D in family_for(kind, rng, n, m, field):
+            for w in range(1, m + 1):
+                Dw = D.truncated(w)
+                for i in range(w + 1):
+                    assert component_matrix(Dw, i, N) == component_matrix(D, i, N)
+
+
+def test_degree1_only_kernels_cut_their_images_to_two_slots(monkeypatch):
+    seen = []
+    build = coefffield.component_matrix
+
+    def spy(D, i, order):
+        seen.append(D)
+        return build(D, i, order)
+
+    monkeypatch.setattr(coefffield, "component_matrix", spy)
+    family = taylor_basis(2, 4, GF(2))
+    coefficient_field(family, 5, degree1_only=True)
+    assert [D.length for D in seen] == [1, 1]
+    assert {img.tlen for D in seen for img in D._cut_caches[5].values()} == {1}
+    del seen[:]
+    coefficient_field(family, 5)
+    assert {id(D) for D in seen} == {id(D) for D in family}  # length 4 = N - 1: no copies
+
+
+def test_kernel_at_order_one_is_the_constants():
+    for field in FIELDS:
+        report = coefficient_field(taylor_basis(2, 2, field), 1)
+        assert report.basis == [Series.one(2, field)]
+
+
 def test_coefficient_field_requires_basis():
     x = Series.variable(1, QQ, 0)
     with pytest.raises(NotABasis):

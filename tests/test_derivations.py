@@ -89,6 +89,19 @@ def test_images_must_start_with_the_variable():
         HSDerivation([TSeries([x + 1, x])])
 
 
+def test_truncated_keeps_the_low_components_and_the_name(rng):
+    D = random_hsd(rng, 2, 4, GF(3))
+    D.name = "D"
+    assert D.truncated(4) is D
+    for w in (1, 2, 3):
+        Dw = D.truncated(w)
+        assert (Dw.length, Dw.name) == (w, "D")
+        assert [img.coeffs for img in Dw.images] == [img.coeffs[: w + 1] for img in D.images]
+    for w in (0, 5):
+        with pytest.raises(ComponentOutOfRange):
+            D.truncated(w)
+
+
 def test_component_zero_is_identity(rng):
     D = random_hsd(rng, 2, 3, QQ)
     f = random_series(rng, 2, QQ)

@@ -51,6 +51,16 @@ def test_series_json_rejects_garbage():
         serialize.series_from_json({"prec": -2, "terms": []}, 2, QQ)
 
 
+def test_series_json_caps_exponents():
+    from hasseschmidt.fields import EXPONENT_CAP
+
+    capped = serialize.series_from_json({"terms": [[EXPONENT_CAP, 0, "1"]]}, 2, QQ)
+    assert capped == Series.monomial(2, QQ, (EXPONENT_CAP, 0))
+    for exps in ([EXPONENT_CAP + 1, 0], [0, 10 ** 7]):
+        with pytest.raises(ProblemFormatError, match="cap"):
+            serialize.series_from_json({"terms": [exps + ["1"]]}, 2, QQ)
+
+
 @pytest.mark.parametrize("obj", [
     {"terms": [[True, 0, "1"]]},          # true would load as exponent 1
     {"terms": [[0, False, "1"]]},

@@ -72,6 +72,41 @@ def test_precision_combines_to_weaker():
     assert (x * x).precision is None
 
 
+def reference_sum(a, b):
+    """a + b merged term by term; the validating constructor drops the
+    terms the weaker tag cuts off."""
+    terms = dict(a.terms)
+    for e, c in b.terms.items():
+        terms[e] = a.field.add(terms.get(e, a.field.zero()), c)
+    precs = [p for p in (a.precision, b.precision) if p is not None]
+    return Series(a.nvars, a.field, terms, min(precs) if precs else None)
+
+
+def test_add_and_neg_match_the_validating_constructor(rng):
+    for field in FIELDS:
+        for nvars in (1, 2, 3):
+            for _ in range(30):
+                a, b = (
+                    random_series(rng, nvars, field, max_degree=5, max_terms=5,
+                                  precision=rng.choice((None, 0, 1, 2, 3, 5)))
+                    for _ in range(2)
+                )
+                assert a + b == reference_sum(a, b), (a, b)
+                assert a - a == Series.zero(nvars, field, a.precision)
+                assert -a == Series(nvars, field, {e: field.neg(c) for e, c in a.terms.items()},
+                                    a.precision)
+
+
+def test_constant_and_zero_tags():
+    for field in FIELDS:
+        assert Series.constant(2, field, 3, 0).terms == {}
+        assert Series.constant(2, field, 3, -4) == Series.zero(2, field, 0)
+        assert Series.zero(2, field, -1).precision == 0
+        assert Series.constant(2, field, 0).terms == {}
+        assert Series.constant(2, field, 1, 1) == Series(2, field, {(0, 0): field.one()}, 1)
+        assert Series.one(0, field) == Series(0, field, {(): field.one()})
+
+
 # -- ring axioms ----------------------------------------------------------------
 
 @st.composite
