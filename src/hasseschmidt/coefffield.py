@@ -9,18 +9,20 @@ kernel of all components of all weights 1..N-1 is one-dimensional (the
 constants): a coefficient field seen at level N.  Keeping only the
 weight-1 components leaves a strictly larger kernel in positive
 characteristic (the p-th powers survive), which is the phenomenon this
-module makes checkable.
+module makes checkable.  The weights that kill them, 1, p, .., p^k, are
+usually enough on their own, and they are tried first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient, NotABasis, PrecisionExhausted
 from .fields import FieldSpec
 from .series import Series, monomials_of_degree
 from .derivations import HSDerivation
-from .decompose import _det, degree1_matrix
+from .decompose import _det, degree1_matrix, degree1_values
 
 
 class QuotientBasis:
@@ -37,6 +39,18 @@ class QuotientBasis:
             e for degree in range(order) for e in monomials_of_degree(nvars, degree)
         )
         self.index = {e: i for i, e in enumerate(self.monomials)}
+
+    def prefix(self, order: int) -> "QuotientBasis":
+        """The basis of the order-``order`` quotient, order <= self.order:
+        the order is graded, so its monomials are the first ones of this
+        basis, and each keeps its index."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"order {order} outside 0..{self.order}")
+        out = object.__new__(QuotientBasis)
+        out.nvars, out.order = self.nvars, order
+        out.monomials = self.monomials[: math.comb(order - 1 + self.nvars, self.nvars)]
+        out.index = {e: i for i, e in enumerate(out.monomials)}
+        return out
 
     def __len__(self):
         return len(self.monomials)
@@ -66,7 +80,8 @@ class QuotientBasis:
 @dataclass
 class ComponentMatrix:
     """Matrix of a weight-i component from the order-N quotient to the
-    order-(N-i) quotient; rows[r][c] over the shared field."""
+    order-(N-i) quotient over the shared field.  Row r, for the r-th
+    target monomial, is a {column: value} map of its nonzero entries."""
 
     rows: list
     source: QuotientBasis
@@ -77,40 +92,47 @@ class ComponentMatrix:
 
     def apply_coords(self, coords):
         field = self.field
+        add, mul = field.add, field.mul
         out = []
         for row in self.rows:
             acc = field.zero()
-            for a, x in zip(row, coords):
-                if a and x:
-                    acc = field.add(acc, field.mul(a, x))
+            for c, a in row.items():
+                x = coords[c]
+                if x:
+                    acc = add(acc, mul(a, x))
             out.append(acc)
         return out
 
 
-def component_matrix(D: HSDerivation, i: int, order: int) -> ComponentMatrix:
+def component_matrix(D: HSDerivation, i: int, order: int,
+                     source: QuotientBasis | None = None) -> ComponentMatrix:
     """Materialize D_i as a matrix k[X]/(X)^order -> k[X]/(X)^(order-i).
 
     Column for the monomial X^beta holds the coordinates of D_i(X^beta)
     truncated below degree order - i: the t^i coefficient of the image
     E(X^beta) modulo J_order, which the derivation computes once per
-    monomial and order and shares between all weights.
+    monomial and order and shares between all weights.  ``source``, the
+    order-N basis, may be passed in to share it between matrices.
     """
     if i > D.length or i < 0:
         raise ComponentOutOfRange(f"component {i} of a length-{D.length} derivation")
     if i >= order:
         raise PrecisionExhausted(f"weight {i} leaves nothing of a degree-{order} quotient")
-    source = QuotientBasis(D.nvars, order)
-    target = QuotientBasis(D.nvars, order - i)
-    field = D.field
-    # the order is graded, so the target's monomials are the first ones of
-    # the source and a monomial has the same index in both
-    zero, index = field.zero(), source.index
-    rows = [[zero] * len(source) for _ in range(len(target))]
+    if source is None:
+        source = QuotientBasis(D.nvars, order)
+    elif (source.nvars, source.order) != (D.nvars, order):
+        raise IncompatibleAmbient(
+            f"source basis is not the order-{order} basis in {D.nvars} variables"
+        )
+    target = source.prefix(order - i)
+    # a monomial has the same index in the target as in the source
+    index = source.index
+    rows = [{} for _ in range(len(target))]
     for c, beta in enumerate(source.monomials):
         for e, v in D._image_of_monomial(beta, order).coeffs[i].terms.items():
             rows[index[e]][c] = v
     label = f"{D.name or 'D'}_{i}"
-    return ComponentMatrix(rows, source, target, i, field, label)
+    return ComponentMatrix(rows, source, target, i, D.field, label)
 
 
 def _eliminate(vec: dict, pivot: dict, factor, field: FieldSpec) -> None:
@@ -127,9 +149,10 @@ def _eliminate(vec: dict, pivot: dict, factor, field: FieldSpec) -> None:
 def nullspace(rows, ncols: int, field: FieldSpec) -> list:
     """Basis of the right nullspace by sparse row reduction.
 
-    Each row becomes a {column: value} map and is reduced against the
-    pivot rows found so far, keyed by leading column and scaled to a
-    leading 1; what is left of it, if anything, becomes a new pivot row.
+    Each row is a {column: nonzero value} map.  A copy of it is reduced
+    against the pivot rows found so far, keyed by leading column and
+    scaled to a leading 1; what is left of it, if anything, becomes a new
+    pivot row.
     Reduction stops once every column has a pivot.  Back substitution
     then brings the pivot rows to reduced row echelon form, which depends
     only on the row space.  Returns the canonical vectors of that form:
@@ -139,7 +162,7 @@ def nullspace(rows, ncols: int, field: FieldSpec) -> list:
     for row in rows:
         if len(pivots) == ncols:
             break
-        vec = {c: x for c, x in enumerate(row) if x}
+        vec = dict(row)
         while vec:
             lead = min(vec)
             pivot = pivots.get(lead)
@@ -206,6 +229,27 @@ def joint_kernel(mats, source: QuotientBasis | None = None, field: FieldSpec | N
     return KernelReport(len(basis), basis, used, source.order)
 
 
+def _deciding_weights(field: FieldSpec, order: int) -> list:
+    """The weights tried first on the order-N quotient: 1 over Q, and
+    1, p, .., p^k <= N-1 over GF(p), the ones that kill X^(p^j) (Lucas:
+    C(a, p^j) = a_j mod p)."""
+    p = field.characteristic
+    weights = [1]
+    while p and weights[-1] * p < order:
+        weights.append(weights[-1] * p)
+    return weights
+
+
+def _kernel_at(family, weights, source: QuotientBasis) -> KernelReport:
+    """Joint kernel of the given weights of every member, from monomial
+    images built only through the largest of them."""
+    top = max(weights)
+    family = [D.truncated(top) for D in family]
+    return joint_kernel(
+        [component_matrix(D, i, source.order, source) for D in family for i in weights]
+    )
+
+
 def coefficient_field(family, order: int, degree1_only: bool = False) -> KernelReport:
     """Joint kernel of the family's components on the order-N quotient.
 
@@ -213,6 +257,11 @@ def coefficient_field(family, order: int, degree1_only: bool = False) -> KernelR
     enough); with ``degree1_only`` only the weight-1 components enter,
     which in characteristic p leaves the p-th powers in the kernel.  The
     family's degree-1 parts must form a basis.
+
+    With every weight, the weights 1, p, .., p^k come first.  Every
+    kernel holds the constants (E(1) = 1), and adding weights can only
+    shrink it, so when theirs is just the constants, that is the answer;
+    otherwise every weight is stacked.
     """
     family = list(family)
     if not degree1_matrix(family).det_unit:
@@ -223,19 +272,14 @@ def coefficient_field(family, order: int, degree1_only: bool = False) -> KernelR
             raise ComponentOutOfRange(
                 f"derivation of length {D.length} has no component {max_weight}"
             )
-    if max_weight:
-        # no weight above max_weight is read, so the monomial images need
-        # no t-slot beyond it
-        family = [D.truncated(max_weight) for D in family]
-    mats = [
-        component_matrix(D, i, order)
-        for D in family
-        for i in range(1, max_weight + 1)
-    ]
-    if mats:
-        report = joint_kernel(mats)
-    else:  # order 1: no weight acts, and the kernel is the whole quotient
-        report = joint_kernel([], QuotientBasis(family[0].nvars, order), family[0].field)
+    source = QuotientBasis(family[0].nvars, order)
+    if not max_weight:  # order 1: no weight acts, and the kernel is the whole quotient
+        report = joint_kernel([], source, family[0].field)
+    else:
+        weights = [1] if degree1_only else _deciding_weights(family[0].field, order)
+        report = _kernel_at(family, weights, source)
+        if report.dimension != 1 and len(weights) < max_weight:
+            report = _kernel_at(family, range(1, max_weight + 1), source)
     which = "weight-1 components only" if degree1_only else f"all weights 1..{max_weight}"
     report.operators_used = f"{which} of {len(family)} derivation(s)"
     return report
@@ -252,7 +296,4 @@ def nomura_unit_test(family, points) -> bool:
     n = family[0].nvars
     if len(points) != n:
         raise IncompatibleAmbient(f"expected {n} points, got {len(points)}")
-    entries = [
-        [family[d].apply_component(1, points[j]) for d in range(n)] for j in range(n)
-    ]
-    return bool(_det(entries).constant_term())
+    return bool(_det(degree1_values(family, points)).constant_term())

@@ -62,15 +62,22 @@ def _det(rows) -> Series:
     return out
 
 
-def degree1_matrix(family) -> Degree1Matrix:
-    """Evaluate every member's degree-1 component on every variable."""
+def degree1_values(family, points) -> list:
+    """The entries D^d_1(a_j), row j and column d, of the first n members
+    at the points a_1..a_n, where there are n variables."""
     family = list(family)
     n = family[0].nvars
-    field = family[0].field
-    entries = [
-        [family[d].apply_component(1, Series.variable(n, field, j)) for d in range(n)]
-        for j in range(n)
-    ]
+    if len(family) < n:
+        raise NotABasis(f"{len(family)} derivation(s) cannot span {n} variables")
+    return [[family[d].apply_component(1, a) for d in range(n)] for a in points]
+
+
+def degree1_matrix(family) -> Degree1Matrix:
+    """Evaluate the degree-1 component of the first n members on every
+    variable, where there are n variables."""
+    family = list(family)
+    n, field = family[0].nvars, family[0].field
+    entries = degree1_values(family, [Series.variable(n, field, j) for j in range(n)])
     det = _det(entries)
     return Degree1Matrix(entries, det, bool(det.constant_term()))
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from hasseschmidt import GF, QQ, HSDerivation, Series, TSeries
+from hasseschmidt import GF, QQ, Derivation, HSDerivation, Series, TSeries, integrate, taylor_basis
+from hasseschmidt.decompose import degree1_matrix
 
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
@@ -67,6 +68,43 @@ def random_family(rng, n, m, field):
             images.append(TSeries([Series.variable(n, field, j), first] + rest))
         family.append(HSDerivation(images))
     return family
+
+
+def scaled_taylor(n, m, field):
+    """Members (1 + X_1) d/dX_d: the degree-1 matrix is (1 + X_1) times the
+    Taylor matrix, a unit whose determinant (1 + X_1)^n is not constant."""
+    one, zero, x1 = Series.one(n, field), Series.zero(n, field), Series.variable(n, field, 0)
+    return [
+        integrate(Derivation([one + x1 if j == d else zero for j in range(n)]), m)
+        for d in range(n)
+    ]
+
+
+def random_unit_family(rng, n, m, field):
+    """n ``random_hsd`` members, member d with 1 added to the t^1
+    coefficient of E(X_d), drawn again until the degree-1 determinant is
+    a unit (random constant terms can still cancel it)."""
+    one = Series.one(n, field)
+    while True:
+        family = []
+        for d in range(n):
+            images = [list(img.coeffs) for img in random_hsd(rng, n, m, field).images]
+            images[d][1] = images[d][1] + one
+            family.append(HSDerivation([TSeries(coeffs) for coeffs in images]))
+        if degree1_matrix(family).det_unit:
+            return family
+
+
+def family_for(kind, rng, n, m, field):
+    """Taylor, ``random_family``, (1 + X_1) * Taylor, or ``random_hsd``
+    members with a unit degree-1 determinant."""
+    if kind == "taylor":
+        return taylor_basis(n, m, field)
+    if kind == "random":
+        return random_family(rng, n, m, field)
+    if kind == "scaled":
+        return scaled_taylor(n, m, field)
+    return random_unit_family(rng, n, m, field)
 
 
 def assert_agree_to_trusted(a, b, msg=""):

@@ -2,12 +2,13 @@
 
 These are the straightforward versions the library used before its
 kernel path went sparse: a component matrix built column by column from
-``apply_component`` on exact monomial images, and a dense Gauss-Jordan
-nullspace.  Substitution is the version from before the products and
-monomial images moved into shared helpers, with its own recursion and
-its own scaled sum; its image products, and the products and inverses
-here, are pair-by-pair brute force, so they share no loop with the
-library's product kernel.  The residual, table application, coordinate
+``apply_component`` on exact monomial images, a dense Gauss-Jordan
+nullspace, and the coefficient field as the kernel of every weight at
+once, from those two.  Substitution is the version from before the
+products and monomial images moved into shared helpers, with its own
+recursion and its own scaled sum; its image products, and the products
+and inverses here, are pair-by-pair brute force, so they share no loop
+with the library's product kernel.  The residual, table application, coordinate
 solve and decomposition are the versions from before a decomposition
 kept its sums: every call works on a fresh table, so nothing is cached
 between calls, and the determinant is inverted on every solve.  They are
@@ -15,7 +16,7 @@ slow on purpose and must not change with the library.
 """
 
 from hasseschmidt import CoeffTable, Series, TSeries
-from hasseschmidt.coefffield import ComponentMatrix, QuotientBasis
+from hasseschmidt.coefffield import ComponentMatrix, KernelReport, QuotientBasis
 from hasseschmidt.decompose import _agree_to_trusted, _det, degree1_matrix
 from hasseschmidt.derivations import compose_multi
 from hasseschmidt.errors import ComponentOutOfRange, NotABasis, PrecisionExhausted
@@ -156,6 +157,44 @@ def dense_nullspace(rows, ncols, field):
             v[pc] = field.neg(rows[rr][fc])
         basis.append(v)
     return basis
+
+
+def dense_view(mat):
+    """The same matrix with each {column: value} row as a full list."""
+    zero, ncols = mat.field.zero(), len(mat.source)
+    rows = [[row.get(c, zero) for c in range(ncols)] for row in mat.rows]
+    return ComponentMatrix(rows, mat.source, mat.target, mat.weight, mat.field, mat.label)
+
+
+def sparse_rows(rows):
+    """Full-list rows as {column: nonzero value} maps."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def all_weights_kernel(family, order, degree1_only=False):
+    """The coefficient field as the kernel of every weight 1..N-1 (only
+    weight 1 with ``degree1_only``) of every member, stacked at once from
+    dense matrices."""
+    family = list(family)
+    if not degree1_matrix(family).det_unit:
+        raise NotABasis("degree-1 values have non-unit determinant")
+    max_weight = 1 if degree1_only else order - 1
+    for D in family:
+        if D.length < max_weight:
+            raise ComponentOutOfRange(
+                f"derivation of length {D.length} has no component {max_weight}"
+            )
+    source = QuotientBasis(family[0].nvars, order)
+    field = family[0].field
+    rows = [
+        row
+        for D in family
+        for i in range(1, max_weight + 1)
+        for row in dense_component_matrix(D, i, order).rows
+    ]
+    basis = [source.from_coords(v, field) for v in dense_nullspace(rows, len(source), field)]
+    which = "weight-1 components only" if degree1_only else f"all weights 1..{max_weight}"
+    return KernelReport(len(basis), basis, f"{which} of {len(family)} derivation(s)", order)
 
 
 # -- decomposition without shared sums ------------------------------------------

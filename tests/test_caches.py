@@ -9,12 +9,10 @@ from hasseschmidt import (
     GF,
     QQ,
     CoeffTable,
-    Derivation,
     Series,
     apply_table,
     decompose,
     degree1_matrix,
-    integrate,
     residual,
     solve_derivation_coords,
     taylor_basis,
@@ -24,27 +22,9 @@ from hasseschmidt import formula
 from hasseschmidt.formula import table_sum
 
 import reference
-from conftest import FIELDS, random_family, random_hsd, random_series
+from conftest import FIELDS, family_for, random_family, random_hsd, random_series, scaled_taylor
 
 TAGS = (None, None, 1, 2, 3, 5)
-
-
-def scaled_taylor(n, m, field):
-    """Members (1 + X_1) d/dX_d: the degree-1 matrix is (1 + X_1) times the
-    Taylor matrix, a unit whose determinant (1 + X_1)^n is not constant."""
-    one, zero, x1 = Series.one(n, field), Series.zero(n, field), Series.variable(n, field, 0)
-    return [
-        integrate(Derivation([one + x1 if j == d else zero for j in range(n)]), m)
-        for d in range(n)
-    ]
-
-
-def family_for(kind, rng, n, m, field):
-    if kind == "taylor":
-        return taylor_basis(n, m, field)
-    if kind == "random":
-        return random_family(rng, n, m, field)
-    return scaled_taylor(n, m, field)
 
 
 def witness_of(report_witness):

@@ -5,7 +5,16 @@ import time
 
 import pytest
 
-from hasseschmidt import GF, QQ, Derivation, HSDerivation, Series, TSeries, integrate
+from hasseschmidt import (
+    GF,
+    QQ,
+    Derivation,
+    HSDerivation,
+    Series,
+    TSeries,
+    integrate,
+    taylor_basis,
+)
 from hasseschmidt import serialize
 from hasseschmidt.cli import main
 from hasseschmidt.derivations import taylor_derivation
@@ -202,6 +211,56 @@ def test_kernel_rational_degree1_only_is_constants(tmp_path):
     out = tmp_path / "out.json"
     assert main(["kernel", input_path, "--degree1-only", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["dimension"] == 1
+
+
+def test_kernel_with_fewer_derivations_than_variables_exits_2(tmp_path, capsys):
+    field = QQ
+    problem = serialize.Problem(
+        field=field, nvars=2, length=3, truncation=4, seed=0,
+        derivations=[taylor_derivation(2, 3, field, 0)],
+    )
+    path = write_problem(tmp_path / "fewer.json", problem)
+    assert main(["kernel", path]) == 2
+    assert capsys.readouterr().err == "not a basis: 1 derivation(s) cannot span 2 variables\n"
+
+
+def hostile_kernel_problems():
+    """(name, problem, flags, exit code) for kernel inputs at the edges."""
+    f2, f3 = GF(2), GF(3)
+    shift = taylor_derivation(1, 4, f2, 0)
+    return [
+        ("fewer-derivations-than-variables",
+         serialize.Problem(field=QQ, nvars=2, length=3, truncation=4, seed=0,
+                           derivations=[taylor_derivation(2, 3, QQ, 1)]), [], 2),
+        ("more-derivations-than-variables",
+         serialize.Problem(field=f2, nvars=1, length=4, truncation=5, seed=0,
+                           derivations=[shift, shift]), [], 0),
+        ("order-1",
+         serialize.Problem(field=f3, nvars=2, length=1, truncation=1, seed=0,
+                           derivations=taylor_basis(2, 1, f3)), [], 0),
+        ("order-2-degree1-only",
+         serialize.Problem(field=f3, nvars=2, length=1, truncation=2, seed=0,
+                           derivations=taylor_basis(2, 1, f3)), ["--degree1-only"], 0),
+        ("length-below-N-1",
+         serialize.Problem(field=f2, nvars=1, length=2, truncation=5, seed=0,
+                           derivations=[taylor_derivation(1, 2, f2, 0)]), [], 1),
+    ]
+
+
+@pytest.mark.parametrize("name, problem, flags, code", hostile_kernel_problems(),
+                         ids=[case[0] for case in hostile_kernel_problems()])
+def test_kernel_answers_hostile_inputs_with_an_exit_code(tmp_path, capsys, name, problem,
+                                                         flags, code):
+    path = write_problem(tmp_path / "problem.json", problem)
+    assert main(["kernel", path] + flags) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert "Traceback" not in captured.err
+    else:
+        assert captured.err == ""
+        assert json.loads(captured.out)["dimension"] >= 1
 
 
 # -- verify ----------------------------------------------------------------------

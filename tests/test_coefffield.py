@@ -21,13 +21,25 @@ from hasseschmidt import (
     taylor_basis,
     taylor_derivation,
 )
-from hasseschmidt import coefffield, serialize
+from hasseschmidt import cli, coefffield, serialize
 from hasseschmidt.cli import main
 from hasseschmidt.coefffield import nullspace
-from hasseschmidt.errors import ComponentOutOfRange, NotABasis, PrecisionExhausted
+from hasseschmidt.decompose import degree1_matrix
+from hasseschmidt.errors import (
+    ComponentOutOfRange,
+    IncompatibleAmbient,
+    NotABasis,
+    PrecisionExhausted,
+)
 
-from conftest import FIELDS, random_family, random_hsd, random_scalar, random_series
-from reference import dense_component_matrix, dense_nullspace
+from conftest import FIELDS, family_for, random_hsd, random_scalar, random_series
+from reference import (
+    all_weights_kernel,
+    dense_component_matrix,
+    dense_nullspace,
+    dense_view,
+    sparse_rows,
+)
 
 
 # -- the quotient basis -------------------------------------------------------
@@ -50,12 +62,33 @@ def test_coords_round_trip(rng):
     assert basis.from_coords(basis.coords(f), GF(5)) == f
 
 
+def test_prefix_is_the_smaller_basis():
+    for n in (1, 2, 3):
+        basis = QuotientBasis(n, 5)
+        for N in range(6):
+            part = basis.prefix(N)
+            fresh = QuotientBasis(n, N)
+            assert (part, part.monomials, part.index) == (fresh, fresh.monomials, fresh.index)
+    with pytest.raises(ValueError):
+        QuotientBasis(2, 3).prefix(4)
+
+
 # -- component matrices --------------------------------------------------------
+
+def test_a_shared_source_basis_gives_the_same_matrix(rng):
+    D = random_hsd(rng, 2, 3, GF(3))
+    source = QuotientBasis(2, 4)
+    for i in range(4):
+        assert component_matrix(D, i, 4, source) == component_matrix(D, i, 4)
+    for wrong in (QuotientBasis(2, 5), QuotientBasis(1, 4)):
+        with pytest.raises(IncompatibleAmbient):
+            component_matrix(D, 1, 4, wrong)
+
 
 def test_weight_zero_matrix_is_identity():
     D = taylor_derivation(1, 2, QQ, 0)
     mat = component_matrix(D, 0, 3)
-    assert mat.rows == [
+    assert dense_view(mat).rows == [
         [QQ.one() if r == c else QQ.zero() for c in range(3)] for r in range(3)
     ]
 
@@ -64,10 +97,11 @@ def test_char2_taylor_column_vanishes_by_lucas():
     # column of X^4 under the weight-2 operator: C(4,2) = 6 = 0 mod 2
     D = taylor_derivation(1, 4, GF(2), 0)
     mat = component_matrix(D, 2, 5)
-    col = [row[mat.source.index[(4,)]] for row in mat.rows]
+    rows = dense_view(mat).rows
+    col = [row[mat.source.index[(4,)]] for row in rows]
     assert all(v == 0 for v in col)
     # while the column of X^3 is C(3,2) X = X
-    col3 = [row[mat.source.index[(3,)]] for row in mat.rows]
+    col3 = [row[mat.source.index[(3,)]] for row in rows]
     assert col3 == [0 if e != (1,) else 1 for e in mat.target.monomials]
 
 
@@ -75,10 +109,12 @@ def test_matrix_agrees_with_direct_application(rng):
     for field in (QQ, GF(3)):
         D = random_hsd(rng, 2, 2, field)
         N = 4
-        for i in (1, 2):
+        for i in (0, 1, 2):
             mat = component_matrix(D, i, N)
             for _ in range(5):
+                # a constant term too, which only the weight-0 matrix reads
                 f = random_series(rng, 2, field, max_degree=N - 1, max_terms=4)
+                f = f + Series.one(2, field)
                 image = D.apply_component(i, f).truncate(N - i)
                 assert mat.apply_coords(mat.source.coords(f)) == mat.target.coords(image)
 
@@ -159,14 +195,14 @@ def test_matrix_composition_follows_the_group_law(rng):
     Dp = random_hsd(rng, 1, 2, field)
     comp = group_compose(D, Dp)
     for i in (1, 2):
-        lhs = component_matrix(comp, i, N)
+        lhs = dense_view(component_matrix(comp, i, N))
         dim_src = len(QuotientBasis(1, N))
         dim_tgt = len(QuotientBasis(1, N - i))
         acc = [[field.zero()] * dim_src for _ in range(dim_tgt)]
         for r in range(i + 1):
             s = i - r
-            right = component_matrix(Dp, s, N)            # N -> N - s
-            left = component_matrix(D, r, N - s)          # N - s -> N - s - r = N - i
+            right = dense_view(component_matrix(Dp, s, N))    # N -> N - s
+            left = dense_view(component_matrix(D, r, N - s))  # N - s -> N - s - r = N - i
             for a in range(dim_tgt):
                 for b in range(dim_src):
                     total = acc[a][b]
@@ -217,9 +253,9 @@ def test_degree1_only_kernels_cut_their_images_to_two_slots(monkeypatch):
     seen = []
     build = coefffield.component_matrix
 
-    def spy(D, i, order):
+    def spy(D, *args):
         seen.append(D)
-        return build(D, i, order)
+        return build(D, *args)
 
     monkeypatch.setattr(coefffield, "component_matrix", spy)
     family = taylor_basis(2, 4, GF(2))
@@ -229,6 +265,82 @@ def test_degree1_only_kernels_cut_their_images_to_two_slots(monkeypatch):
     del seen[:]
     coefficient_field(family, 5)
     assert {id(D) for D in seen} == {id(D) for D in family}  # length 4 = N - 1: no copies
+
+
+def test_deciding_weights_are_the_powers_of_p():
+    assert coefffield._deciding_weights(QQ, 9) == [1]
+    assert coefffield._deciding_weights(GF(2), 8) == [1, 2, 4]
+    assert coefffield._deciding_weights(GF(2), 9) == [1, 2, 4, 8]
+    assert coefffield._deciding_weights(GF(3), 10) == [1, 3, 9]
+    assert coefffield._deciding_weights(GF(5), 5) == [1]
+    assert coefffield._deciding_weights(GF(5), 6) == [1, 5]
+
+
+def spy_on(monkeypatch, name):
+    """Record the arguments and results of coefffield.<name>."""
+    calls = []
+    original = getattr(coefffield, name)
+
+    def spy(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(coefffield, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("field, weights", [(QQ, [1]), (GF(2), [1, 2, 4]), (GF(3), [1, 3])])
+def test_full_kernels_stop_at_the_deciding_weights(field, weights, monkeypatch):
+    matrices = spy_on(monkeypatch, "component_matrix")
+    family = taylor_basis(2, 7, field)
+    report = coefficient_field(family, 8)
+    assert report.basis == [Series.one(2, field)]
+    assert report.operators_used == "all weights 1..7 of 2 derivation(s)"
+    assert [args[1] for args, _ in matrices] == weights * 2
+    # the images are built only through the largest deciding weight
+    assert {args[0].length for args, _ in matrices} == {weights[-1]}
+
+
+def test_a_kernel_left_above_the_constants_falls_back_to_every_weight(monkeypatch):
+    """With W = {1} over GF(2), the squares 1, X^2, X^4 survive, so every
+    weight is stacked and the report is the all-weights one."""
+    monkeypatch.setattr(coefffield, "_deciding_weights", lambda field, order: [1])
+    kernels = spy_on(monkeypatch, "joint_kernel")
+    family = taylor_basis(1, 4, GF(2))
+    report = coefficient_field(family, 5)
+    assert [result.dimension for _, result in kernels] == [3, 1]
+    assert [mat.weight for mat in kernels[1][0][0]] == [1, 2, 3, 4]
+    slow = all_weights_kernel(family, 5)
+    assert (report.dimension, report.basis, report.operators_used) == (
+        slow.dimension, slow.basis, slow.operators_used)
+    assert report.operators_used == "all weights 1..4 of 1 derivation(s)"
+
+
+@pytest.mark.parametrize("degree1_only", [False, True])
+@pytest.mark.parametrize("fallback", [False, True])
+def test_one_quotient_basis_per_kernel(degree1_only, fallback, monkeypatch):
+    if fallback:
+        monkeypatch.setattr(coefffield, "_deciding_weights", lambda field, order: [1])
+    built = []
+    init = QuotientBasis.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(QuotientBasis, "__init__", counted)
+    coefficient_field(taylor_basis(2, 4, GF(2)), 5, degree1_only)
+    assert built == [(2, 5)]
+
+
+def test_too_few_derivations_are_not_a_basis():
+    family = taylor_basis(2, 3, QQ)[:1]
+    points = [Series.variable(2, QQ, j) for j in range(2)]
+    for call in (lambda: degree1_matrix(family), lambda: nomura_unit_test(family, points),
+                 lambda: coefficient_field(family, 4)):
+        with pytest.raises(NotABasis):
+            call()
 
 
 def test_kernel_at_order_one_is_the_constants():
@@ -286,10 +398,6 @@ def test_nomura_euler_derivation_fails():
 
 # -- the fast paths against the dense references -------------------------------------
 
-def family_for(kind, rng, n, m, field):
-    return taylor_basis(n, m, field) if kind == "taylor" else random_family(rng, n, m, field)
-
-
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @pytest.mark.parametrize("kind", ["taylor", "random"])
 def test_component_matrix_matches_the_reference(field, kind, rng):
@@ -297,7 +405,8 @@ def test_component_matrix_matches_the_reference(field, kind, rng):
         for D in family_for(kind, rng, n, N - 1, field):
             for i in range(N):
                 fast, slow = component_matrix(D, i, N), dense_component_matrix(D, i, N)
-                assert fast == slow
+                assert dense_view(fast) == slow
+                assert all(v for row in fast.rows for v in row.values())
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -307,7 +416,7 @@ def test_component_matrix_matches_the_reference_at_any_length(field, rng):
     for n, m, N in ((1, 2, 6), (1, 6, 3), (2, 1, 4), (2, 4, 3), (3, 3, 2)):
         D = random_hsd(rng, n, m, field, max_degree=3, max_terms=3)
         for i in range(min(m, N - 1) + 1):
-            assert component_matrix(D, i, N) == dense_component_matrix(D, i, N)
+            assert dense_view(component_matrix(D, i, N)) == dense_component_matrix(D, i, N)
 
 
 def random_rows(rng, field, nrows, ncols, density):
@@ -327,7 +436,9 @@ def combination(rng, field, rows, ncols):
 
 
 def assert_nullspace_matches(rows, ncols, field):
-    fast, slow = nullspace(rows, ncols, field), dense_nullspace(rows, ncols, field)
+    sparse = sparse_rows(rows)
+    fast, slow = nullspace(sparse, ncols, field), dense_nullspace(rows, ncols, field)
+    assert sparse == sparse_rows(rows)  # the rows are reduced as copies
     assert fast == slow
     assert [[type(x) for x in v] for v in fast] == [[type(x) for x in v] for v in slow]
     return fast
@@ -364,18 +475,22 @@ def test_nullspace_of_a_full_rank_stack_is_empty(field, rng):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
-@pytest.mark.parametrize("kind", ["taylor", "random"])
+@pytest.mark.parametrize("kind", ["taylor", "random", "scaled", "unit"])
 @pytest.mark.parametrize("degree1_only", [False, True])
-def test_coefficient_field_matches_the_references(field, kind, degree1_only, rng, monkeypatch):
-    for n, N in ((1, 8), (2, 5), (3, 4)):
-        family = family_for(kind, rng, n, N - 1, field)
-        fast = coefficient_field(family, N, degree1_only)
-        with monkeypatch.context() as patched:
-            patched.setattr(coefffield, "component_matrix", dense_component_matrix)
-            patched.setattr(coefffield, "nullspace", dense_nullspace)
-            slow = coefficient_field(family, N, degree1_only)
-        assert (fast.dimension, fast.basis, fast.operators_used) == (
-            slow.dimension, slow.basis, slow.operators_used)
+def test_coefficient_field_matches_the_references(field, kind, degree1_only, rng):
+    """Against every weight stacked at once, orders 1-9."""
+    for n, top in ((1, 9), (2, 6), (3, 4)):
+        for N in range(1, top + 1):
+            family = family_for(kind, rng, n, max(N - 1, 1), field)
+            if degree1_only and N == 1:  # weight 1 leaves nothing of the quotient
+                for kernel in (coefficient_field, all_weights_kernel):
+                    with pytest.raises(PrecisionExhausted):
+                        kernel(family, N, degree1_only)
+                continue
+            fast = coefficient_field(family, N, degree1_only)
+            slow = all_weights_kernel(family, N, degree1_only)
+            assert (fast.dimension, fast.basis, fast.operators_used) == (
+                slow.dimension, slow.basis, slow.operators_used)
 
 
 def test_kernel_reports_are_byte_identical_with_the_references(tmp_path, monkeypatch):
@@ -403,8 +518,7 @@ def test_kernel_reports_are_byte_identical_with_the_references(tmp_path, monkeyp
         return out
 
     fast = reports("fast")
-    monkeypatch.setattr(coefffield, "component_matrix", dense_component_matrix)
-    monkeypatch.setattr(coefffield, "nullspace", dense_nullspace)
+    monkeypatch.setattr(cli, "coefficient_field", all_weights_kernel)
     slow = reports("slow")
     assert fast == slow
     assert all(json.loads(r)["dimension"] >= 1 for r in fast)
