@@ -13,7 +13,6 @@ from .errors import (
     LengthMismatch,
     NotABasis,
     NotAUnit,
-    OrderViolation,
     PrecisionExhausted,
     ProblemFormatError,
 )
@@ -32,7 +31,7 @@ from .derivations import (
     taylor_delta_table,
     taylor_derivation,
 )
-from .formula import CoeffTable, apply_table, composition_coeff, enumerate_pairs, succeq
+from .formula import CoeffTable, apply_table
 from .decompose import (
     DecompositionResult,
     Degree1Matrix,
@@ -77,9 +76,6 @@ __all__ = [
     "taylor_derivation",
     "CoeffTable",
     "apply_table",
-    "composition_coeff",
-    "enumerate_pairs",
-    "succeq",
     "DecompositionResult",
     "Degree1Matrix",
     "VerificationReport",
@@ -101,7 +97,6 @@ __all__ = [
     "LengthMismatch",
     "NotAUnit",
     "ComponentOutOfRange",
-    "OrderViolation",
     "NotABasis",
     "PrecisionExhausted",
     "ProblemFormatError",

@@ -266,7 +266,7 @@ def coefficient_field(family, order: int, degree1_only: bool = False) -> KernelR
     family = list(family)
     if not degree1_matrix(family).det_unit:
         raise NotABasis("degree-1 values have non-unit determinant")
-    max_weight = 1 if degree1_only else order - 1
+    max_weight = min(1, order - 1) if degree1_only else order - 1
     for D in family:
         if D.length < max_weight:
             raise ComponentOutOfRange(

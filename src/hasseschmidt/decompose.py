@@ -249,8 +249,8 @@ def decompose(
 
     Proceeds level by level:  the residual at level N, evaluated on the
     variables, is solved against the degree-1 matrix; its coordinates
-    are row N.  Each level extends the table with its caches (composition
-    coefficients, term lists and the residual sums), so no composition
+    are row N.  Each level extends the table with its caches (the
+    coefficients [t^i] P_mu, term lists and the residual sums), so no
     coefficient is built twice, and the check on the variables reuses
     the residual sums.  The filled table is then checked by
     reconstruction up to verify_degree.  The family's degree-1 parts must form a basis

@@ -21,10 +21,6 @@ class ComponentOutOfRange(HasseSchmidtError):
     """A component index exceeds the length of a Hasse-Schmidt derivation."""
 
 
-class OrderViolation(HasseSchmidtError):
-    """A pair of exponent vectors does not satisfy the support-refining order."""
-
-
 class NotABasis(HasseSchmidtError):
     """The degree-1 parts of the supplied family are not a basis (determinant not a unit)."""
 

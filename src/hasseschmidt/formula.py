@@ -1,67 +1,23 @@
 """Weighted composites of a family of Hasse-Schmidt derivations.
 
 Given a family D^1, .., D^n and a coefficient table C[l][d] of series,
-this module evaluates the weight-i operator
+put c_d(t) = sum_l C[l][d] t^l.  The composite
+E_C = E^1_{c_1(t)} o .. o E^n_{c_n(t)} has the weight-i component
 
-    sum over 1 <= m <= i, over pairs (lambda, mu) with |lambda| = i,
-    |mu| = m and lambda >= mu in the support-refining order, of
+    sum over mu with 1 <= |mu| <= i of  [t^i] P_mu(t) * D_mu,
+    P_mu(t) = prod_d c_d(t)^mu_d,
 
-        prod_d ( sum over ordered compositions
-                 l_1 + .. + l_{mu_d} = lambda_d, parts >= 1,
-                 of prod_q C[l_q][d] )  *  D_mu
-
-where D_mu = D^1_{mu_1} o .. o D^n_{mu_n}.  The empty composition
-(mu_d = lambda_d = 0) contributes the factor 1.  Decomposition of a
-target derivation through a family (module ``decompose``) produces such
-tables and this evaluation reconstructs the target's components.
+where D_mu = D^1_{mu_1} o .. o D^n_{mu_n}.  Decomposition of a target
+derivation through a family (module ``decompose``) produces such tables
+and this evaluation reconstructs the target's components.
 """
 
 from __future__ import annotations
 
-from .errors import IncompatibleAmbient, LengthMismatch, OrderViolation
+from .errors import IncompatibleAmbient
 from .fields import FieldSpec
 from .series import Series, min_prec, monomials_of_degree
 from .derivations import compose_multi
-
-
-def succeq(beta, alpha) -> bool:
-    """The support-refining partial order: beta >= alpha componentwise
-    and beta_i = 0 wherever alpha_i = 0."""
-    if len(beta) != len(alpha):
-        raise LengthMismatch(f"exponent lengths differ: {len(beta)} vs {len(alpha)}")
-    return all(b >= a and (a > 0 or b == 0) for b, a in zip(beta, alpha))
-
-
-def ordered_compositions(total: int, parts: int):
-    """All tuples of `parts` integers >= 1 summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in ordered_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def enumerate_pairs(i: int, m: int, n: int) -> list[tuple[tuple, tuple]]:
-    """All pairs (lambda, mu) with |lambda| = i, |mu| = m, lambda >= mu in
-    the support-refining order; empty when m > i.
-
-    The list is sorted in descending lexicographic order of (lambda, mu)
-    so reports are reproducible.
-    """
-    if m > i or m < 0 or i < 0:
-        return []
-    pairs = []
-    for mu in monomials_of_degree(n, m):
-        support = [d for d, w in enumerate(mu) if w]
-        for extra in monomials_of_degree(len(support), i - m):
-            lam = list(mu)
-            for d, e in zip(support, extra):
-                lam[d] += e
-            pairs.append((tuple(lam), mu))
-    pairs.sort(reverse=True)
-    return pairs
 
 
 class CoeffTable:
@@ -69,13 +25,13 @@ class CoeffTable:
 
     ``rows[l-1][d]`` stores C at level l and variable d (0-based d).
     The table is treated as immutable; derived values are cached on the
-    instance: slot sums, composition coefficients keyed by (lambda, mu),
+    instance: the coefficients of ``product_coeff`` keyed by (mu, i),
     weighted-term lists and, per family, the sums of ``table_sum``.  A
     cached value at weight i reads only the rows at levels <= i, so
     ``extended`` hands every cache on to the longer table.
     """
 
-    __slots__ = ("rows", "nvars", "field", "_term_cache", "_slot_cache", "_coeff_cache", "_sums")
+    __slots__ = ("rows", "nvars", "field", "_term_cache", "_products", "_sums")
 
     def __init__(self, rows, nvars: int | None = None, field: FieldSpec | None = None):
         rows = [list(r) for r in rows]
@@ -95,8 +51,7 @@ class CoeffTable:
         self.nvars = nvars
         self.field = field
         self._term_cache: dict = {}
-        self._slot_cache: dict = {}
-        self._coeff_cache: dict = {}
+        self._products: dict = {}
         self._sums: dict = {}  # see _family_sums
 
     @property
@@ -119,8 +74,7 @@ class CoeffTable:
         row leaves alone."""
         out = CoeffTable(self.rows + [list(row)], nvars=self.nvars, field=self.field)
         out._term_cache.update(self._term_cache)
-        out._slot_cache.update(self._slot_cache)
-        out._coeff_cache.update(self._coeff_cache)
+        out._products.update(self._products)
         out._sums.update(
             (key, (members, dict(sums))) for key, (members, sums) in self._sums.items()
         )
@@ -142,68 +96,35 @@ class CoeffTable:
         )
         return f"CoeffTable({body})"
 
-    # -- composition sums ---------------------------------------------
+    def product_coeff(self, mu, i: int) -> Series:
+        """[t^i] P_mu(t) for |mu| >= 1, memoized.
 
-    def _slot_sum(self, lam_d: int, mu_d: int, d: int) -> Series:
-        """sum over ordered compositions of lam_d into mu_d parts >= 1 of
-        the product of the level entries in slot d."""
-        key = (lam_d, mu_d, d)
-        cached = self._slot_cache.get(key)
-        if cached is not None:
-            return cached
-        if mu_d == 0:
-            out = (
-                Series.one(self.nvars, self.field)
-                if lam_d == 0
-                else Series.zero(self.nvars, self.field)
-            )
-        elif mu_d == 1:
-            out = self.at(lam_d, d)
-        else:
-            out = Series.zero(self.nvars, self.field)
-            for first in range(1, lam_d - mu_d + 2):
-                entry, rest = self.at(first, d), self._slot_sum(lam_d - first, mu_d - 1, d)
-                if rest.terms:
-                    out = out + entry * rest
-                else:  # the product vanishes but still bounds the precision
-                    out = out.truncate(min_prec(entry.precision, rest.precision))
-        self._slot_cache[key] = out
+        With j the first slot of mu, P_mu = c_j(t) P_(mu - e_j)(t), and
+        P_(mu - e_j) starts at t^(|mu| - 1), so only the rows up to
+        i - |mu| + 1 enter."""
+        key = (mu, i)
+        out = self._products.get(key)
+        if out is None:
+            j = next(d for d, e in enumerate(mu) if e)
+            parts = sum(mu)
+            if parts == 1:
+                out = self.at(i, j)
+            else:
+                rest = mu[:j] + (mu[j] - 1,) + mu[j + 1:]
+                out = Series.zero(self.nvars, self.field)
+                for r in range(1, i - parts + 2):
+                    entry, tail = self.at(r, j), self.product_coeff(rest, i - r)
+                    if entry.terms and tail.terms:
+                        out = out + entry * tail
+                    else:  # the product vanishes but still bounds the precision
+                        out = out.truncate(min_prec(entry.precision, tail.precision))
+            self._products[key] = out
         return out
 
 
-def composition_coeff(table: CoeffTable, lam, mu) -> Series:
-    """The series weight attached to the pair (lambda, mu): the product
-    over variable slots of the ordered-composition sums of table entries.
-
-    Ordered compositions are counted separately, e.g. lambda = (3),
-    mu = (2) gives C[1]C[2] + C[2]C[1] = 2 C[1] C[2].
-    """
-    lam, mu = tuple(lam), tuple(mu)
-    cached = table._coeff_cache.get((lam, mu))
-    if cached is not None:
-        return cached
-    if not succeq(lam, mu):
-        raise OrderViolation(f"{lam} does not refine {mu}")
-    out = None
-    for d in range(table.nvars):
-        if lam[d] == 0 and mu[d] == 0:
-            continue
-        factor = table._slot_sum(lam[d], mu[d], d)
-        if out is None:
-            out = factor
-        elif out.terms and factor.terms:
-            out = out * factor
-        else:  # the product vanishes but still bounds the precision
-            out = Series.zero(table.nvars, table.field, min_prec(out.precision, factor.precision))
-    if out is None:
-        out = Series.one(table.nvars, table.field)
-    table._coeff_cache[(lam, mu)] = out
-    return out
-
-
 def weighted_terms(table: CoeffTable, i: int, min_parts: int = 1) -> list:
-    """The (coefficient, mu) terms of the weight-i operator, skipping the
-    pairs with |mu| < min_parts; cached per table.
+    """The (coefficient, mu) terms of the weight-i operator, one per mu
+    with |mu| >= min_parts, single-factor terms first; cached per table.
 
     A coefficient that truncates to zero stays in the list when its tag is
     finite: the term contributes nothing but still limits the precision
@@ -215,8 +136,8 @@ def weighted_terms(table: CoeffTable, i: int, min_parts: int = 1) -> list:
         return cached
     terms = []
     for m in range(min_parts, i + 1):
-        for lam, mu in enumerate_pairs(i, m, table.nvars):
-            coeff = composition_coeff(table, lam, mu)
+        for mu in monomials_of_degree(table.nvars, m):
+            coeff = table.product_coeff(mu, i)
             if coeff.terms or coeff.precision is not None:
                 terms.append((coeff, mu))
     table._term_cache[key] = terms

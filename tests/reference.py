@@ -10,17 +10,20 @@ recursion and its own scaled sum; its image products, and the products
 and inverses here, are pair-by-pair brute force, so they share no loop
 with the library's product kernel.  The residual, table application, coordinate
 solve and decomposition are the versions from before a decomposition
-kept its sums: every call works on a fresh table, so nothing is cached
-between calls, and the determinant is inverted on every solve.  They are
-slow on purpose and must not change with the library.
+kept its sums: nothing is cached between calls, and the determinant is
+inverted on every solve.  Their composite weights come pair by pair: one
+coefficient per pair (lambda, mu) with lambda refining mu, built from
+sums over ordered compositions with ``product`` and summed per mu before
+D_mu is applied, where the library reads each mu's sum off
+prod_d c_d(t)^mu_d.  They are slow on purpose and must not change with
+the library.
 """
 
 from hasseschmidt import CoeffTable, Series, TSeries
 from hasseschmidt.coefffield import ComponentMatrix, KernelReport, QuotientBasis
 from hasseschmidt.decompose import _agree_to_trusted, _det, degree1_matrix
 from hasseschmidt.derivations import compose_multi
-from hasseschmidt.errors import ComponentOutOfRange, NotABasis, PrecisionExhausted
-from hasseschmidt.formula import weighted_terms
+from hasseschmidt.errors import ComponentOutOfRange, LengthMismatch, NotABasis, PrecisionExhausted
 from hasseschmidt.series import min_prec, monomials_of_degree
 
 
@@ -178,7 +181,7 @@ def all_weights_kernel(family, order, degree1_only=False):
     family = list(family)
     if not degree1_matrix(family).det_unit:
         raise NotABasis("degree-1 values have non-unit determinant")
-    max_weight = 1 if degree1_only else order - 1
+    max_weight = min(1, order - 1) if degree1_only else order - 1
     for D in family:
         if D.length < max_weight:
             raise ComponentOutOfRange(
@@ -197,19 +200,102 @@ def all_weights_kernel(family, order, degree1_only=False):
     return KernelReport(len(basis), basis, f"{which} of {len(family)} derivation(s)", order)
 
 
+# -- composite weights pair by pair ----------------------------------------------
+
+
+def succeq(beta, alpha):
+    """The support-refining partial order: beta >= alpha componentwise
+    and beta_i = 0 wherever alpha_i = 0."""
+    if len(beta) != len(alpha):
+        raise LengthMismatch(f"exponent lengths differ: {len(beta)} vs {len(alpha)}")
+    return all(b >= a and (a > 0 or b == 0) for b, a in zip(beta, alpha))
+
+
+def ordered_compositions(total, parts):
+    """All tuples of `parts` integers >= 1 summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(1, total - parts + 2):
+        for rest in ordered_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def enumerate_pairs(i, m, n):
+    """All pairs (lambda, mu) with |lambda| = i, |mu| = m and lambda >= mu
+    in the support-refining order, in descending lexicographic order;
+    empty when m > i."""
+    if m > i or m < 0 or i < 0:
+        return []
+    pairs = []
+    for mu in monomials_of_degree(n, m):
+        support = [d for d, w in enumerate(mu) if w]
+        for extra in monomials_of_degree(len(support), i - m):
+            lam = list(mu)
+            for d, e in zip(support, extra):
+                lam[d] += e
+            pairs.append((tuple(lam), mu))
+    pairs.sort(reverse=True)
+    return pairs
+
+
+def slot_sum(table, lam_d, mu_d, d):
+    """sum over ordered compositions of lam_d into mu_d parts >= 1 of the
+    product of the level entries in slot d; the empty composition gives 1."""
+    out = Series.zero(table.nvars, table.field)
+    for comp in ordered_compositions(lam_d, mu_d):
+        term = Series.one(table.nvars, table.field)
+        for part in comp:
+            term = product(term, table.at(part, d))
+        out = out + term
+    return out
+
+
+def composition_coeff(table, lam, mu):
+    """The weight of the pair (lambda, mu): the product over slots of the
+    ordered-composition sums, e.g. lambda = (3), mu = (2) gives
+    C[1]C[2] + C[2]C[1] = 2 C[1] C[2]."""
+    lam, mu = tuple(lam), tuple(mu)
+    if not succeq(lam, mu):
+        raise ValueError(f"{lam} does not refine {mu}")
+    out = Series.one(table.nvars, table.field)
+    for d in range(table.nvars):
+        out = product(out, slot_sum(table, lam[d], mu[d], d))
+    return out
+
+
+def weighted_terms(table, i, min_parts=1):
+    """One (coefficient, mu) term per pair with |mu| >= min_parts, keeping
+    a coefficient that truncates to zero when its tag is finite."""
+    terms = []
+    for m in range(min_parts, i + 1):
+        for lam, mu in enumerate_pairs(i, m, table.nvars):
+            coeff = composition_coeff(table, lam, mu)
+            if coeff.terms or coeff.precision is not None:
+                terms.append((coeff, mu))
+    return terms
+
+
+def mu_terms(table, i, min_parts=1):
+    """The pair coefficients of ``weighted_terms`` summed per mu: one
+    (sum over lambda, mu) term per mu that has a pair."""
+    sums = {}
+    for coeff, mu in weighted_terms(table, i, min_parts):
+        sums[mu] = sums[mu] + coeff if mu in sums else coeff
+    return [(coeff, mu) for mu, coeff in sums.items()]
+
+
 # -- decomposition without shared sums ------------------------------------------
 
 
-def fresh(table):
-    """The same rows in a table with empty caches."""
-    return CoeffTable(table.rows, nvars=table.nvars, field=table.field)
-
-
 def apply_table(table, family, i, f):
-    """Every weight-i term, one after the other, on a fresh table."""
+    """Every weight-i term, one after the other.  A coefficient that
+    truncates to zero is added itself: its tag bounds the term whatever
+    the tag of D_mu(f)."""
     family = list(family)
     out = Series.zero(f.nvars, f.field, f.precision)
-    for coeff, mu in weighted_terms(fresh(table), i):
+    for coeff, mu in mu_terms(table, i):
         out = out + (coeff * compose_multi(family, mu, f) if coeff.terms else coeff)
     return out
 
@@ -218,7 +304,7 @@ def residual(target, family, table, level, f):
     """The target component minus each term with at least two factors."""
     out = target.apply_component(level, f)
     family = list(family)
-    for coeff, mu in weighted_terms(fresh(table), level, min_parts=2):
+    for coeff, mu in mu_terms(table, level, min_parts=2):
         out = out - (coeff * compose_multi(family, mu, f) if coeff.terms else coeff)
     return out
 

@@ -191,7 +191,7 @@ def test_extended_carries_every_cache(rng):
         apply_table(table, family, i, x)
     table_sum(table, family, m, x, 2)
     longer = table.extended(rows[-1])
-    for name in ("_term_cache", "_slot_cache", "_coeff_cache"):
+    for name in ("_term_cache", "_products"):
         cache = getattr(table, name)
         assert cache
         assert all(getattr(longer, name)[key] is value for key, value in cache.items())
@@ -201,9 +201,12 @@ def test_extended_carries_every_cache(rng):
     assert sums and all(longer_sums[key] is value for key, value in sums.items())
     # the longer table's own entries stay out of the shorter one's caches:
     # that one has no row m to build weight m or m + 1 from
+    products = dict(table._products)
     apply_table(longer, family, m, x)
     assert (m, 1) in longer._term_cache and (m, 1) not in table._term_cache
     table_sum(longer, family, m + 1, x, 2)
+    assert ((1,) + (0,) * (n - 1), m) in longer._products
+    assert len(longer._products) > len(products) and table._products == products
     with pytest.raises(IndexError):
         table_sum(table, family, m + 1, x, 2)
 

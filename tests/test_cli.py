@@ -213,6 +213,22 @@ def test_kernel_rational_degree1_only_is_constants(tmp_path):
     assert json.loads(out.read_text())["dimension"] == 1
 
 
+def test_kernel_degree1_only_on_a_truncation_1_file_is_the_constants(tmp_path):
+    """On the order-1 quotient no weight acts, so both modes report the
+    whole quotient, which is the constants."""
+    problem = serialize.Problem(
+        field=GF(3), nvars=2, length=1, truncation=1, seed=0,
+        derivations=taylor_basis(2, 1, GF(3)),
+    )
+    input_path = write_problem(tmp_path / "order1.json", problem)
+    for flags in ([], ["--degree1-only"]):
+        out = tmp_path / "out.json"
+        assert main(["kernel", input_path, *flags, "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == {
+            "N": 1, "dimension": 1, "basis": [{"prec": "exact", "terms": [[0, 0, "1"]]}]
+        }
+
+
 def test_kernel_with_fewer_derivations_than_variables_exits_2(tmp_path, capsys):
     field = QQ
     problem = serialize.Problem(
