@@ -7,6 +7,7 @@ truncated quotients in positive characteristic.
 """
 
 from .errors import (
+    CoefficientTooLarge,
     ComponentOutOfRange,
     HasseSchmidtError,
     IncompatibleAmbient,
@@ -100,4 +101,5 @@ __all__ = [
     "NotABasis",
     "PrecisionExhausted",
     "ProblemFormatError",
+    "CoefficientTooLarge",
 ]

@@ -6,15 +6,26 @@ Subcommands:
   verify     Leibniz checks, plus reconstruction if a table is supplied
   demo       write and run the two shipped example problems
 
-Exit codes: 0 success, 1 I/O / format / usage error, 2 the family's
-degree-1 parts are not a basis, 3 a verification failed (witness in the
-report).  Reports are canonical JSON: identical input and seed give
-byte-identical output.
+Exit codes: 0 success (``--help`` included), 1 I/O / format / usage
+error, 2 the family's degree-1 parts are not a basis, 3 a verification
+failed (witness in the report).  Exits 1 and 2 write one message to
+stderr; for a usage error it is argparse's usage and its one-line
+``error:`` message.  Reports are canonical JSON: identical input and
+seed give byte-identical output.
+
+Bounds, each a usage error with a message: ``--max-degree`` must be
+>= 0 and ``--trials`` between 0 and MAX_TRIALS (the Leibniz trials run
+one after another).  A problem file with more than
+``serialize.MONOMIAL_CAP`` monomials below max(truncation, length + 1)
+is a format error (exit 1) found before anything is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import re
+import reprlib
 import sys
 from pathlib import Path
 
@@ -25,6 +36,32 @@ from .derivations import HSDerivation, leibniz_check, taylor_derivation
 from .decompose import decompose, verify_decomposition
 from .coefffield import coefficient_field
 from . import serialize
+
+# ``verify --trials`` above this is refused.  Trials run one after
+# another, each pushing two random polynomials through every weight; at
+# this bound a length-2 derivation in one variable takes about 2 s.
+MAX_TRIALS = 10_000
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _bounded_int(low: int, high: int | None = None):
+    """An argparse ``type``: a decimal integer (ASCII digits, optional
+    '-') from low to high; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            if not _INTEGER.fullmatch(text):
+                raise ValueError(text)
+            value = int(text)  # ValueError past the interpreter's digit limit
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {reprlib.repr(text)}") from None
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -150,7 +187,11 @@ def cmd_demo(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use: building
+    it costs more than a small decomposition.  parse_args leaves it
+    unchanged and returns a fresh Namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="hasseschmidt",
         description="Exact computation with Hasse-Schmidt derivations over Q and GF(p).",
@@ -160,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="express the target through the family")
     p.add_argument("input", help="problem file (JSON)")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--max-degree", type=int, default=6,
-                   help="verify the reconstruction on monomials up to this degree")
+    p.add_argument("--max-degree", type=_bounded_int(0), default=6,
+                   help="verify the reconstruction on monomials up to this degree (>= 0)")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("kernel", help="joint kernel of the family's components")
@@ -175,10 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="problem file (JSON)")
     p.add_argument("--seed", type=int, default=None,
                    help="override the problem file's seed")
-    p.add_argument("--trials", type=int, default=25,
-                   help="random pairs per Leibniz check")
-    p.add_argument("--max-degree", type=int, default=6,
-                   help="reconstruction check degree bound")
+    p.add_argument("--trials", type=_bounded_int(0, MAX_TRIALS), default=25,
+                   help=f"random pairs per Leibniz check (0 to {MAX_TRIALS})")
+    p.add_argument("--max-degree", type=_bounded_int(0), default=6,
+                   help="reconstruction check degree bound (>= 0)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("demo", help="write and run the shipped example problems")
@@ -188,7 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has written the help (code 0) or a usage error (code 2)
+        return 0 if not exc.code else 1
     try:
         return args.func(args)
     except ProblemFormatError as exc:

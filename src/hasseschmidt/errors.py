@@ -31,3 +31,7 @@ class PrecisionExhausted(HasseSchmidtError):
 
 class ProblemFormatError(HasseSchmidtError):
     """A JSON problem file or embedded object failed validation."""
+
+
+class CoefficientTooLarge(HasseSchmidtError):
+    """A coefficient has too many digits to be written as text."""

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
+import sys
 from fractions import Fraction
 
-from .errors import LengthMismatch
+from .errors import CoefficientTooLarge, LengthMismatch
 
 
 PRIME_CAP = 2 ** 64
@@ -130,16 +132,25 @@ class FieldSpec:
         if isinstance(text, int) and not isinstance(text, bool):
             return self.coerce(text)
         if not isinstance(text, str):
-            raise ValueError(f"expected a scalar string, got {text!r}")
+            raise ValueError(f"expected a scalar string, got {reprlib.repr(text)}")
         grammar = _GF_SCALAR if self.p is not None else _Q_SCALAR
         if not grammar.fullmatch(text):
-            raise ValueError(f"{text!r} is not a scalar of {self!r}")
+            raise ValueError(f"{reprlib.repr(text)} is not a scalar of {self!r}")
         if self.p is not None:
             return int(text, 10) % self.p
         return Fraction(text)
 
     def format_scalar(self, a) -> str:
-        return str(a)
+        """The text form of a field element.  Raises CoefficientTooLarge on
+        a number with more digits than the interpreter will convert
+        (``sys.get_int_max_str_digits``)."""
+        try:
+            return str(a)
+        except ValueError as exc:
+            raise CoefficientTooLarge(
+                f"a coefficient has more than {sys.get_int_max_str_digits()} digits, "
+                "the interpreter's limit for writing an integer"
+            ) from exc
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self.p == other.p

@@ -16,12 +16,20 @@ Formats:
 
 Emission is canonical (sorted keys, graded-lex term order) so identical
 inputs produce byte-identical reports.
+
+A problem's order is the larger of its truncation and length + 1: the
+kernel works on k[X]/(X)^truncation, decompose keeps the table to that
+precision, and verify runs every weight up to the length.  A problem
+with more than MONOMIAL_CAP monomials below its order is refused before
+anything is built.  Every refusal is a ProblemFormatError whose message
+is one line, with input values shortened by ``reprlib``.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import dataclass
 
 from .errors import HasseSchmidtError, ProblemFormatError
@@ -31,6 +39,28 @@ from .derivations import HSDerivation
 from .formula import CoeffTable
 from .coefffield import KernelReport
 from .decompose import DecompositionResult
+
+
+# The most monomials of degree below a problem's order (see above).  The
+# benchmark corpora reach 165 (three variables, truncation 9).  The cap
+# bounds size, not time: at it, the kernel of a dense one-variable GF(2)
+# family of length 499 took 322 s and 129 MB, and decompose time grows
+# with about the cube of the length (CHANGES.md).
+MONOMIAL_CAP = 500
+
+
+def monomials_below(order: int, nvars: int, cap: int) -> int:
+    """C(order - 1 + nvars, nvars), the number of monomials in nvars
+    variables of degree below order, or cap + 1 once it exceeds cap.
+    Every step at least doubles the count, so a huge order or nvars
+    costs about log2(cap) steps."""
+    low, high = sorted((order - 1, nvars))
+    count = 1
+    for i in range(1, low + 1):
+        count = count * (high + i) // i
+        if count > cap:
+            return cap + 1
+    return count
 
 
 def field_to_str(field: FieldSpec) -> str:
@@ -43,15 +73,15 @@ _GF_NAME = re.compile(r"F[1-9][0-9]*")
 def field_from_str(text) -> FieldSpec:
     """'Q' or ASCII 'F<p>' with p a prime written without a leading zero."""
     if not isinstance(text, str):
-        raise ProblemFormatError(f"field must be a string, got {text!r}")
+        raise ProblemFormatError(f"field must be a string, got {reprlib.repr(text)}")
     if text == "Q":
         return QQ
     if _GF_NAME.fullmatch(text):
         try:
             return GF(int(text[1:], 10))
         except ValueError as exc:
-            raise ProblemFormatError(f"bad prime field {text!r}: {exc}") from exc
-    raise ProblemFormatError(f"unknown field {text!r} (expected 'Q' or 'F<p>')")
+            raise ProblemFormatError(f"bad prime field {reprlib.repr(text)}: {exc}") from exc
+    raise ProblemFormatError(f"unknown field {reprlib.repr(text)} (expected 'Q' or 'F<p>')")
 
 
 def _int_field(obj: dict, key: str, minimum: int | None = None) -> int:
@@ -59,7 +89,7 @@ def _int_field(obj: dict, key: str, minimum: int | None = None) -> int:
     strings are rejected, as are values below minimum."""
     value = obj[key]
     if type(value) is not int:
-        raise ProblemFormatError(f"{key!r} must be an integer, got {value!r}")
+        raise ProblemFormatError(f"{key!r} must be an integer, got {reprlib.repr(value)}")
     if minimum is not None and value < minimum:
         raise ProblemFormatError(f"{key!r} must be >= {minimum}, got {value}")
     return value
@@ -75,29 +105,29 @@ def series_to_json(f: Series) -> dict:
 
 def series_from_json(obj, nvars: int, field: FieldSpec) -> Series:
     if not isinstance(obj, dict) or "terms" not in obj:
-        raise ProblemFormatError(f"series must be an object with 'terms', got {obj!r}")
+        raise ProblemFormatError(f"series must be an object with 'terms', got {reprlib.repr(obj)}")
     prec = obj.get("prec", "exact")
     if prec == "exact":
         prec = None
     elif type(prec) is not int or prec < 0:
-        raise ProblemFormatError(f"bad precision {prec!r}")
+        raise ProblemFormatError(f"bad precision {reprlib.repr(prec)}")
     terms = {}
     for row in obj["terms"]:
         if not isinstance(row, list) or len(row) != nvars + 1:
             raise ProblemFormatError(
-                f"term {row!r} must list {nvars} exponents and one coefficient"
+                f"term {reprlib.repr(row)} must list {nvars} exponents and one coefficient"
             )
         exps, coeff = row[:-1], row[-1]
         if not all(type(e) is int and e >= 0 for e in exps):
-            raise ProblemFormatError(f"bad exponents in term {row!r}")
+            raise ProblemFormatError(f"bad exponents in term {reprlib.repr(row)}")
         if max(exps, default=0) > EXPONENT_CAP:
             raise ProblemFormatError(
-                f"exponent above the cap {EXPONENT_CAP} in term {row[:-1]!r}"
+                f"exponent above the cap {EXPONENT_CAP} in term {reprlib.repr(row[:-1])}"
             )
         try:
             value = field.parse_scalar(coeff)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ProblemFormatError(f"bad coefficient {coeff!r}: {exc}") from exc
+            raise ProblemFormatError(f"bad coefficient {reprlib.repr(coeff)}: {exc}") from exc
         key = tuple(exps)
         if key in terms:
             raise ProblemFormatError(f"duplicate exponent {key} in series")
@@ -128,7 +158,7 @@ def derivation_to_json(D: HSDerivation) -> dict:
 
 def derivation_from_json(obj, field: FieldSpec, name=None) -> HSDerivation:
     if not isinstance(obj, dict):
-        raise ProblemFormatError(f"derivation must be an object, got {obj!r}")
+        raise ProblemFormatError(f"derivation must be an object, got {reprlib.repr(obj)}")
     try:
         nvars = _int_field(obj, "nvars", 1)
         length = _int_field(obj, "length", 1)
@@ -159,7 +189,7 @@ def table_to_json(table: CoeffTable) -> dict:
 
 def table_from_json(obj, field: FieldSpec) -> CoeffTable:
     if not isinstance(obj, dict):
-        raise ProblemFormatError(f"coefficient table must be an object, got {obj!r}")
+        raise ProblemFormatError(f"coefficient table must be an object, got {reprlib.repr(obj)}")
     try:
         m, n, rows_json = _int_field(obj, "m", 0), _int_field(obj, "n", 1), obj["C"]
     except KeyError as exc:
@@ -247,6 +277,12 @@ def problem_from_json(obj) -> Problem:
         derivations_json = obj["derivations"]
     except KeyError as exc:
         raise ProblemFormatError(f"missing problem field: {exc}") from exc
+    order = max(truncation, length + 1)
+    if monomials_below(order, nvars, MONOMIAL_CAP) > MONOMIAL_CAP:
+        raise ProblemFormatError(
+            f"problem too large: more than the cap of {MONOMIAL_CAP} monomials below "
+            f"degree {order} = max(truncation, length + 1) in {nvars} variable(s)"
+        )
     if not isinstance(derivations_json, list) or not derivations_json:
         raise ProblemFormatError("derivations must be a nonempty array")
     derivations = []
@@ -254,6 +290,8 @@ def problem_from_json(obj) -> Problem:
         if not isinstance(entry, dict):
             raise ProblemFormatError(f"derivation entry {i} must be an object")
         name = entry.get("name", f"D{i + 1}")
+        if not isinstance(name, str):
+            raise ProblemFormatError(f"derivation entry {i} has a name that is not a string")
         D = derivation_from_json(entry, field, name=name)
         if D.nvars != nvars or D.length != length:
             raise ProblemFormatError(
@@ -282,11 +320,17 @@ def dumps(obj) -> str:
 
 
 def load_problem(path) -> Problem:
+    """Read and validate a problem file; every failure, I/O included, is a
+    ProblemFormatError with a one-line message."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise ProblemFormatError(f"{path} nests JSON arrays or objects too deeply") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ProblemFormatError(f"malformed JSON in {path}: {exc}") from exc
     return problem_from_json(raw)

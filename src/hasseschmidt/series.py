@@ -228,11 +228,15 @@ class Series:
         return result
 
     def truncate(self, precision: int | None) -> "Series":
-        """Forget everything at or above the given total degree."""
+        """Forget everything at or above the given total degree (a negative
+        one counts as 0)."""
+        if precision is not None and precision < 0:
+            precision = 0
         prec = min_prec(self.precision, precision)
         if prec == self.precision:
             return self
-        return Series(self.nvars, self.field, self.terms, prec)
+        terms = {e: c for e, c in self.terms.items() if sum(e) < prec}
+        return Series._of(self.nvars, self.field, terms, prec)
 
     def inverse(self, target_precision: int) -> "Series":
         """Multiplicative inverse modulo (X)^target_precision.
@@ -302,11 +306,11 @@ class Series:
             if e
         ]
         if not factors:
-            return str(coeff)
+            return self.field.format_scalar(coeff)
         body = "*".join(factors)
         if coeff == self.field.one():
             return body
-        return f"{coeff}*{body}"
+        return f"{self.field.format_scalar(coeff)}*{body}"
 
     def __str__(self):
         if not self.terms:

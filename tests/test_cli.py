@@ -1,10 +1,16 @@
 """End-to-end command-line behaviour and exit codes."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hasseschmidt
 from hasseschmidt import (
     GF,
     QQ,
@@ -15,7 +21,7 @@ from hasseschmidt import (
     integrate,
     taylor_basis,
 )
-from hasseschmidt import serialize
+from hasseschmidt import cli, serialize
 from hasseschmidt.cli import main
 from hasseschmidt.derivations import taylor_derivation
 
@@ -352,3 +358,178 @@ def test_demo_writes_and_runs(tmp_path, capsys):
     # the demo files themselves load and run through the main commands
     assert main(["decompose", str(tmp_path / "demo" / "worked_one_variable.json")]) == 0
     assert main(["kernel", str(tmp_path / "demo" / "char2_kernel.json")]) == 0
+
+
+# -- the argument boundary -----------------------------------------------------------
+
+def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        worked = write_problem(tmp_path / "worked.json", worked_problem())
+        char2 = write_problem(tmp_path / "char2.json", char2_problem())
+        assert main(["kernel", char2]) == 0
+        per_build = len(built)
+        assert per_build == 5  # the parser and its four subcommands
+        for argv in (["decompose", worked], ["verify", worked, "--trials", "2"],
+                     ["kernel", char2, "--degree1-only"], ["bogus"], ["--help"]):
+            main(argv)
+        assert len(built) == per_build
+    finally:
+        cli.build_parser.cache_clear()
+
+
+def no_leak_calls(tmp_path):
+    """A sequence of calls in which each flag given once must be gone on
+    the next call."""
+    worked = write_problem(tmp_path / "worked.json", worked_problem())
+    char2 = write_problem(tmp_path / "char2.json", char2_problem())
+    out = str(tmp_path / "report.json")
+    return [
+        ["verify", worked, "--seed", "9", "--trials", "3", "--max-degree", "0"],
+        ["verify", worked],
+        ["kernel", char2, "--degree1-only", "--out", out],
+        ["kernel", char2],
+        ["decompose", worked, "--max-degree", "0"],
+        ["decompose", worked, "--out", out],
+        ["decompose", worked],
+        ["verify", worked, "--trials", "-1"],
+        ["verify", worked, "--seed", "3"],
+        ["kernel", char2, "--bogus"],
+        ["kernel", char2, "--degree1-only"],
+    ]
+
+
+def test_calls_in_one_process_do_not_leak_into_each_other(tmp_path, capsys, monkeypatch):
+    """Each in-process call prints what a fresh interpreter prints."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    calls = no_leak_calls(tmp_path)
+    out = tmp_path / "report.json"
+    in_process = []
+    for argv in calls:
+        out.unlink(missing_ok=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = out.read_text() if out.exists() else None
+        in_process.append((code, captured.out, captured.err, written))
+    src = str(Path(hasseschmidt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, expected in zip(calls, in_process):
+        out.unlink(missing_ok=True)
+        proc = subprocess.run([sys.executable, "-m", "hasseschmidt", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        written = out.read_text() if out.exists() else None
+        assert (proc.returncode, proc.stdout, proc.stderr, written) == expected, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus"],
+    [],
+    ["decompose"],
+    ["decompose", "{input}", "--max-degree", "x"],
+    ["decompose", "{input}", "--max-degree", "-1"],
+    ["verify", "{input}", "--max-degree", "-1"],
+    ["verify", "{input}", "--trials", "-1"],
+    ["verify", "{input}", "--trials", str(cli.MAX_TRIALS + 1)],
+    ["verify", "{input}", "--trials", "2.5"],
+    ["verify", "{input}", "--trials", "1" * 5000],
+    ["verify", "{input}", "--seed", "x"],
+    ["kernel", "{input}", "--bogus"],
+], ids=lambda argv: " ".join(a[:12] for a in argv) or "no-arguments")
+def test_usage_errors_exit_1_with_argparse_s_message(tmp_path, capsys, argv):
+    path = write_problem(tmp_path / "worked.json", worked_problem())
+    assert main([a.replace("{input}", path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: hasseschmidt")
+    last = captured.err.rstrip("\n").rsplit("\n", 1)[-1]
+    assert last.startswith("hasseschmidt") and ": error: " in last
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["decompose", "--help"],
+                                  ["verify", "x.json", "-h"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: hasseschmidt")
+    assert captured.err == ""
+
+
+def test_the_bounds_are_inclusive(tmp_path, capsys):
+    path = write_problem(tmp_path / "worked.json", worked_problem())
+    assert main(["verify", path, "--trials", "0", "--max-degree", "0"]) == 0
+    assert "(9 pairs" in capsys.readouterr().out  # the basis pairs alone
+    assert main(["decompose", path, "--max-degree", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified_to_degree"] == 0
+
+
+def test_the_largest_trial_count_is_accepted():
+    args = cli.build_parser().parse_args(["verify", "x.json", "--trials", str(cli.MAX_TRIALS)])
+    assert args.trials == cli.MAX_TRIALS
+
+
+def hostile_files(tmp_path):
+    """name -> (path, expected stderr fragment) for files that once crashed
+    or ran without bound."""
+    def raw(name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        return str(path)
+
+    huge = serialize.problem_to_json(worked_problem())
+    huge["derivations"][0]["images"][0][1]["terms"] = [[0, "1"], [1, "1"]]  # 1 + X
+    huge["truncation"] = 10 ** 7
+    long_verify = serialize.problem_to_json(
+        serialize.Problem(field=GF(5), nvars=1, length=serialize.MONOMIAL_CAP, truncation=2,
+                          seed=0, derivations=[taylor_derivation(1, serialize.MONOMIAL_CAP,
+                                                                 GF(5), 0)]))
+    named = serialize.problem_to_json(worked_problem())
+    named["derivations"][0]["name"] = json.loads("[" * 900 + "]" * 900)
+    return {
+        "deep-nesting": (raw("deep.json", b"[" * 200_000), "too deeply"),
+        "not-utf8": (raw("bytes.json", b"\xff\xfe"), "not UTF-8"),
+        "integer-past-the-digit-limit": (raw("long.json", b"1" * 5000), "malformed JSON"),
+        "truncation-past-the-cap": (raw("huge.json", json.dumps(huge).encode()), "cap"),
+        "length-past-the-cap": (raw("verify.json", json.dumps(long_verify).encode()), "cap"),
+        "name-not-a-string": (raw("named.json", json.dumps(named).encode()), "name"),
+        "directory": (str(tmp_path), "cannot read"),
+        "missing": (str(tmp_path / "missing.json"), "cannot read"),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "deep-nesting", "not-utf8", "integer-past-the-digit-limit", "truncation-past-the-cap",
+    "length-past-the-cap", "name-not-a-string", "directory", "missing"])
+def test_hostile_files_exit_1_with_one_line(tmp_path, capsys, name):
+    path, fragment = hostile_files(tmp_path)[name]
+    for command in ("decompose", "kernel", "verify"):
+        start = time.perf_counter()
+        assert main([command, path]) == 1, command
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert fragment in captured.err and "Traceback" not in captured.err
+
+
+def test_a_coefficient_too_long_to_write_exits_1(tmp_path, capsys):
+    """The table squares a 2500-digit coefficient; Python will not write
+    the 5000-digit result, so decompose stops with a message."""
+    obj = serialize.problem_to_json(worked_problem())
+    obj["derivations"][0]["images"][0][1]["terms"] = [[0, "1"], [1, "1"]]
+    obj["derivations"][0]["images"][0][2]["terms"] = [[0, "1"], [1, "1"]]
+    obj["target"]["images"][0][1]["terms"] = [[1, "1" * 2500]]
+    obj["target"]["images"][0][2]["terms"] = [[1, "1" * 2500]]
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(obj))
+    assert main(["decompose", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "digits" in captured.err

@@ -1,5 +1,11 @@
 """JSON round trips and format validation."""
 
+import json
+import math
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from hasseschmidt import GF, QQ, CoeffTable, HSDerivation, Series, TSeries
@@ -189,3 +195,101 @@ def test_load_problem_malformed_json(tmp_path):
 
 def test_dumps_is_canonical():
     assert serialize.dumps({"b": 1, "a": [2]}) == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
+
+
+def test_monomials_below_counts_and_saturates():
+    for order in range(1, 9):
+        for nvars in range(1, 6):
+            count = math.comb(order - 1 + nvars, nvars)
+            assert serialize.monomials_below(order, nvars, 10 ** 6) == count
+            assert serialize.monomials_below(order, nvars, count) == count
+            assert serialize.monomials_below(order, nvars, count - 1) == count
+    start = time.perf_counter()
+    for order, nvars in ((10 ** 7, 2), (2, 10 ** 9), (10 ** 100, 10 ** 100), (1, 10 ** 9)):
+        assert serialize.monomials_below(order, nvars, 2000) == (1 if order == 1 else 2001)
+    assert time.perf_counter() - start < 0.1
+
+
+def taylor_problem_json(nvars, length, truncation):
+    problem = serialize.Problem(
+        field=GF(3), nvars=nvars, length=length, truncation=truncation, seed=0,
+        derivations=[taylor_derivation(nvars, length, GF(3), j) for j in range(nvars)],
+    )
+    return serialize.problem_to_json(problem)
+
+
+def test_the_monomial_cap_bounds_truncation_and_length():
+    """The order max(truncation, length + 1) may have at most
+    MONOMIAL_CAP monomials below it; one more is refused."""
+    cap = serialize.MONOMIAL_CAP
+    order = next(N for N in range(1, cap) if math.comb(N + 1, 2) > cap)
+    accepted = [(1, 1, cap), (1, cap - 1, 1), (2, 1, order - 1)]
+    refused = [(1, 1, cap + 1), (1, cap, 1), (2, 1, order), (2, order - 1, 2)]
+    for nvars, length, truncation in accepted:
+        problem = serialize.problem_from_json(taylor_problem_json(nvars, length, truncation))
+        assert (problem.length, problem.truncation) == (length, truncation)
+    for nvars, length, truncation in refused:
+        with pytest.raises(ProblemFormatError, match=f"cap of {cap} monomials"):
+            serialize.problem_from_json(taylor_problem_json(nvars, length, truncation))
+
+
+def test_the_cap_is_checked_before_the_derivations():
+    obj = worked_problem_json()
+    obj["truncation"] = 10 ** 7
+    obj["derivations"] = [{"name": "broken"}]
+    with pytest.raises(ProblemFormatError, match="cap"):
+        serialize.problem_from_json(obj)
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("deep-nesting", b"[" * 200_000, "too deeply"),
+    ("not-utf8", b"\xff\xfe", "not UTF-8"),
+    ("long-integer", b"1" * 5000, "malformed JSON"),
+])
+def test_load_problem_maps_hostile_bytes_to_a_format_error(tmp_path, name, data, message):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(data)
+    with pytest.raises(ProblemFormatError, match=message) as info:
+        serialize.load_problem(path)
+    assert "\n" not in str(info.value)
+
+
+def test_error_messages_shorten_the_values_they_quote():
+    """A deeply nested or long value is quoted by reprlib, so the message
+    stays one short line and building it cannot recurse."""
+    obj = worked_problem_json()
+    obj["target"]["images"][0][1]["prec"] = json.loads("[" * 900 + "]" * 900)
+    with pytest.raises(ProblemFormatError, match=r"bad precision \[\[") as info:
+        serialize.problem_from_json(obj)
+    assert len(str(info.value)) < 100
+    obj = worked_problem_json()
+    obj["target"]["images"][0][1]["terms"][0][-1] = "x" * 10 ** 6
+    with pytest.raises(ProblemFormatError, match="not a scalar") as info:
+        serialize.problem_from_json(obj)
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("name", [3, None, ["D1"], {"a": 1}])
+def test_derivation_names_must_be_strings(name):
+    obj = worked_problem_json()
+    obj["derivations"][0]["name"] = name
+    with pytest.raises(ProblemFormatError, match="name"):
+        serialize.problem_from_json(obj)
+
+
+def test_every_benchmark_corpus_problem_is_under_the_cap():
+    """The default-seed corpora of bench/corpus.py (largest: 165 monomials)
+    all load."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import corpus
+    finally:
+        sys.path.pop(0)
+    largest = 0
+    for workload in sorted(corpus.WORKLOADS):
+        files, _ = corpus.generate(workload, corpus.DEFAULT_SEED)
+        for text in files.values():
+            problem = serialize.problem_from_json(json.loads(text))
+            order = max(problem.truncation, problem.length + 1)
+            largest = max(largest, math.comb(order - 1 + problem.nvars, problem.nvars))
+    assert largest == 165 < serialize.MONOMIAL_CAP

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hasseschmidt import GF, QQ, Series, TSeries, substitute
 from hasseschmidt.errors import IncompatibleAmbient, NotAUnit
+from hasseschmidt.series import min_prec
 
 from conftest import FIELDS, assert_agree_to_trusted, random_hsd, random_series
 
@@ -70,6 +71,22 @@ def test_precision_combines_to_weaker():
     assert (x.truncate(3) * x.truncate(5)).precision == 3
     assert (x.truncate(3) + x.truncate(5)).precision == 3
     assert (x * x).precision is None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_truncate_matches_the_validating_constructor(rng, field):
+    """truncate builds its result without validation; it must equal the
+    validating constructor at every precision, a negative one included."""
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        prec = rng.choice([None, None, rng.randint(0, 6)])
+        f = random_series(rng, nvars, field, max_degree=5, max_terms=6, precision=prec)
+        degree = f.degree()
+        for cut in (-1, 0, 1, degree - 1, degree, degree + 1, None):
+            expected = Series(nvars, field, f.terms, min_prec(f.precision, cut))
+            got = f.truncate(cut)
+            assert got == expected, (f, cut)
+            assert got.precision == expected.precision
 
 
 def reference_sum(a, b):
