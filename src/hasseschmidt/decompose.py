@@ -6,7 +6,10 @@ variables has unit determinant), every Hasse-Schmidt derivation of the
 same length is reproduced by a unique coefficient table, computed level
 by level: at level N the target component minus the already-determined
 composite terms is again an ordinary derivation (the residual), and its
-coordinates in the degree-1 basis fill row N of the table.
+coordinates in the degree-1 basis fill row N of the table.  The matrix
+is the same at every level, so its cofactors and the inverse of its
+determinant are computed once, and each level is a matrix-vector
+product.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient, NotABasis, PrecisionExhausted
-from .series import Series, min_prec, monomials_of_degree
+from .series import Series, dot, min_prec, monomials_of_degree
 # compose_multi and weighted_terms run inside table_sum; bench/spans.py
 # patches them in this namespace as well
 from .derivations import HSDerivation, compose_multi  # noqa: F401
@@ -24,12 +27,14 @@ from .formula import CoeffTable, apply_table, table_sum, weighted_terms  # noqa:
 
 @dataclass
 class Degree1Matrix:
-    """The values D^d_1(X_j) as a matrix: entries[j][d], with determinant."""
+    """The values D^d_1(X_j) as a matrix: entries[j][d], with determinant;
+    its cofactors and the inverse of the determinant are cached."""
 
     entries: list  # entries[j][d] : Series
     det: Series
     det_unit: bool
     _inverses: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
+    _cofactors: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
 
     def det_inverse(self, precision: int) -> Series:
         """1/det: exact when det is a nonzero constant, otherwise modulo
@@ -44,22 +49,65 @@ class Degree1Matrix:
             self._inverses[precision] = inv
         return inv
 
+    def cofactors(self, precision: int) -> list:
+        """cof[j][d] = (-1)^(j+d) times the determinant of the entries
+        without row j and column d, so sum_j cof[j][d] * entries[j][e] is
+        det when d == e and 0 otherwise.
+
+        Exact when det is a nonzero constant, and then computed once.
+        Otherwise built from the entries modulo (X)^precision, once per
+        precision: a coordinate is multiplied by 1/det, which is only
+        known to that precision, so nothing above it is ever read."""
+        key = None if self.det.degree() <= 0 else precision
+        cof = self._cofactors.get(key)
+        if cof is None:
+            rows = self.entries
+            if key is not None:
+                rows = [[entry.truncate(precision) for entry in row] for row in rows]
+            n = len(rows)
+            if n == 1:
+                first = rows[0][0]
+                cof = [[Series.one(first.nvars, first.field)]]
+            else:
+                def minor(j, d):
+                    return [[r[c] for c in range(n) if c != d]
+                            for k, r in enumerate(rows) if k != j]
+
+                cof = [
+                    [_det(minor(j, d)) if (j + d) % 2 == 0 else -_det(minor(j, d))
+                     for d in range(n)]
+                    for j in range(n)
+                ]
+            self._cofactors[key] = cof
+        return cof
+
 
 def _det(rows) -> Series:
-    """Exact determinant by Laplace expansion (small n only)."""
+    """Exact determinant by Laplace expansion along the first row, each
+    minor computed once.  A minor of the last k rows is fixed by the k
+    columns it keeps, so an n x n determinant takes at most n 2^(n-1)
+    products instead of n!; still exponential, so small n only."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
     first = rows[0][0]
-    out = Series.zero(first.nvars, first.field)
-    for col in range(n):
-        entry = rows[0][col]
-        if entry.is_zero():
-            continue
-        minor = [[r[c] for c in range(n) if c != col] for r in rows[1:]]
-        cofactor = entry * _det(minor)
-        out = out + (cofactor if col % 2 == 0 else -cofactor)
-    return out
+    minors: dict = {}
+
+    def minor(cols):
+        row = rows[n - len(cols)]
+        if len(cols) == 1:
+            return row[cols[0]]
+        out = minors.get(cols)
+        if out is None:
+            out = Series.zero(first.nvars, first.field)
+            for k, col in enumerate(cols):
+                entry = row[col]
+                if entry.is_zero():
+                    continue
+                cofactor = entry * minor(cols[:k] + cols[k + 1:])
+                out = out + (cofactor if k % 2 == 0 else -cofactor)
+            minors[cols] = out
+        return out
+
+    return minor(tuple(range(n)))
 
 
 def degree1_values(family, points) -> list:
@@ -103,9 +151,15 @@ def residual(target: HSDerivation, family, table: CoeffTable, level: int, f: Ser
 def solve_derivation_coords(values, matrix: Degree1Matrix, out_precision: int) -> list:
     """Coordinates (C_d) with values[j] = sum_d C_d * entries[j][d].
 
-    Solved by Cramer's rule.  When the determinant is a nonzero constant
-    the answer is exact; otherwise the determinant is inverted as a
-    series and the coordinates are trusted to out_precision.
+    C_d = (sum_j cof[j][d] * values[j]) / det, from the matrix's cached
+    cofactors and inverse determinant (see Degree1Matrix), so a solve is
+    n^2 + n products.  When the determinant is a nonzero constant the
+    answer is exact; otherwise the determinant is inverted as a series
+    and the coordinates are trusted to out_precision at most.
+
+    C_d carries the weakest tag among the values it reads, a value
+    without terms included: every values[j] whose cofactor cof[j][d] is
+    not an exact zero.
     """
     if not matrix.det_unit:
         raise NotABasis("degree-1 values have non-unit determinant")
@@ -113,14 +167,17 @@ def solve_derivation_coords(values, matrix: Degree1Matrix, out_precision: int) -
     values = list(values)
     if len(values) != n:
         raise ValueError(f"expected {n} values, got {len(values)}")
+    cof = matrix.cofactors(out_precision)
     det_inv = matrix.det_inverse(out_precision)
+    nvars, field = det_inv.nvars, det_inv.field
     coords = []
     for d in range(n):
-        replaced = [
-            [values[j] if c == d else matrix.entries[j][c] for c in range(n)]
+        pairs = [
+            (cof[j][d], values[j])
             for j in range(n)
+            if cof[j][d].terms or cof[j][d].precision is not None
         ]
-        coords.append(_det(replaced) * det_inv)
+        coords.append(dot(pairs, nvars, field) * det_inv)
     return coords
 
 

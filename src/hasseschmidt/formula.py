@@ -14,9 +14,11 @@ and this evaluation reconstructs the target's components.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import IncompatibleAmbient
 from .fields import FieldSpec
-from .series import Series, min_prec, monomials_of_degree
+from .series import Series, dot, monomials_of_degree
 from .derivations import compose_multi
 
 
@@ -111,13 +113,12 @@ class CoeffTable:
                 out = self.at(i, j)
             else:
                 rest = mu[:j] + (mu[j] - 1,) + mu[j + 1:]
-                out = Series.zero(self.nvars, self.field)
-                for r in range(1, i - parts + 2):
-                    entry, tail = self.at(r, j), self.product_coeff(rest, i - r)
-                    if entry.terms and tail.terms:
-                        out = out + entry * tail
-                    else:  # the product vanishes but still bounds the precision
-                        out = out.truncate(min_prec(entry.precision, tail.precision))
+                # a product that vanishes still bounds the precision (see dot)
+                out = dot(
+                    [(self.at(r, j), self.product_coeff(rest, i - r))
+                     for r in range(1, i - parts + 2)],
+                    self.nvars, self.field,
+                )
             self._products[key] = out
         return out
 
@@ -128,8 +129,7 @@ def weighted_terms(table: CoeffTable, i: int, min_parts: int = 1) -> list:
 
     A coefficient that truncates to zero stays in the list when its tag is
     finite: the term contributes nothing but still limits the precision
-    of the result, so callers add the coefficient itself in place of
-    coefficient * D_mu(f)."""
+    of the result, so callers pair it with 1 in place of D_mu(f)."""
     key = (i, min_parts)
     cached = table._term_cache.get(key)
     if cached is not None:
@@ -157,10 +157,13 @@ def _family_sums(table: CoeffTable, family) -> tuple:
     return entry
 
 
-def _add_term(out: Series, coeff: Series, mu, family, f: Series) -> Series:
-    """out + coeff * D_mu(f); a coefficient that truncates to zero is added
-    itself, which bounds the precision."""
-    return out + (coeff * compose_multi(family, mu, f) if coeff.terms else coeff)
+def _term_pairs(terms, family, f: Series):
+    """The (coefficient, D_mu(f)) pairs of the terms for ``dot``; a
+    coefficient that truncates to zero is paired with 1 instead, so it
+    bounds the precision without D_mu being applied."""
+    one = Series.one(f.nvars, f.field)
+    return [(coeff, compose_multi(family, mu, f) if coeff.terms else one)
+            for coeff, mu in terms]
 
 
 def table_sum(table: CoeffTable, family, i: int, f: Series, min_parts: int = 1) -> Series:
@@ -170,10 +173,8 @@ def table_sum(table: CoeffTable, family, i: int, f: Series, min_parts: int = 1) 
     family, sums = _family_sums(table, family)
     out = sums.get((i, min_parts, f))
     if out is None:
-        out = Series.zero(f.nvars, f.field, f.precision)
-        for coeff, mu in weighted_terms(table, i, min_parts):
-            out = _add_term(out, coeff, mu, family, f)
-        sums[(i, min_parts, f)] = out
+        pairs = _term_pairs(weighted_terms(table, i, min_parts), family, f)
+        out = sums[(i, min_parts, f)] = dot(pairs, f.nvars, f.field, f.precision)
     return out
 
 
@@ -189,8 +190,5 @@ def apply_table(table: CoeffTable, family, i: int, f: Series) -> Series:
         )
     out = table_sum(table, family, i, f, 2)
     # weighted_terms lists the single-factor terms first
-    for coeff, mu in weighted_terms(table, i):
-        if sum(mu) > 1:
-            break
-        out = _add_term(out, coeff, mu, family, f)
-    return out
+    singles = itertools.takewhile(lambda term: sum(term[1]) == 1, weighted_terms(table, i))
+    return out + dot(_term_pairs(singles, family, f), f.nvars, f.field, f.precision)

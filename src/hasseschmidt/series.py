@@ -505,6 +505,27 @@ def _mac(acc: dict, a: dict, b: dict, bound, add, mul) -> None:
             acc[e] = v if prev is None else add(prev, v)
 
 
+def dot(pairs, nvars: int, field: FieldSpec, precision: int | None = None) -> Series:
+    """The sum of a * b over the (a, b) pairs, built in one accumulator.
+
+    The tag is the weakest among ``precision`` and every operand, an
+    operand without terms included, so the result equals the chain of
+    products and sums it replaces: truncating each product and then the
+    sum at the weaker tag is truncating once at the weakest."""
+    pairs = list(pairs)
+    prec = precision
+    for a, b in pairs:
+        prec = min_prec(prec, min_prec(a.precision, b.precision))
+    add, mul = field.add, field.mul
+    acc: dict = {}
+    for a, b in pairs:
+        a, b = a.terms, b.terms
+        if len(a) > len(b):
+            a, b = b, a
+        _mac(acc, a, b, prec, add, mul)
+    return Series._of(nvars, field, acc, prec)
+
+
 def monomial_image(exps, images, cache: dict, cuts=None) -> TSeries:
     """The image of X^exps under X_j -> images[j], memoized in ``cache``.
 

@@ -10,8 +10,9 @@ recursion and its own scaled sum; its image products, and the products
 and inverses here, are pair-by-pair brute force, so they share no loop
 with the library's product kernel.  The residual, table application, coordinate
 solve and decomposition are the versions from before a decomposition
-kept its sums: nothing is cached between calls, and the determinant is
-inverted on every solve.  Their composite weights come pair by pair: one
+kept its sums: nothing is cached between calls, the coordinates come
+from Cramer's rule with a plain Laplace expansion, and the determinant
+is inverted on every solve.  Their composite weights come pair by pair: one
 coefficient per pair (lambda, mu) with lambda refining mu, built from
 sums over ordered compositions with ``product`` and summed per mu before
 D_mu is applied, where the library reads each mu's sum off
@@ -21,7 +22,7 @@ the library.
 
 from hasseschmidt import CoeffTable, Series, TSeries
 from hasseschmidt.coefffield import ComponentMatrix, KernelReport, QuotientBasis
-from hasseschmidt.decompose import _agree_to_trusted, _det, degree1_matrix
+from hasseschmidt.decompose import _agree_to_trusted, degree1_matrix
 from hasseschmidt.derivations import compose_multi
 from hasseschmidt.errors import ComponentOutOfRange, LengthMismatch, NotABasis, PrecisionExhausted
 from hasseschmidt.series import min_prec, monomials_of_degree
@@ -289,15 +290,20 @@ def mu_terms(table, i, min_parts=1):
 # -- decomposition without shared sums ------------------------------------------
 
 
-def apply_table(table, family, i, f):
-    """Every weight-i term, one after the other.  A coefficient that
-    truncates to zero is added itself: its tag bounds the term whatever
-    the tag of D_mu(f)."""
+def table_sum(table, family, i, f, min_parts=1):
+    """Every weight-i term with |mu| >= min_parts, one after the other.  A
+    coefficient that truncates to zero is added itself: its tag bounds
+    the term whatever the tag of D_mu(f)."""
     family = list(family)
     out = Series.zero(f.nvars, f.field, f.precision)
-    for coeff, mu in mu_terms(table, i):
+    for coeff, mu in mu_terms(table, i, min_parts):
         out = out + (coeff * compose_multi(family, mu, f) if coeff.terms else coeff)
     return out
+
+
+def apply_table(table, family, i, f):
+    """Every weight-i term, one after the other (see ``table_sum``)."""
+    return table_sum(table, family, i, f)
 
 
 def residual(target, family, table, level, f):
@@ -306,6 +312,24 @@ def residual(target, family, table, level, f):
     family = list(family)
     for coeff, mu in mu_terms(table, level, min_parts=2):
         out = out - (coeff * compose_multi(family, mu, f) if coeff.terms else coeff)
+    return out
+
+
+def laplace_det(rows):
+    """The determinant by plain Laplace expansion along the first row,
+    every minor expanded afresh; a zero entry is skipped."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    first = rows[0][0]
+    out = Series.zero(first.nvars, first.field)
+    for col in range(n):
+        entry = rows[0][col]
+        if entry.is_zero():
+            continue
+        minor = [[r[c] for c in range(n) if c != col] for r in rows[1:]]
+        cofactor = entry * laplace_det(minor)
+        out = out + (cofactor if col % 2 == 0 else -cofactor)
     return out
 
 
@@ -325,7 +349,7 @@ def solve_derivation_coords(values, matrix, out_precision):
             [values[j] if c == d else matrix.entries[j][c] for c in range(n)]
             for j in range(n)
         ]
-        coords.append(_det(replaced) * det_inv)
+        coords.append(laplace_det(replaced) * det_inv)
     return coords
 
 

@@ -2,6 +2,7 @@
 uncached versions in ``reference``."""
 
 import gc
+import importlib
 
 import pytest
 
@@ -23,6 +24,9 @@ from hasseschmidt.formula import table_sum
 
 import reference
 from conftest import FIELDS, family_for, random_family, random_hsd, random_series, scaled_taylor
+
+# the module, which the package's name ``decompose`` (the function) hides
+decompose_module = importlib.import_module("hasseschmidt.decompose")
 
 TAGS = (None, None, 1, 2, 3, 5)
 
@@ -179,6 +183,52 @@ def test_a_non_constant_determinant_is_inverted_once_per_matrix(field, rng, monk
         assert solve_derivation_coords(values, matrix, out_precision) == first
         assert calls == [out_precision]
         assert first == reference.solve_derivation_coords(values, matrix, out_precision)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_the_cofactors_are_built_once_per_matrix(field, rng, monkeypatch):
+    """A solve reads the matrix's cached cofactors: after the first solve,
+    solves at the same precision make no determinant call.  A new
+    precision builds them once more when the determinant is not
+    constant, and not at all when it is (they are exact)."""
+    calls = []
+    det = decompose_module._det
+
+    def counted(rows):
+        calls.append(len(rows))
+        return det(rows)
+
+    monkeypatch.setattr(decompose_module, "_det", counted)
+    for n, m in ((1, 3), (2, 3), (3, 2)):
+        for family, constant in ((scaled_taylor(n, m, field), False),
+                                 (taylor_basis(n, m, field), True)):
+            del calls[:]
+            matrix = degree1_matrix(family)
+            for_det = len(calls)
+            assert (matrix.det.degree() <= 0) == constant
+            out_precision = m + 3
+            for precision in (out_precision, out_precision + 2):
+                values = [random_series(rng, n, field) for _ in range(n)]
+                del calls[:]
+                first = solve_derivation_coords(values, matrix, precision)
+                built = len(calls)
+                if precision == out_precision:
+                    for_cofactors = built
+                if n > 1:  # a 1x1 matrix has the cofactor 1
+                    assert (built == 0) == (constant and precision != out_precision)
+                for _ in range(2):
+                    assert solve_derivation_coords(values, matrix, precision) == first
+                assert len(calls) == built
+                assert first == reference.solve_derivation_coords(values, matrix, precision)
+                cofactors = [entry for row in matrix.cofactors(precision) for entry in row]
+                if constant:
+                    assert all(entry.precision is None for entry in cofactors)
+                else:
+                    assert all(sum(e) < precision for entry in cofactors for e in entry.terms)
+            # a decomposition builds the determinant and one set of cofactors
+            del calls[:]
+            assert decompose(random_hsd(rng, n, m, field), family, out_precision, 2).passed
+            assert len(calls) == for_det + for_cofactors
 
 
 def test_extended_carries_every_cache(rng):

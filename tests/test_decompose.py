@@ -21,11 +21,14 @@ from hasseschmidt import (
     verify_decomposition,
 )
 from hasseschmidt import serialize
-from hasseschmidt.decompose import _sweep
+from hasseschmidt.decompose import _det, _sweep
 from hasseschmidt.errors import NotABasis, PrecisionExhausted
 from hasseschmidt.series import min_prec
 
-from conftest import assert_agree_to_trusted, random_family, random_hsd, random_series
+import reference
+from conftest import (
+    assert_agree_to_trusted, random_family, random_hsd, random_series, scaled_taylor,
+)
 
 
 def worked_target(field=QQ):
@@ -62,6 +65,19 @@ def test_triangular_two_variable_matrix():
     assert M.entries == [[one, zero], [x2, one]]
     assert M.det == one
     assert M.det_unit
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=repr)
+def test_det_shares_minors_but_matches_plain_laplace(field, rng):
+    """Each minor computed once gives the plain expansion's value and tag,
+    on matrices with zero entries, zeros with tags and mixed tags."""
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(6):
+            rows = [[random_series(rng, 2, field, max_degree=2, max_terms=rng.choice((0, 1, 2)),
+                                   precision=rng.choice((None, None, 1, 2, 4)))
+                     for _ in range(n)] for _ in range(n)]
+            got, expect = _det(rows), reference.laplace_det(rows)
+            assert (got, got.precision) == (expect, expect.precision), rows
 
 
 # -- residuals ----------------------------------------------------------------
@@ -141,6 +157,70 @@ def test_solve_exact_when_determinant_is_constant():
     for j in range(2):
         recombined = coords[0] * M.entries[j][0] + coords[1] * M.entries[j][1]
         assert recombined == values[j]
+
+
+def mixed_matrix(field):
+    """[[1 + X1, X1], [X2, 1]]: determinant 1 + X1 - X1 X2, not constant."""
+    x1, x2 = Series.variable(2, field, 0), Series.variable(2, field, 1)
+    one = Series.one(2, field)
+    return degree1_matrix([integrate(Derivation([one + x1, x2]), 2),
+                           integrate(Derivation([x1, one]), 2)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+def test_solve_keeps_the_tag_of_a_zero_value(field):
+    """The first value is zero but only known to degree 3, so both
+    coordinates, which read it, are known to degree 3, not 4."""
+    x1, x2 = Series.variable(2, field, 0), Series.variable(2, field, 1)
+    values = [Series.zero(2, field, 3), x2.truncate(4)]
+    coords = solve_derivation_coords(values, mixed_matrix(field), 6)
+    assert coords == [(-(x1 * x2)).truncate(3), x2.truncate(3)]
+
+
+def solve_families(rng, field):
+    """Degree-1 matrices with constant and with non-constant determinants."""
+    x2 = Series.variable(2, field, 1)
+    one, zero = Series.one(2, field), Series.zero(2, field)
+    yield degree1_matrix([integrate(Derivation([one, x2]), 2),
+                          integrate(Derivation([zero, one]), 2)])
+    yield mixed_matrix(field)
+    for n in (1, 2, 3):
+        yield degree1_matrix(taylor_basis(n, 2, field))
+        yield degree1_matrix(scaled_taylor(n, 2, field))
+        yield degree1_matrix(random_family(rng, n, 2, field))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+def test_solve_tags_are_those_of_the_values_read(field, rng):
+    """Values with mixed tags, zeros with finite tags and exact ones: each
+    coordinate agrees with the solve of the untruncated values modulo its
+    own tag, and the matrix times the coordinates gives the values
+    modulo the weakest of them.  Where the values are nonzero and share
+    one tag, or are all exact, the Cramer solve gives the same."""
+    for M in solve_families(rng, field):
+        n = len(M.entries)
+        for _ in range(12):
+            exact = [random_series(rng, n, field, max_degree=4, max_terms=rng.choice((0, 2, 4)))
+                     for _ in range(n)]
+            shared = rng.random() < 0.4
+            tag = rng.choice((None, 1, 2, 3, 5))
+            values = [v.truncate(tag if shared else rng.choice((None, 1, 2, 3, 5)))
+                      for v in exact]
+            P = rng.randint(1, 6)
+            coords = solve_derivation_coords(values, M, P)
+            for got, full in zip(coords, solve_derivation_coords(exact, M, P)):
+                assert min_prec(got.precision, full.precision) == got.precision
+                assert full.truncate(got.precision) == got
+            for j in range(n):
+                recombined = coords[0] * M.entries[j][0]
+                for d in range(1, n):
+                    recombined = recombined + coords[d] * M.entries[j][d]
+                weakest = recombined.precision
+                assert min_prec(weakest, values[j].precision) == weakest
+                assert recombined == values[j].truncate(weakest)
+            common = {v.precision for v in values}
+            if len(common) == 1 and (all(v.terms for v in values) or common == {None}):
+                assert coords == reference.solve_derivation_coords(values, M, P)
 
 
 # -- decompose -----------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """The shared product kernel and monomial-image builder against the
-brute-force and recursive versions in ``reference``."""
+brute-force and recursive versions in ``reference``, and the
+sum-of-products accumulator against a chain of products and sums."""
 
 import pytest
 
-from hasseschmidt import QQ, Series, TSeries, substitute
+from hasseschmidt import QQ, CoeffTable, Series, TSeries, substitute, taylor_basis
 from hasseschmidt.derivations import taylor_derivation
+from hasseschmidt.formula import table_sum
+from hasseschmidt.series import dot
 
 import reference
-from conftest import FIELDS, random_hsd, random_scalar, random_series
+from conftest import FIELDS, random_family, random_hsd, random_scalar, random_series
 
 PRECISIONS = (None, 1, 2, 3, 5, 7)
 
@@ -110,3 +113,60 @@ def test_images_of_a_degree_3000_monomial(evaluate):
     else:
         value = substitute(f, D.images).coeffs[2]
     assert value == Series.monomial(2, QQ, (2998, 0), 3000 * 2999 // 2)
+
+
+def random_operand(rng, nvars, field):
+    """A random series, at times without terms, with a random tag."""
+    return random_series(rng, nvars, field, max_degree=4, max_terms=rng.choice((0, 1, 3, 4)),
+                         precision=rng.choice(PRECISIONS))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_dot_matches_the_chain_of_products_and_sums(field, rng):
+    """Value and tag of one accumulator against a product and a sum per
+    pair: operands without terms bound the tag, exact zeros do not, and
+    cancelling pairs leave no zero coefficient behind."""
+    for nvars in (1, 2, 3):
+        for _ in range(40):
+            pairs = [(random_operand(rng, nvars, field), random_operand(rng, nvars, field))
+                     for _ in range(rng.randint(0, 4))]
+            if pairs and rng.random() < 0.3:
+                a, b = rng.choice(pairs)
+                pairs.append((-a, b))
+            if rng.random() < 0.3:
+                pairs.append((Series.zero(nvars, field), random_operand(rng, nvars, field)))
+            precision = rng.choice(PRECISIONS)
+            chain = Series.zero(nvars, field, precision)
+            for a, b in pairs:
+                chain = chain + a * b
+            got = dot(pairs, nvars, field, precision)
+            assert (got, got.precision) == (chain, chain.precision), pairs
+            assert all(got.terms.values())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_product_coeff_and_table_sum_match_the_pairs(field, rng):
+    """The sums built by ``dot`` against the pair-by-pair oracle, on
+    tables with mixed tags and zero entries and on inputs with tags."""
+    tags = (None, None, 1, 2, 3, 5)
+    for n in (1, 2, 3):
+        for trial in range(2):
+            m = rng.randint(1, 4)
+            family = taylor_basis(n, m, field) if trial else random_family(rng, n, m, field)
+            table = CoeffTable(
+                [[random_series(rng, n, field, max_degree=2, max_terms=2,
+                                precision=rng.choice(tags)) for _ in range(n)]
+                 for _ in range(m)],
+                nvars=n, field=field,
+            )
+            fs = [Series.variable(n, field, j) for j in range(n)]
+            fs += [random_series(rng, n, field, max_degree=3, precision=rng.choice(tags))
+                   for _ in range(2)]
+            for i in range(1, m + 1):
+                for coeff, mu in reference.mu_terms(table, i):
+                    got = table.product_coeff(mu, i)
+                    assert (got, got.precision) == (coeff, coeff.precision), (i, mu)
+                for f in fs:
+                    for min_parts in (1, 2):
+                        got = table_sum(table, family, i, f, min_parts)
+                        assert got == reference.table_sum(table, family, i, f, min_parts)
