@@ -9,9 +9,9 @@ Subcommands:
 Exit codes: 0 success (``--help`` included), 1 I/O / format / usage
 error, 2 the family's degree-1 parts are not a basis, 3 a verification
 failed (witness in the report).  Exits 1 and 2 write one message to
-stderr; for a usage error it is argparse's usage and its one-line
-``error:`` message.  Reports are canonical JSON: identical input and
-seed give byte-identical output.
+stderr and nothing to stdout; for a usage error it is argparse's usage
+and its one-line ``error:`` message.  Reports are canonical JSON:
+identical input and seed give byte-identical output.
 
 Bounds, each a usage error with a message: ``--max-degree`` must be
 >= 0 and ``--trials`` between 0 and MAX_TRIALS (the Leibniz trials run
@@ -113,27 +113,32 @@ def cmd_kernel(args) -> int:
 def cmd_verify(args) -> int:
     problem = serialize.load_problem(args.input)
     seed = problem.seed if args.seed is None else args.seed
-    if problem.coefficients is not None and problem.target is None:
-        raise ProblemFormatError("a coefficient table was supplied but no target to verify against")
+    if problem.coefficients is not None:
+        if problem.target is None:
+            raise ProblemFormatError(
+                "a coefficient table was supplied but no target to verify against")
+        if len(problem.derivations) != problem.nvars:
+            raise ProblemFormatError(
+                f"reconstruction check needs exactly {problem.nvars} derivations"
+            )
     failed = False
+    lines = []
     named = [(D.name, D) for D in problem.derivations]
     if problem.target is not None:
         named.append(("target", problem.target))
     for name, D in named:
         report = leibniz_check(D, trials=args.trials, seed=seed)
-        print(f"{name}: {report.summary()} [seed={seed}]")
+        lines.append(f"{name}: {report.summary()} [seed={seed}]")
         failed = failed or not report.passed
     if problem.coefficients is not None:
-        if len(problem.derivations) != problem.nvars:
-            raise ProblemFormatError(
-                f"reconstruction check needs exactly {problem.nvars} derivations"
-            )
         report = verify_decomposition(
             problem.target, problem.derivations, problem.coefficients, args.max_degree
         )
-        print(report.summary())
+        lines.append(report.summary())
         failed = failed or not report.passed
-    print(f"verify: {'FAIL' if failed else 'pass'}")
+    lines.append(f"verify: {'FAIL' if failed else 'pass'}")
+    # one write at the end: an error on the way leaves stdout empty
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 3 if failed else 0
 
 

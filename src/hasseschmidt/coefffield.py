@@ -9,8 +9,9 @@ kernel of all components of all weights 1..N-1 is one-dimensional (the
 constants): a coefficient field seen at level N.  Keeping only the
 weight-1 components leaves a strictly larger kernel in positive
 characteristic (the p-th powers survive), which is the phenomenon this
-module makes checkable.  The weights that kill them, 1, p, .., p^k, are
-usually enough on their own, and they are tried first.
+module makes checkable.  The weights that kill them, 1, p, .., p^k,
+decide the kernel on their own (proved at ``coefficient_field``), so
+the other weights are never stacked.
 """
 
 from __future__ import annotations
@@ -230,24 +231,14 @@ def joint_kernel(mats, source: QuotientBasis | None = None, field: FieldSpec | N
 
 
 def _deciding_weights(field: FieldSpec, order: int) -> list:
-    """The weights tried first on the order-N quotient: 1 over Q, and
-    1, p, .., p^k <= N-1 over GF(p), the ones that kill X^(p^j) (Lucas:
-    C(a, p^j) = a_j mod p)."""
+    """The weights that decide the kernel on the order-N quotient: 1 over
+    Q, and 1, p, .., p^k <= N-1 over GF(p), the ones that kill X^(p^j)
+    (Lucas: C(a, p^j) = a_j mod p)."""
     p = field.characteristic
     weights = [1]
     while p and weights[-1] * p < order:
         weights.append(weights[-1] * p)
     return weights
-
-
-def _kernel_at(family, weights, source: QuotientBasis) -> KernelReport:
-    """Joint kernel of the given weights of every member, from monomial
-    images built only through the largest of them."""
-    top = max(weights)
-    family = [D.truncated(top) for D in family]
-    return joint_kernel(
-        [component_matrix(D, i, source.order, source) for D in family for i in weights]
-    )
 
 
 def coefficient_field(family, order: int, degree1_only: bool = False) -> KernelReport:
@@ -258,10 +249,27 @@ def coefficient_field(family, order: int, degree1_only: bool = False) -> KernelR
     which in characteristic p leaves the p-th powers in the kernel.  The
     family's degree-1 parts must form a basis.
 
-    With every weight, the weights 1, p, .., p^k come first.  Every
-    kernel holds the constants (E(1) = 1), and adding weights can only
-    shrink it, so when theirs is just the constants, that is the answer;
-    otherwise every weight is stacked.
+    Only the deciding weights are stacked: 1 over Q, and 1, p, .., p^k
+    <= N-1 over GF(p), from monomial images built through the largest of
+    them.  Their kernel is already the constants, and every kernel holds
+    the constants (E(1) = 1), so all weights 1..N-1 give the same one.
+    Proof: take f of degree < N killed by the deciding weights, and let
+    M = (D^d_1(X_j)) be the degree-1 matrix of the first n members, a
+    unit.
+
+    Over Q, D^d_1 f = sum_j D^d_1(X_j) df/dX_j lies in (X)^(N-1) for
+    every d, so each partial of f does too; of degree < N-1, it is 0,
+    and f is a constant.
+
+    Over GF(p), suppose f = g(X^q) with q = p^j (true for q = 1).  In
+    characteristic p, E(X_j)^q = X_j^q + sum_i D_i(X_j)^q t^(iq), so the
+    t^q coefficient of E(f) = g(E(X)^q) is
+    D^d_q f = sum_j D^d_1(X_j)^q (dg/dY_j)(X^q).  The matrix of q-th
+    powers has determinant det(M)^q, a unit, and D^d_q f lies in
+    (X)^(N-q) for every d, so each (dg/dY_j)(X^q) does too; of degree
+    < N-q, it is 0.  So every exponent of g is divisible by p, and f is
+    in k[X^(pq)].  By induction the weights 1, p, .., p^k leave f in
+    k[X^(p^(k+1))], and N <= p^(k+1), so f is a constant.
     """
     family = list(family)
     if not degree1_matrix(family).det_unit:
@@ -277,9 +285,10 @@ def coefficient_field(family, order: int, degree1_only: bool = False) -> KernelR
         report = joint_kernel([], source, family[0].field)
     else:
         weights = [1] if degree1_only else _deciding_weights(family[0].field, order)
-        report = _kernel_at(family, weights, source)
-        if report.dimension != 1 and len(weights) < max_weight:
-            report = _kernel_at(family, range(1, max_weight + 1), source)
+        members = [D.truncated(weights[-1]) for D in family]
+        report = joint_kernel(
+            [component_matrix(D, i, order, source) for D in members for i in weights]
+        )
     which = "weight-1 components only" if degree1_only else f"all weights 1..{max_weight}"
     report.operators_used = f"{which} of {len(family)} derivation(s)"
     return report

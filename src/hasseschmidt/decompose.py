@@ -18,7 +18,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient, NotABasis, PrecisionExhausted
-from .series import Series, dot, min_prec, monomials_of_degree
+from .series import Series, dot, min_prec
 # compose_multi and weighted_terms run inside table_sum; bench/spans.py
 # patches them in this namespace as well
 from .derivations import HSDerivation, compose_multi  # noqa: F401
@@ -84,9 +84,10 @@ class Degree1Matrix:
 
 def _det(rows) -> Series:
     """Exact determinant by Laplace expansion along the first row, each
-    minor computed once.  A minor of the last k rows is fixed by the k
-    columns it keeps, so an n x n determinant takes at most n 2^(n-1)
-    products instead of n!; still exponential, so small n only."""
+    minor computed once and expanded as one ``dot``.  A minor of the last
+    k rows is fixed by the k columns it keeps, so an n x n determinant
+    takes at most n 2^(n-1) products instead of n!; still exponential, so
+    small n only."""
     n = len(rows)
     first = rows[0][0]
     minors: dict = {}
@@ -97,14 +98,12 @@ def _det(rows) -> Series:
             return row[cols[0]]
         out = minors.get(cols)
         if out is None:
-            out = Series.zero(first.nvars, first.field)
-            for k, col in enumerate(cols):
-                entry = row[col]
-                if entry.is_zero():
-                    continue
-                cofactor = entry * minor(cols[:k] + cols[k + 1:])
-                out = out + (cofactor if k % 2 == 0 else -cofactor)
-            minors[cols] = out
+            pairs = [
+                (row[col] if k % 2 == 0 else -row[col], minor(cols[:k] + cols[k + 1:]))
+                for k, col in enumerate(cols)
+                if not row[col].is_zero()
+            ]
+            out = minors[cols] = dot(pairs, first.nvars, first.field)
         return out
 
     return minor(tuple(range(n)))
@@ -225,38 +224,6 @@ def _agree_to_trusted(a: Series, b: Series) -> bool:
     return a.truncate(p) == b.truncate(p)
 
 
-def _sweep(target: HSDerivation, family, table: CoeffTable, max_degree: int) -> VerificationReport:
-    """The reference check: compare the target's components with the table
-    reconstruction on every monomial of total degree <= max_degree, for
-    every weight, at the weaker of the two precisions.  Reports the
-    largest degree below the first failure, with a witness.
-    """
-    n, field = target.nvars, target.field
-    verified = -1
-    for degree in range(max_degree + 1):
-        for beta in monomials_of_degree(n, degree):
-            f = Series.monomial(n, field, beta)
-            for i in range(1, target.length + 1):
-                lhs = target.apply_component(i, f)
-                rhs = apply_table(table, family, i, f)
-                if not _agree_to_trusted(lhs, rhs):
-                    return VerificationReport(False, verified, max_degree, Witness(i, beta, lhs, rhs))
-        verified = degree
-    return VerificationReport(True, verified, max_degree, None)
-
-
-def _agrees_on_variables(target: HSDerivation, family, table: CoeffTable) -> bool:
-    """True when every weight agrees on every variable, each at the weaker
-    of the two precisions (see verify_decomposition)."""
-    n, field = target.nvars, target.field
-    variables = [Series.variable(n, field, j) for j in range(n)]
-    return all(
-        _agree_to_trusted(target.apply_component(i, x), apply_table(table, family, i, x))
-        for i in range(1, target.length + 1)
-        for x in variables
-    )
-
-
 def verify_decomposition(
     target: HSDerivation, family, table: CoeffTable, max_degree: int
 ) -> VerificationReport:
@@ -266,8 +233,8 @@ def verify_decomposition(
     Comparison happens at the weaker of the two precisions.  Reports the
     largest degree below the first failure, with a witness.
 
-    The report is always the one the monomial sweep gives, but most
-    tables are decided on the n variables alone.  With
+    Only the variables are compared, X_1 first and every weight of each
+    in turn, because the report is decided there.  With
     c_d(t) = sum_l C[l][d] t^l, the table's operator is the t-expansion of
     the composite E_C = E^1_{c_1(t)} o .. o E^n_{c_n(t)}: substituting
     t_d -> c_d(t) in the ring homomorphism f -> sum_mu D_mu(f) t^mu.
@@ -276,7 +243,7 @@ def verify_decomposition(
     X_1..X_n.
 
     Let P_i be the precision tag of apply_table at weight i on an exact
-    input.  The sweep compares weight i modulo (X)^{P_i}.  Each weight-i
+    input.  Weight i is compared modulo (X)^{P_i}.  Each weight-i
     coefficient is a sum of products of table entries and carries the
     least tag among them, even when the product truncates to zero, and
     every entry C[r][d] with r <= i occurs at weight i (in
@@ -288,15 +255,30 @@ def verify_decomposition(
     weight-wise ideal J = {sum_r a_r t^r : a_r in (X)^{P_r}} is an ideal
     because P is nonincreasing, and two homomorphisms that agree mod J on
     every X_j agree mod J on every product of them.  Hence agreement on
-    the variables at every weight is agreement on every monomial, and
-    the sweep would pass to max_degree.  In every other case (a
-    disagreement on some variable, max_degree < 1) the sweep runs; it
-    alone finds witnesses.
+    the variables at every weight is agreement on every monomial of every
+    degree.
+
+    Disagreement is decided on the variables too.  Ordered by degree,
+    the monomials start with 1 and then X_1, .., X_n.  The monomial 1
+    never disagrees: both sides are 0 at every weight i >= 1 (D_mu(1) = 0),
+    and zero agrees with zero at any tag.  So the first disagreement
+    among all monomials, weights inner, is the first among the
+    variables, and the verified degree is 0.  With max_degree below 1
+    there is no variable to compare, and the report passes to
+    max_degree.
     """
     family = list(family)
-    if max_degree >= 1 and _agrees_on_variables(target, family, table):
-        return VerificationReport(True, max_degree, max_degree, None)
-    return _sweep(target, family, table, max_degree)
+    if max_degree >= 1:
+        n, field = target.nvars, target.field
+        for j in range(n):
+            x = Series.variable(n, field, j)
+            for i in range(1, target.length + 1):
+                lhs = target.apply_component(i, x)
+                rhs = apply_table(table, family, i, x)
+                if not _agree_to_trusted(lhs, rhs):
+                    beta = tuple(int(d == j) for d in range(n))
+                    return VerificationReport(False, 0, max_degree, Witness(i, beta, lhs, rhs))
+    return VerificationReport(True, max_degree, max_degree, None)
 
 
 def decompose(

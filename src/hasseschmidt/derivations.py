@@ -22,7 +22,6 @@ from .series import (
     Series,
     TSeries,
     image_sum,
-    min_prec,
     monomial_image,
     monomials_of_degree,
     substitute,
@@ -374,45 +373,41 @@ def leibniz_check(
     basis_degree: int = 2,
     random_degree: int = 3,
 ) -> LeibnizReport:
-    """Verify D_i(fg) = sum_{r+s=i} D_r(f) D_s(g) for every weight i.
+    """Verify D_i(fg) = sum_{r+s=i} D_r(f) D_s(g) for every weight i: the
+    t^i coefficient of the homomorphism identity E(fg) = E(f) E(g).
 
     ``D`` is an HSDerivation or a tuple (components, length, nvars,
     field) where ``components(i, f)`` returns the weight-i value; the
-    tuple form lets tests probe corrupted component tables.  Checks every
-    pair of monomials up to basis_degree, then ``trials`` random pairs
-    drawn from the given seed.  A violation is reported, not raised.
+    tuple form lets tests probe corrupted component tables, and its E(f)
+    is the TSeries of components(0, f), .., components(length, f).
+    Checks every pair of monomials up to basis_degree, then ``trials``
+    random pairs drawn from the given seed.  A violation is reported, not
+    raised: the first weight i >= 1 where the two sides differ.
     """
     import random
 
     if isinstance(D, HSDerivation):
-        components, length = D.apply_component, D.length
+        E, length = D.apply, D.length
         nvars, field = D.nvars, D.field
     else:
         (components, length, nvars, field) = D
 
-    def parts(f):
-        return [components(r, f) for r in range(length + 1)]
+        def E(f):
+            return TSeries([components(r, f) for r in range(length + 1)])
 
-    def mismatch(f, g, f_parts, g_parts):
+    def mismatch(f, g, Ef, Eg):
         """The counterexample at the first weight where (f, g) fails, or None."""
-        fg = f * g
+        lhs, rhs = E(f * g).coeffs, (Ef * Eg).coeffs
         for i in range(1, length + 1):
-            lhs = components(i, fg)
-            rhs = Series.zero(nvars, field)
-            for r in range(i + 1):
-                a, b = f_parts[r], g_parts[i - r]
-                # otherwise a * b is an exact zero, which adds nothing
-                if a.terms and b.terms or min_prec(a.precision, b.precision) is not None:
-                    rhs = rhs + a * b
-            if lhs != rhs:
-                return (i, f, g, lhs, rhs)
+            if lhs[i] != rhs[i]:
+                return (i, f, g, lhs[i], rhs[i])
         return None
 
     # lexicographic order of the exponent vectors
     monomials = sorted(
         e for degree in range(basis_degree + 1) for e in monomials_of_degree(nvars, degree)
     )
-    basis = [(f, parts(f)) for f in (Series.monomial(nvars, field, e) for e in monomials)]
+    basis = [(f, E(f)) for f in (Series.monomial(nvars, field, e) for e in monomials)]
     checked = 0
     for fa, pa in basis:
         for fb, pb in basis:
@@ -426,7 +421,7 @@ def leibniz_check(
         f = _random_polynomial(rng, nvars, field, random_degree)
         g = _random_polynomial(rng, nvars, field, random_degree)
         checked += 1
-        bad = mismatch(f, g, parts(f), parts(g))
+        bad = mismatch(f, g, E(f), E(g))
         if bad:
             return LeibnizReport(False, checked, length, seed, bad)
     return LeibnizReport(True, checked, length, seed, None)

@@ -104,8 +104,9 @@ def series_to_json(f: Series) -> dict:
 
 
 def series_from_json(obj, nvars: int, field: FieldSpec) -> Series:
-    if not isinstance(obj, dict) or "terms" not in obj:
-        raise ProblemFormatError(f"series must be an object with 'terms', got {reprlib.repr(obj)}")
+    if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
+        raise ProblemFormatError(
+            f"series must be an object with a 'terms' array, got {reprlib.repr(obj)}")
     prec = obj.get("prec", "exact")
     if prec == "exact":
         prec = None

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hasseschmidt import GF, QQ, Derivation, HSDerivation, Series, TSeries, integrate, taylor_basis
+from hasseschmidt import GF, QQ, CoeffTable, Derivation, HSDerivation, Series, TSeries, integrate, taylor_basis
 from hasseschmidt.decompose import degree1_matrix
 
 
@@ -50,6 +50,18 @@ def random_hsd(rng, nvars, length, field, max_degree=2, max_terms=2):
             coeffs.append(random_series(rng, nvars, field, max_degree, max_terms))
         images.append(TSeries(coeffs))
     return HSDerivation(images)
+
+
+def random_table(rng, n, m, field):
+    """A coefficient table of random entries with mixed tags, a fifth of
+    them zero with a low finite tag."""
+    def entry():
+        if rng.random() < 0.2:
+            return Series.zero(n, field, rng.choice((0, 1, 2)))
+        return random_series(rng, n, field, max_degree=2, max_terms=2,
+                             precision=rng.choice((None, None, 1, 2, 3)))
+
+    return CoeffTable([[entry() for _ in range(n)] for _ in range(m)], nvars=n, field=field)
 
 
 def random_family(rng, n, m, field):

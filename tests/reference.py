@@ -16,14 +16,18 @@ is inverted on every solve.  Their composite weights come pair by pair: one
 coefficient per pair (lambda, mu) with lambda refining mu, built from
 sums over ordered compositions with ``product`` and summed per mu before
 D_mu is applied, where the library reads each mu's sum off
-prod_d c_d(t)^mu_d.  They are slow on purpose and must not change with
-the library.
+prod_d c_d(t)^mu_d.  The monomial sweep is the reconstruction check from
+before it was decided on the variables alone, and the per-weight
+Leibniz check the one from before it compared E(fg) with E(f) E(g).
+They are slow on purpose and must not change with the library.
 """
 
-from hasseschmidt import CoeffTable, Series, TSeries
+import random
+
+from hasseschmidt import CoeffTable, HSDerivation, Series, TSeries
 from hasseschmidt.coefffield import ComponentMatrix, KernelReport, QuotientBasis
-from hasseschmidt.decompose import _agree_to_trusted, degree1_matrix
-from hasseschmidt.derivations import compose_multi
+from hasseschmidt.decompose import VerificationReport, Witness, _agree_to_trusted, degree1_matrix
+from hasseschmidt.derivations import LeibnizReport, _random_polynomial, compose_multi
 from hasseschmidt.errors import ComponentOutOfRange, LengthMismatch, NotABasis, PrecisionExhausted
 from hasseschmidt.series import min_prec, monomials_of_degree
 
@@ -353,9 +357,12 @@ def solve_derivation_coords(values, matrix, out_precision):
     return coords
 
 
-def sweep(target, family, table, max_degree):
-    """(verified degree, witness as (i, beta, lhs, rhs) or None): every
-    monomial up to max_degree at every weight, through ``apply_table``."""
+def sweep(target, family, table, max_degree, apply=apply_table):
+    """The monomial sweep that ``verify_decomposition`` decides on the
+    variables: every monomial up to max_degree at every weight, through
+    ``apply`` (this module's ``apply_table`` unless given), each compared
+    at the weaker of the two precisions.  Reports the largest degree below
+    the first failure, with a witness."""
     n, field = target.nvars, target.field
     verified = -1
     for degree in range(max_degree + 1):
@@ -363,16 +370,16 @@ def sweep(target, family, table, max_degree):
             f = Series.monomial(n, field, beta)
             for i in range(1, target.length + 1):
                 lhs = target.apply_component(i, f)
-                rhs = apply_table(table, family, i, f)
+                rhs = apply(table, family, i, f)
                 if not _agree_to_trusted(lhs, rhs):
-                    return verified, (i, beta, lhs, rhs)
+                    return VerificationReport(False, verified, max_degree, Witness(i, beta, lhs, rhs))
         verified = degree
-    return verified, None
+    return VerificationReport(True, verified, max_degree, None)
 
 
 def decompose(target, family, out_precision, verify_degree):
-    """(table, verified degree, witness): level by level through the
-    functions above, then the sweep."""
+    """(table, verification report): level by level through the functions
+    above, then the sweep."""
     family = list(family)
     n, field = target.nvars, target.field
     matrix = degree1_matrix(family)
@@ -382,4 +389,57 @@ def decompose(target, family, out_precision, verify_degree):
         values = [residual(target, family, table, level, x) for x in variables]
         row = solve_derivation_coords(values, matrix, out_precision)
         table = CoeffTable(table.rows + [row], nvars=n, field=field)
-    return (table,) + sweep(target, family, table, verify_degree)
+    return table, sweep(target, family, table, verify_degree)
+
+
+# -- the Leibniz rule weight by weight -------------------------------------------
+
+
+def leibniz_check(D, trials=25, seed=0, basis_degree=2, random_degree=3):
+    """The library's ``leibniz_check`` report from the higher Leibniz rule
+    itself: at each weight i, D_i(fg) against the chain of products
+    D_r(f) D_s(g), r + s = i, skipping a product of exact zeros.  The
+    same pairs in the same order: monomials up to basis_degree, then
+    ``trials`` random pairs from the seed."""
+    if isinstance(D, HSDerivation):
+        components, length = D.apply_component, D.length
+        nvars, field = D.nvars, D.field
+    else:
+        (components, length, nvars, field) = D
+
+    def parts(f):
+        return [components(r, f) for r in range(length + 1)]
+
+    def mismatch(f, g, f_parts, g_parts):
+        fg = f * g
+        for i in range(1, length + 1):
+            lhs = components(i, fg)
+            rhs = Series.zero(nvars, field)
+            for r in range(i + 1):
+                a, b = f_parts[r], g_parts[i - r]
+                if a.terms and b.terms or min_prec(a.precision, b.precision) is not None:
+                    rhs = rhs + a * b
+            if lhs != rhs:
+                return (i, f, g, lhs, rhs)
+        return None
+
+    monomials = sorted(
+        e for degree in range(basis_degree + 1) for e in monomials_of_degree(nvars, degree)
+    )
+    basis = [(f, parts(f)) for f in (Series.monomial(nvars, field, e) for e in monomials)]
+    checked = 0
+    for fa, pa in basis:
+        for fb, pb in basis:
+            checked += 1
+            bad = mismatch(fa, fb, pa, pb)
+            if bad:
+                return LeibnizReport(False, checked, length, seed, bad)
+    rng = random.Random(seed)
+    for _ in range(trials):
+        f = _random_polynomial(rng, nvars, field, random_degree)
+        g = _random_polynomial(rng, nvars, field, random_degree)
+        checked += 1
+        bad = mismatch(f, g, parts(f), parts(g))
+        if bad:
+            return LeibnizReport(False, checked, length, seed, bad)
+    return LeibnizReport(True, checked, length, seed, None)

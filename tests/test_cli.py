@@ -334,6 +334,21 @@ def test_verify_table_without_target_exits_1(tmp_path):
     assert main(["verify", input_path]) == 1
 
 
+def test_verify_table_with_extra_derivations_exits_1_before_any_check(tmp_path, capsys):
+    """A table needs exactly n derivations: the file is refused before any
+    Leibniz check runs, so nothing reaches stdout."""
+    problem = worked_problem()
+    from hasseschmidt import CoeffTable
+
+    problem.derivations.append(taylor_derivation(1, 2, QQ, 0, name="extra"))
+    problem.coefficients = CoeffTable([[Series.variable(1, QQ, 0)], [Series.one(1, QQ)]])
+    input_path = write_problem(tmp_path / "extra.json", problem)
+    assert main(["verify", input_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: reconstruction check needs exactly 1 derivations\n"
+
+
 def test_verify_table_with_too_few_levels_exits_1(tmp_path, capsys):
     problem = worked_problem()  # length 2
     from hasseschmidt import CoeffTable

@@ -154,3 +154,4 @@ def test_main_answers_every_argv_and_file_with_an_exit_code(case):
     assert "Traceback" not in err.getvalue()
     if code in (1, 2):
         assert err.getvalue(), argv
+        assert not out.getvalue(), argv

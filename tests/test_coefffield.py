@@ -291,37 +291,25 @@ def spy_on(monkeypatch, name):
 
 
 @pytest.mark.parametrize("field, weights", [(QQ, [1]), (GF(2), [1, 2, 4]), (GF(3), [1, 3])])
-def test_full_kernels_stop_at_the_deciding_weights(field, weights, monkeypatch):
+def test_full_kernels_stop_at_the_deciding_weights(field, weights, monkeypatch, rng):
+    """Taylor members, and members that are not iterative: one stacking
+    of the deciding weights gives the constants."""
     matrices = spy_on(monkeypatch, "component_matrix")
-    family = taylor_basis(2, 7, field)
-    report = coefficient_field(family, 8)
-    assert report.basis == [Series.one(2, field)]
-    assert report.operators_used == "all weights 1..7 of 2 derivation(s)"
-    assert [args[1] for args, _ in matrices] == weights * 2
-    # the images are built only through the largest deciding weight
-    assert {args[0].length for args, _ in matrices} == {weights[-1]}
-
-
-def test_a_kernel_left_above_the_constants_falls_back_to_every_weight(monkeypatch):
-    """With W = {1} over GF(2), the squares 1, X^2, X^4 survive, so every
-    weight is stacked and the report is the all-weights one."""
-    monkeypatch.setattr(coefffield, "_deciding_weights", lambda field, order: [1])
     kernels = spy_on(monkeypatch, "joint_kernel")
-    family = taylor_basis(1, 4, GF(2))
-    report = coefficient_field(family, 5)
-    assert [result.dimension for _, result in kernels] == [3, 1]
-    assert [mat.weight for mat in kernels[1][0][0]] == [1, 2, 3, 4]
-    slow = all_weights_kernel(family, 5)
-    assert (report.dimension, report.basis, report.operators_used) == (
-        slow.dimension, slow.basis, slow.operators_used)
-    assert report.operators_used == "all weights 1..4 of 1 derivation(s)"
+    for kind in ("taylor", "random", "unit"):
+        del matrices[:], kernels[:]
+        family = family_for(kind, rng, 2, 7, field)
+        report = coefficient_field(family, 8)
+        assert report.basis == [Series.one(2, field)], kind
+        assert report.operators_used == "all weights 1..7 of 2 derivation(s)"
+        assert len(kernels) == 1, kind
+        assert [args[1] for args, _ in matrices] == weights * 2
+        # the images are built only through the largest deciding weight
+        assert {args[0].length for args, _ in matrices} == {weights[-1]}
 
 
 @pytest.mark.parametrize("degree1_only", [False, True])
-@pytest.mark.parametrize("fallback", [False, True])
-def test_one_quotient_basis_per_kernel(degree1_only, fallback, monkeypatch):
-    if fallback:
-        monkeypatch.setattr(coefffield, "_deciding_weights", lambda field, order: [1])
+def test_one_quotient_basis_per_kernel(degree1_only, monkeypatch):
     built = []
     init = QuotientBasis.__init__
 

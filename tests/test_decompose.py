@@ -21,13 +21,14 @@ from hasseschmidt import (
     verify_decomposition,
 )
 from hasseschmidt import serialize
-from hasseschmidt.decompose import _det, _sweep
+from hasseschmidt.decompose import _det
 from hasseschmidt.errors import NotABasis, PrecisionExhausted
 from hasseschmidt.series import min_prec
 
 import reference
 from conftest import (
-    assert_agree_to_trusted, random_family, random_hsd, random_series, scaled_taylor,
+    assert_agree_to_trusted, random_family, random_hsd, random_series, random_table,
+    scaled_taylor,
 )
 
 
@@ -375,7 +376,8 @@ def report_bytes(report):
 
 def assert_matches_sweep(target, family, table, max_degree):
     report = verify_decomposition(target, family, table, max_degree)
-    assert report_bytes(report) == report_bytes(_sweep(target, family, table, max_degree))
+    oracle = reference.sweep(target, family, table, max_degree, apply_table)
+    assert report_bytes(report) == report_bytes(oracle)
     return report
 
 
@@ -393,26 +395,61 @@ def target_from_table(table, family, m):
     return HSDerivation(images)
 
 
-MAX_DEGREES = (-1, 0, 1, 3)
+MAX_DEGREES = (-1, 0, 1, 2, 3, 4)
+SHAPES = ((1, 2), (1, 4), (2, 2), (2, 3), (3, 2))
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+def perturbed(table, rng):
+    """The table with one entry changed: a nonzero series added, its tag
+    lowered, or the entry replaced by a zero with a finite tag."""
+    n, field = table.nvars, table.field
+    rows = [list(row) for row in table.rows]
+    level, d = rng.randrange(len(rows)), rng.randrange(n)
+    kind = rng.choice(("add", "tag", "zero"))
+    if kind == "add":
+        rows[level][d] = rows[level][d] + Series.one(n, field) + random_series(rng, n, field)
+    elif kind == "tag":
+        rows[level][d] = rows[level][d].truncate(rng.randint(0, 3))
+    else:
+        rows[level][d] = Series.zero(n, field, rng.randint(0, 3))
+    return CoeffTable(rows, nvars=n, field=field)
+
+
+def target_off_by_one(table, family, m, rng):
+    """``target_from_table`` with 1 added to D_i(X_j) for a random weight i
+    and variable j: where the table's tags let it show, the first witness
+    is (i, X_j)."""
+    target = target_from_table(table, family, m)
+    images = [list(img.coeffs) for img in target.images]
+    i, j = rng.randint(1, m), rng.randrange(table.nvars)
+    images[j][i] = images[j][i] + Series.one(table.nvars, table.field)
+    return HSDerivation([TSeries(coeffs) for coeffs in images])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=repr)
 def test_verify_matches_sweep_on_correct_and_perturbed_tables(field, rng):
-    caught = 0
+    """Decomposed tables, the same with one entry changed, and random
+    tables against random targets and against targets that differ from
+    them on one variable at one weight, so that witnesses also fall on
+    later variables and weights."""
+    caught = later = 0
     for trial in range(12):
-        n, m = rng.choice([(1, 2), (1, 4), (2, 2), (2, 3), (3, 2)])
+        n, m = rng.choice(SHAPES)
         family = taylor_basis(n, m, field) if trial % 2 else random_family(rng, n, m, field)
         target = random_hsd(rng, n, m, field)
         table = decompose(target, family, out_precision=m + 4, verify_degree=0).table
-        rows = [list(row) for row in table.rows]
-        level, d = rng.randrange(m), rng.randrange(n)
-        rows[level][d] = rows[level][d] + Series.one(n, field) + random_series(rng, n, field)
-        perturbed = CoeffTable(rows, nvars=n, field=field)
+        changed = [perturbed(table, rng) for _ in range(3)]
+        unrelated = random_table(rng, n, m, field)
+        near = target_off_by_one(unrelated, family, m, rng)
         for max_degree in MAX_DEGREES:
             assert assert_matches_sweep(target, family, table, max_degree).passed
-            report = assert_matches_sweep(target, family, perturbed, max_degree)
-        caught += not report.passed
+            for bad in changed:
+                caught += not assert_matches_sweep(target, family, bad, max_degree).passed
+            assert_matches_sweep(target, family, unrelated, max_degree)
+            w = assert_matches_sweep(near, family, unrelated, max_degree).witness
+            later += w is not None and (w.i, w.beta) != (1, (1,) + (0,) * (n - 1))
     assert caught
+    assert later
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)

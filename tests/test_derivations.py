@@ -23,6 +23,7 @@ from hasseschmidt import (
 )
 from hasseschmidt.errors import ComponentOutOfRange, IncompatibleAmbient
 
+import reference
 from conftest import random_hsd, random_series
 
 
@@ -368,3 +369,42 @@ def test_leibniz_flags_corrupted_component_table():
     assert not report.passed
     i, f, g, lhs, rhs = report.counterexample
     assert i == 2
+
+
+def corrupted(D, hit):
+    """D in tuple form, with 1 added to D_i(f) wherever hit(i, f)."""
+    def components(i, f):
+        value = D.apply_component(i, f)
+        return value + 1 if hit(i, f) else value
+
+    return (components, D.length, D.nvars, D.field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+def test_leibniz_matches_the_per_weight_reference(field, rng):
+    """E(fg) against E(f) E(g) gives the report of the per-weight product
+    chain, field by field: on derivations that pass, and on component
+    tables corrupted on a product of two basis monomials, or only on the
+    products of the random pairs, which have degree above 4."""
+    x, y = (Series.variable(2, field, j) for j in range(2))
+    derivations = [
+        random_hsd(rng, 2, 3, field),
+        integrate(Derivation([y, x * x]), 3),
+        group_compose(random_hsd(rng, 2, 2, field), random_hsd(rng, 2, 2, field)),
+        group_inverse(random_hsd(rng, 2, 3, field)),
+    ]
+    basis_pairs = 6 * 6
+    for D in derivations:
+        for seed in (0, 7):
+            report = leibniz_check(D, trials=6, seed=seed)
+            assert report.passed
+            assert report == reference.leibniz_check(D, trials=6, seed=seed)
+        for hit, late in (
+            (lambda i, f: i == 2 and f == x * y, False),
+            (lambda i, f: i == D.length and f.degree() > 4, True),
+        ):
+            table = corrupted(D, hit)
+            report = leibniz_check(table, trials=25, seed=1)
+            assert not report.passed
+            assert (report.checked_pairs > basis_pairs) == late
+            assert report == reference.leibniz_check(table, trials=25, seed=1)

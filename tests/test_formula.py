@@ -12,7 +12,7 @@ from hasseschmidt.formula import weighted_terms
 from hasseschmidt.series import monomials_of_degree
 
 import reference
-from conftest import FIELDS, random_family, random_hsd, random_series
+from conftest import FIELDS, random_family, random_hsd, random_series, random_table
 from reference import composition_coeff, enumerate_pairs, ordered_compositions, succeq
 
 
@@ -180,18 +180,6 @@ def test_apply_table_keeps_the_tag_of_a_vanished_term(zero_level):
 
 
 # -- the library's rule against the pairs ------------------------------------------
-
-def random_table(rng, n, m, field):
-    """Random entries with mixed tags, a fifth of them zero with a low
-    finite tag."""
-    def entry():
-        if rng.random() < 0.2:
-            return Series.zero(n, field, rng.choice((0, 1, 2)))
-        return random_series(rng, n, field, max_degree=2, max_terms=2,
-                             precision=rng.choice((None, None, 1, 2, 3)))
-
-    return CoeffTable([[entry() for _ in range(n)] for _ in range(m)], nvars=n, field=field)
-
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_product_coeff_is_the_sum_over_the_pairs(field, rng):

@@ -55,6 +55,9 @@ def test_series_json_rejects_garbage():
         serialize.series_from_json({"terms": [[0, 0, "1/0"]]}, 2, QQ)
     with pytest.raises(ProblemFormatError):
         serialize.series_from_json({"prec": -2, "terms": []}, 2, QQ)
+    for terms in (None, 3, {"0": "1"}):
+        with pytest.raises(ProblemFormatError, match="'terms' array"):
+            serialize.series_from_json({"terms": terms}, 2, QQ)
 
 
 def test_series_json_caps_exponents():
