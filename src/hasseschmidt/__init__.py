@@ -20,7 +20,6 @@ from .errors import (
 from .fields import GF, QQ, FieldSpec, binom_multi
 from .series import Series, TSeries, substitute
 from .derivations import (
-    Derivation,
     HSDerivation,
     LeibnizReport,
     compose_multi,
@@ -64,7 +63,6 @@ __all__ = [
     "Series",
     "TSeries",
     "substitute",
-    "Derivation",
     "HSDerivation",
     "LeibnizReport",
     "compose_multi",

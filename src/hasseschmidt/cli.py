@@ -16,7 +16,8 @@ identical input and seed give byte-identical output.
 Bounds, each a usage error with a message: ``--max-degree`` must be
 >= 0 and ``--trials`` between 0 and MAX_TRIALS (the Leibniz trials run
 one after another).  A problem file with more than
-``serialize.MONOMIAL_CAP`` monomials below max(truncation, length + 1)
+``serialize.NVARS_CAP`` variables, or with more than
+``serialize.MONOMIAL_CAP`` monomials below max(truncation, length + 1),
 is a format error (exit 1) found before anything is built.
 """
 

@@ -6,7 +6,9 @@ D_i(fg) = sum_{r+s=i} D_r(f) D_s(g).  Equivalently it is the ring
 homomorphism E: A -> A[t]/(t^{m+1}) with E(f) = sum_i D_i(f) t^i and
 E(f) = f mod t.  Storing E(X_j) makes the Leibniz rule hold by
 construction and keeps the data sparse; components are recovered by
-substitution.
+substitution.  An ordinary derivation delta is the case m = 1,
+E(X_j) = X_j + delta(X_j) t: ``integrate(values, 1)`` builds it, and the
+D_1 of a longer derivation D is ``D.truncated(1)``.
 
 Weight indices (the i in D_i) keep their mathematical value everywhere;
 variable indices are 0-based.
@@ -17,81 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient
-from .fields import FieldSpec
 from .series import (
     Series,
     TSeries,
     image_sum,
     monomial_image,
     monomials_of_degree,
-    substitute,
 )
-
-
-class Derivation:
-    """An ordinary k-derivation, stored by its images on the variables."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        values = list(values)
-        if not values:
-            raise ValueError("a derivation needs at least one variable image")
-        first = values[0]
-        for v in values[1:]:
-            if v.nvars != first.nvars or v.field != first.field:
-                raise IncompatibleAmbient("derivation images live in different ambient rings")
-        if len(values) != first.nvars:
-            raise IncompatibleAmbient(
-                f"expected {first.nvars} images for {first.nvars} variables, got {len(values)}"
-            )
-        for v in values:
-            if v.precision is not None:
-                raise IncompatibleAmbient("derivation images must be exact polynomials")
-        self.values = values
-
-    @property
-    def nvars(self) -> int:
-        return self.values[0].nvars
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.values[0].field
-
-    @classmethod
-    def zero(cls, nvars, field):
-        return cls([Series.zero(nvars, field) for _ in range(nvars)])
-
-    def apply(self, f: Series) -> Series:
-        """Extend to the whole ring by the Leibniz rule and apply to f."""
-        if f.nvars != self.nvars or f.field != self.field:
-            raise IncompatibleAmbient("series does not match the derivation's ambient ring")
-        field = self.field
-        out = Series.zero(self.nvars, field, f.precision)
-        for exps, coeff in f.terms.items():
-            for j, e in enumerate(exps):
-                if e == 0:
-                    continue
-                lower = list(exps)
-                lower[j] -= 1
-                factor = field.mul(coeff, field.coerce(e))
-                if not factor:
-                    continue
-                out = out + self.values[j].scale(factor) * Series.monomial(
-                    self.nvars, field, lower
-                )
-        return out.truncate(None if f.precision is None else max(f.precision - 1, 0))
-
-    def __add__(self, other):
-        return Derivation([a + b for a, b in zip(self.values, other.values)])
-
-    def __eq__(self, other):
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.values == other.values
-
-    def __repr__(self):
-        return f"Derivation({[str(v) for v in self.values]})"
 
 
 class HSDerivation:
@@ -141,11 +75,7 @@ class HSDerivation:
 
     @classmethod
     def identity(cls, nvars, length, field, name=None):
-        images = [
-            TSeries.from_series(Series.variable(nvars, field, j), length)
-            for j in range(nvars)
-        ]
-        return cls(images, name=name)
+        return integrate([Series.zero(nvars, field)] * nvars, length, name)
 
     def truncated(self, w: int) -> "HSDerivation":
         """The derivation (D_0, .., D_w): the images cut to t^w, same name;
@@ -190,12 +120,13 @@ class HSDerivation:
         return image_sum(f, self.images, self._mono_cache, (i,), prec)[0]
 
     def apply(self, f: Series) -> TSeries:
-        """E(f), the full image in A[t]/(t^{length+1})."""
-        return substitute(f, self.images, _mono_cache=self._mono_cache)
-
-    def degree1(self) -> Derivation:
-        """The ordinary derivation D_1, restricted to the variable images."""
-        return Derivation([img.coeffs[1] for img in self.images])
+        """E(f), the full image in A[t]/(t^{length+1}); every slot is
+        trusted to the input precision minus the length."""
+        if f.nvars != self.nvars or f.field != self.field:
+            raise IncompatibleAmbient("series does not match the derivation's ambient ring")
+        m = self.length
+        prec = None if f.precision is None else max(f.precision - m, 0)
+        return TSeries(image_sum(f, self.images, self._mono_cache, range(m + 1), prec))
 
     def __eq__(self, other):
         if not isinstance(other, HSDerivation):
@@ -217,16 +148,9 @@ def taylor_derivation(nvars, length, field, j, name=None) -> HSDerivation:
     Its weight-i component acts on monomials by
     D_i(X^beta) = C(beta_j, i) * X^(beta - i*e_j).
     """
-    images = []
-    for d in range(nvars):
-        coeffs = [Series.variable(nvars, field, d)]
-        if d == j:
-            coeffs.append(Series.one(nvars, field))
-            coeffs.extend(Series.zero(nvars, field) for _ in range(length - 1))
-        else:
-            coeffs.extend(Series.zero(nvars, field) for _ in range(length))
-        images.append(TSeries(coeffs))
-    return HSDerivation(images, name=name or f"taylor{j + 1}")
+    values = [Series.one(nvars, field) if d == j else Series.zero(nvars, field)
+              for d in range(nvars)]
+    return integrate(values, length, name or f"taylor{j + 1}")
 
 
 def taylor_basis(nvars, length, field) -> list[HSDerivation]:
@@ -255,24 +179,28 @@ def taylor_delta_table(f: Series, alpha_max) -> dict:
     return {alpha: compose_multi(family, alpha, f) for alpha in alphas}
 
 
-# -- construction from ordinary derivations -------------------------------
+# -- images X_j + delta(X_j) t: ordinary derivations and their lifts ------
 
 
-def integrate(delta: Derivation, length: int) -> HSDerivation:
-    """The Hasse-Schmidt derivation with E(X_j) = X_j + delta(X_j) t.
+def integrate(values, length: int, name: str | None = None) -> HSDerivation:
+    """The Hasse-Schmidt derivation with E(X_j) = X_j + values[j] t.
 
-    Over a polynomial ring every derivation extends this way, and the
-    weight-1 component of the result is delta again.
+    ``values`` are the images delta(X_j) of an ordinary derivation delta,
+    one exact polynomial per variable.  Over a polynomial ring every
+    derivation extends this way, and the weight-1 component of the
+    result is delta again; ``integrate(values, 1)`` is delta itself.
+    HSDerivation validates the images: their count, ambient and exactness.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    nvars, field = delta.nvars, delta.field
     images = []
-    for j in range(nvars):
-        coeffs = [Series.variable(nvars, field, j), delta.values[j]]
-        coeffs.extend(Series.zero(nvars, field) for _ in range(length - 1))
-        images.append(TSeries(coeffs))
-    return HSDerivation(images)
+    for j, v in enumerate(values):
+        n, field, prec = v.nvars, v.field, v.precision
+        # X_j; a surplus value gets the constant 1, and HSDerivation
+        # reports the count
+        x = Series.monomial(n, field, [int(d == j) for d in range(n)], precision=prec)
+        images.append(TSeries([x, v] + [Series.zero(n, field, prec)] * (length - 1)))
+    return HSDerivation(images, name=name)
 
 
 # -- the group structure --------------------------------------------------

@@ -20,8 +20,8 @@ inputs produce byte-identical reports.
 A problem's order is the larger of its truncation and length + 1: the
 kernel works on k[X]/(X)^truncation, decompose keeps the table to that
 precision, and verify runs every weight up to the length.  A problem
-with more than MONOMIAL_CAP monomials below its order is refused before
-anything is built.  Every refusal is a ProblemFormatError whose message
+with more than NVARS_CAP variables, or with more than MONOMIAL_CAP
+monomials below its order, is refused before anything is built.  Every refusal is a ProblemFormatError whose message
 is one line, with input values shortened by ``reprlib``.
 """
 
@@ -47,6 +47,13 @@ from .decompose import DecompositionResult
 # family of length 499 took 322 s and 129 MB, and decompose time grows
 # with about the cube of the length (CHANGES.md).
 MONOMIAL_CAP = 500
+
+# The most variables a problem may have.  The degree-1 determinant is an
+# exact Laplace expansion whose cost grows exponentially with nvars, not
+# with the monomial count: decompose of a dense GF(5) family of length 1
+# at truncation 2 took 0.9 s at n = 7 and 8.4 s (53 MB) at n = 8 on one
+# Xeon core under CPython 3.11.  The benchmark corpora reach 4.
+NVARS_CAP = 7
 
 
 def monomials_below(order: int, nvars: int, cap: int) -> int:
@@ -278,6 +285,11 @@ def problem_from_json(obj) -> Problem:
         derivations_json = obj["derivations"]
     except KeyError as exc:
         raise ProblemFormatError(f"missing problem field: {exc}") from exc
+    if nvars > NVARS_CAP:
+        raise ProblemFormatError(
+            f"problem too large: {reprlib.repr(nvars)} variables, more than the cap of "
+            f"{NVARS_CAP}"
+        )
     order = max(truncation, length + 1)
     if monomials_below(order, nvars, MONOMIAL_CAP) > MONOMIAL_CAP:
         raise ProblemFormatError(

@@ -387,10 +387,6 @@ class TSeries:
         self._check_ambient(other)
         return TSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other):
-        self._check_ambient(other)
-        return TSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other):
         """Product in A[t]/(t^{tlen+1}); t-degrees beyond tlen are discarded."""
         if isinstance(other, Series):
@@ -424,9 +420,6 @@ class TSeries:
                 _mac(slots[ta + tb], fa.terms, fb_terms, bound, add, mul)
         return TSeries([Series._of(nvars, field, s, prec) for s in slots])
 
-    def scale(self, value):
-        return TSeries([c.scale(value) for c in self.coeffs])
-
     def tshift(self, s: int) -> "TSeries":
         """Multiply by t^s, discarding what falls beyond t^tlen."""
         if s == 0:
@@ -435,16 +428,10 @@ class TSeries:
         shifted = [zero] * min(s, self.tlen + 1) + self.coeffs[: max(self.tlen + 1 - s, 0)]
         return TSeries(shifted)
 
-    def truncate(self, precision) -> "TSeries":
-        return TSeries([c.truncate(precision) for c in self.coeffs])
-
     def __eq__(self, other):
         if not isinstance(other, TSeries):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
 
     def __str__(self):
         return " + ".join(
@@ -455,7 +442,7 @@ class TSeries:
         return f"TSeries({self})"
 
 
-def substitute(f: Series, images, *, _mono_cache=None) -> TSeries:
+def substitute(f: Series, images) -> TSeries:
     """Evaluate f at X_j := images[j] inside A[t]/(t^{tlen+1}).
 
     This is the ring homomorphism extension of the variable assignment,
@@ -463,9 +450,6 @@ def substitute(f: Series, images, *, _mono_cache=None) -> TSeries:
     exact polynomial data with a shared t-length.  f itself may carry a
     finite precision N; every t-coefficient of the result is then trusted
     only to total degree N - tlen and is truncated there.
-
-    ``_mono_cache`` optionally memoizes the image of each monomial; reuse
-    it only with the same images list.
     """
     images = list(images)
     if len(images) != f.nvars:
@@ -480,9 +464,8 @@ def substitute(f: Series, images, *, _mono_cache=None) -> TSeries:
             raise IncompatibleAmbient("images disagree on t-length")
         if img.precision is not None:
             raise IncompatibleAmbient("substitution images must be exact polynomials")
-    cache = _mono_cache if _mono_cache is not None else {}
     prec = None if f.precision is None else max(f.precision - tlen, 0)
-    return TSeries(image_sum(f, images, cache, range(tlen + 1), prec))
+    return TSeries(image_sum(f, images, {}, range(tlen + 1), prec))
 
 
 # -- the shared engine: products, monomial images, linear images ----------

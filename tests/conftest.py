@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hasseschmidt import GF, QQ, CoeffTable, Derivation, HSDerivation, Series, TSeries, integrate, taylor_basis
+from hasseschmidt import GF, QQ, CoeffTable, HSDerivation, Series, TSeries, integrate, taylor_basis
 from hasseschmidt.decompose import degree1_matrix
 
 
@@ -87,7 +87,7 @@ def scaled_taylor(n, m, field):
     Taylor matrix, a unit whose determinant (1 + X_1)^n is not constant."""
     one, zero, x1 = Series.one(n, field), Series.zero(n, field), Series.variable(n, field, 0)
     return [
-        integrate(Derivation([one + x1 if j == d else zero for j in range(n)]), m)
+        integrate([one + x1 if j == d else zero for j in range(n)], m)
         for d in range(n)
     ]
 

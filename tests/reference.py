@@ -8,7 +8,9 @@ once, from those two.  Substitution is the version from before the
 products and monomial images moved into shared helpers, with its own
 recursion and its own scaled sum; its image products, and the products
 and inverses here, are pair-by-pair brute force, so they share no loop
-with the library's product kernel.  The residual, table application, coordinate
+with the library's product kernel.  An ordinary derivation acts by the
+Leibniz rule term by term, as it did before it became a length-1
+Hasse-Schmidt derivation.  The residual, table application, coordinate
 solve and decomposition are the versions from before a decomposition
 kept its sums: nothing is cached between calls, the coordinates come
 from Cramer's rule with a plain Laplace expansion, and the determinant
@@ -106,6 +108,26 @@ def substitute(f, images):
                 acc[e] = w if prev is None else add(prev, w)
     prec = None if f.precision is None else max(f.precision - tlen, 0)
     return TSeries([Series(nvars, field, s, prec) for s in slots])
+
+
+def derivation_apply(values, f):
+    """delta(f) for the ordinary derivation with delta(X_j) = values[j],
+    extended by the Leibniz rule term by term: delta(c X^e) is the sum
+    over j of c * e[j] * X^(e minus 1 in slot j) * values[j], trusted to
+    the precision of f minus 1."""
+    nvars, field = f.nvars, f.field
+    out = Series.zero(nvars, field, f.precision)
+    for exps, coeff in f.terms.items():
+        for j, e in enumerate(exps):
+            if e == 0:
+                continue
+            lower = list(exps)
+            lower[j] -= 1
+            factor = field.mul(coeff, field.coerce(e))
+            if not factor:
+                continue
+            out = out + product(values[j].scale(factor), Series.monomial(nvars, field, lower))
+    return out.truncate(None if f.precision is None else max(f.precision - 1, 0))
 
 
 def dense_component_matrix(D, i, order):

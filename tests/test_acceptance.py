@@ -36,7 +36,6 @@ from hasseschmidt import (
     taylor_delta_table,
     taylor_derivation,
 )
-from hasseschmidt import Derivation
 from hasseschmidt import serialize
 
 import reference
@@ -173,7 +172,7 @@ def test_criterion_3_uniqueness_and_order_dependence():
     x1, x2 = Series.variable(2, field, 0), Series.variable(2, field, 1)
     one, zero = Series.one(2, field), Series.zero(2, field)
     D1 = taylor_derivation(2, 2, field, 0)
-    D2 = integrate(Derivation([x1, one]), 2)
+    D2 = integrate([x1, one], 2)
     target = HSDerivation([TSeries([x1, x2, one]), TSeries([x2, x1, zero])])
     ab = decompose(target, [D1, D2], out_precision=8, verify_degree=4)
     ba = decompose(target, [D2, D1], out_precision=8, verify_degree=4)
@@ -322,7 +321,9 @@ def test_criterion_7_group_axioms():
             failures += 1
         if group_compose(A, group_inverse(A)) != e or group_compose(group_inverse(A), A) != e:
             failures += 1
-        if group_compose(A, B).degree1() != A.degree1() + B.degree1():
+        AB = group_compose(A, B)
+        if any(AB.images[j].coeffs[1] != A.images[j].coeffs[1] + B.images[j].coeffs[1]
+               for j in range(n)):
             failures += 1
     record_acceptance(
         "criterion 7: group axioms",

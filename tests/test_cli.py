@@ -14,7 +14,6 @@ import hasseschmidt
 from hasseschmidt import (
     GF,
     QQ,
-    Derivation,
     HSDerivation,
     Series,
     TSeries,
@@ -77,7 +76,7 @@ def test_decompose_singular_family_exits_2(tmp_path):
     target = HSDerivation([TSeries([x, x, Series.one(1, field)])])
     problem = serialize.Problem(
         field=field, nvars=1, length=2, truncation=6, seed=0,
-        derivations=[integrate(Derivation([x]), 2)], target=target,
+        derivations=[integrate([x], 2)], target=target,
     )
     input_path = write_problem(tmp_path / "singular.json", problem)
     assert main(["decompose", input_path]) == 2
@@ -182,6 +181,27 @@ def test_a_huge_exponent_exits_1_quickly(tmp_path, capsys):
         assert main([command, str(path)]) == 1
         assert time.perf_counter() - start < 1.0
         assert "cap" in capsys.readouterr().err
+
+
+def test_a_problem_past_the_nvars_cap_exits_1_before_building(tmp_path, capsys):
+    """A Taylor file in NVARS_CAP + 1 variables is refused with one stderr
+    line and nothing on stdout; NVARS_CAP variables still run."""
+    field = GF(3)
+
+    def taylor_file(n):
+        problem = serialize.Problem(field=field, nvars=n, length=1, truncation=2, seed=0,
+                                    derivations=taylor_basis(n, 1, field))
+        return write_problem(tmp_path / f"taylor{n}.json", problem)
+
+    cap = serialize.NVARS_CAP
+    path = taylor_file(cap + 1)
+    for command in ("decompose", "kernel", "verify"):
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: problem too large: {cap + 1} variables, more than the cap of {cap}\n"
+    assert main(["kernel", taylor_file(cap)]) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == 2
 
 
 def test_kernel_at_truncation_one_is_the_constants(tmp_path, capsys):

@@ -9,7 +9,6 @@ import pytest
 from hasseschmidt import (
     GF,
     QQ,
-    Derivation,
     QuotientBasis,
     Series,
     coefficient_field,
@@ -340,7 +339,7 @@ def test_kernel_at_order_one_is_the_constants():
 def test_coefficient_field_requires_basis():
     x = Series.variable(1, QQ, 0)
     with pytest.raises(NotABasis):
-        coefficient_field([integrate(Derivation([x]), 4)], 5)
+        coefficient_field([integrate([x], 4)], 5)
 
 
 def test_coefficient_field_requires_enough_length():
@@ -380,7 +379,7 @@ def test_nomura_at_squares_fails():
 
 def test_nomura_euler_derivation_fails():
     x = Series.variable(1, QQ, 0)
-    family = [integrate(Derivation([x]), 2)]
+    family = [integrate([x], 2)]
     assert not nomura_unit_test(family, [x])
 
 

@@ -6,7 +6,6 @@ from hasseschmidt import (
     GF,
     QQ,
     CoeffTable,
-    Derivation,
     HSDerivation,
     Series,
     TSeries,
@@ -51,7 +50,7 @@ def test_taylor_basis_gives_identity_matrix():
 
 def test_euler_derivation_is_not_a_basis():
     x = Series.variable(1, QQ, 0)
-    M = degree1_matrix([integrate(Derivation([x]), 2)])
+    M = degree1_matrix([integrate([x], 2)])
     assert M.entries[0][0] == x
     assert not M.det_unit
 
@@ -60,8 +59,8 @@ def test_triangular_two_variable_matrix():
     # members with weight-1 parts d/dX1 + X2 d/dX2 and d/dX2
     x2 = Series.variable(2, QQ, 1)
     one, zero = Series.one(2, QQ), Series.zero(2, QQ)
-    A = integrate(Derivation([one, x2]), 2)
-    B = integrate(Derivation([zero, one]), 2)
+    A = integrate([one, x2], 2)
+    B = integrate([zero, one], 2)
     M = degree1_matrix([A, B])
     assert M.entries == [[one, zero], [x2, one]]
     assert M.det == one
@@ -132,7 +131,7 @@ def test_solve_worked_direct_division():
 
 def test_solve_rejects_singular_matrix():
     x = Series.variable(1, QQ, 0)
-    M = degree1_matrix([integrate(Derivation([x]), 2)])
+    M = degree1_matrix([integrate([x], 2)])
     with pytest.raises(NotABasis):
         solve_derivation_coords([x], M, 6)
 
@@ -140,7 +139,7 @@ def test_solve_rejects_singular_matrix():
 def test_solve_with_series_inversion():
     # M = [1 + X]: coordinates of (1+X)^2 come out as 1 + X, truncated
     x = Series.variable(1, QQ, 0)
-    M = degree1_matrix([integrate(Derivation([1 + x]), 2)])
+    M = degree1_matrix([integrate([1 + x], 2)])
     (coord,) = solve_derivation_coords([(1 + x) * (1 + x)], M, 7)
     assert coord == (1 + x).truncate(7)
 
@@ -149,8 +148,8 @@ def test_solve_exact_when_determinant_is_constant():
     # non-constant entries but det = 1: polynomial adjugate, exact answer
     x2 = Series.variable(2, QQ, 1)
     one, zero = Series.one(2, QQ), Series.zero(2, QQ)
-    A = integrate(Derivation([one, x2]), 2)
-    B = integrate(Derivation([zero, one]), 2)
+    A = integrate([one, x2], 2)
+    B = integrate([zero, one], 2)
     M = degree1_matrix([A, B])
     values = [x2, x2 * x2]
     coords = solve_derivation_coords(values, M, 6)
@@ -164,8 +163,8 @@ def mixed_matrix(field):
     """[[1 + X1, X1], [X2, 1]]: determinant 1 + X1 - X1 X2, not constant."""
     x1, x2 = Series.variable(2, field, 0), Series.variable(2, field, 1)
     one = Series.one(2, field)
-    return degree1_matrix([integrate(Derivation([one + x1, x2]), 2),
-                           integrate(Derivation([x1, one]), 2)])
+    return degree1_matrix([integrate([one + x1, x2], 2),
+                           integrate([x1, one], 2)])
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
@@ -182,8 +181,8 @@ def solve_families(rng, field):
     """Degree-1 matrices with constant and with non-constant determinants."""
     x2 = Series.variable(2, field, 1)
     one, zero = Series.one(2, field), Series.zero(2, field)
-    yield degree1_matrix([integrate(Derivation([one, x2]), 2),
-                          integrate(Derivation([zero, one]), 2)])
+    yield degree1_matrix([integrate([one, x2], 2),
+                          integrate([zero, one], 2)])
     yield mixed_matrix(field)
     for n in (1, 2, 3):
         yield degree1_matrix(taylor_basis(n, 2, field))
@@ -257,7 +256,7 @@ def test_decompose_needs_positive_remaining_precision():
 
 def test_decompose_rejects_non_basis():
     x = Series.variable(1, QQ, 0)
-    family = [integrate(Derivation([x]), 2)]
+    family = [integrate([x], 2)]
     with pytest.raises(NotABasis):
         decompose(worked_target(), family, out_precision=6)
 
@@ -275,7 +274,7 @@ def test_decompose_round_trip_nonconstant_basis():
     for field in (QQ, GF(3)):
         x = Series.variable(1, field, 0)
         one = Series.one(1, field)
-        B = integrate(Derivation([one + x]), 2)
+        B = integrate([one + x], 2)
         T = HSDerivation([TSeries([x, x * x, one])])
         result = decompose(T, [B], out_precision=9, verify_degree=5)
         assert result.passed
@@ -291,8 +290,8 @@ def test_decompose_round_trip_nonconstant_basis_two_variables(rng):
     for field in (QQ, GF(3)):
         one, zero = Series.one(2, field), Series.zero(2, field)
         x1, x2 = Series.variable(2, field, 0), Series.variable(2, field, 1)
-        B1 = integrate(Derivation([one + x2, zero]), 2)
-        B2 = integrate(Derivation([zero, one + x1]), 2)
+        B1 = integrate([one + x2, zero], 2)
+        B2 = integrate([zero, one + x1], 2)
         assert degree1_matrix([B1, B2]).det == one + x1 + x2 + x1 * x2
         for _ in range(4):
             T = random_hsd(rng, 2, 2, field)
@@ -315,7 +314,7 @@ def test_decompose_depends_on_family_order():
     x1, x2 = Series.variable(2, field, 0), Series.variable(2, field, 1)
     one, zero = Series.one(2, field), Series.zero(2, field)
     D1 = taylor_derivation(2, 2, field, 0)
-    D2 = integrate(Derivation([x1, one]), 2)
+    D2 = integrate([x1, one], 2)
     T = HSDerivation([TSeries([x1, x2, one]), TSeries([x2, x1, zero])])
     ab = decompose(T, [D1, D2], out_precision=8, verify_degree=4)
     ba = decompose(T, [D2, D1], out_precision=8, verify_degree=4)

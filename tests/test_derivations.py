@@ -8,7 +8,6 @@ import pytest
 from hasseschmidt import (
     GF,
     QQ,
-    Derivation,
     HSDerivation,
     Series,
     TSeries,
@@ -24,7 +23,7 @@ from hasseschmidt import (
 from hasseschmidt.errors import ComponentOutOfRange, IncompatibleAmbient
 
 import reference
-from conftest import random_hsd, random_series
+from conftest import FIELDS, random_hsd, random_series
 
 
 def worked_target(field=QQ):
@@ -207,7 +206,7 @@ def test_factorial_delta_equals_partial_power(rng):
 # -- integration ---------------------------------------------------------------------
 
 def test_integrate_zero_is_identity():
-    D = integrate(Derivation.zero(2, QQ), 3)
+    D = integrate([Series.zero(2, QQ)] * 2, 3)
     assert D == HSDerivation.identity(2, 3, QQ)
     f = Series.variable(2, QQ, 0) * Series.variable(2, QQ, 1)
     for i in range(1, 4):
@@ -215,23 +214,68 @@ def test_integrate_zero_is_identity():
 
 
 def test_integrate_constant_one_is_taylor():
-    delta = Derivation([Series.one(1, QQ)])
-    assert integrate(delta, 2) == taylor_derivation(1, 2, QQ, 0)
+    assert integrate([Series.one(1, QQ)], 2) == taylor_derivation(1, 2, QQ, 0)
+
+
+def test_the_three_builders_agree_and_keep_names():
+    """taylor_derivation and HSDerivation.identity are integrate on a unit
+    vector and on zeros: equal images, and each keeps its name."""
+    for field in FIELDS:
+        one, zero = Series.one(3, field), Series.zero(3, field)
+        for j in range(3):
+            unit = [one if d == j else zero for d in range(3)]
+            for length in (1, 3):
+                D = taylor_derivation(3, length, field, j)
+                assert D.name == f"taylor{j + 1}"
+                assert D.images == integrate(unit, length).images
+                named = taylor_derivation(3, length, field, j, name="T")
+                assert named.name == integrate(unit, length, "T").name == "T"
+                assert named == D
+        e = HSDerivation.identity(3, 2, field, name="e")
+        assert e.name == "e" and integrate([zero] * 3, 2).name is None
+        assert e == integrate([zero] * 3, 2)
+        assert all(img.coeffs[1:] == [zero, zero] for img in e.images)
+
+
+def test_integrate_validates_through_the_constructor():
+    x = Series.variable(2, QQ, 0)
+    with pytest.raises(IncompatibleAmbient, match="expected 2 images for 2 variables, got 1"):
+        integrate([x], 2)
+    with pytest.raises(IncompatibleAmbient, match="expected 2 images for 2 variables, got 3"):
+        integrate([x, x, x], 2)
+    with pytest.raises(IncompatibleAmbient, match="different ambient rings"):
+        integrate([x, Series.variable(2, GF(5), 0)], 2)
+    with pytest.raises(IncompatibleAmbient, match="must be exact polynomials"):
+        integrate([x, x.truncate(3)], 2)
+    with pytest.raises(ValueError, match="at least one variable image"):
+        integrate([], 2)
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        integrate([x, x], 0)
 
 
 def test_integrate_euler_derivation():
     # delta(X) = X: E(X) = X + X t, so D_2(X^2) = X^2
     x = Series.variable(1, QQ, 0)
-    D = integrate(Derivation([x]), 2)
+    D = integrate([x], 2)
     assert D.apply_component(1, x) == x
     assert D.apply_component(2, x * x) == x * x
 
 
 def test_integrate_degree1_matches_input(rng):
-    delta = Derivation([random_series(rng, 2, QQ) for _ in range(2)])
-    D = integrate(delta, 3)
-    f = random_series(rng, 2, QQ, max_degree=4)
-    assert D.apply_component(1, f) == delta.apply(f)
+    """D_1 of integrate(values, m) is the ordinary derivation with those
+    values, extended term by term by the Leibniz rule, over every field,
+    for m = 1 and 3, on exact inputs and on inputs with precision tags."""
+    for field in FIELDS:
+        for _ in range(5):
+            values = [random_series(rng, 2, field) for _ in range(2)]
+            for length in (1, 3):
+                D = integrate(values, length)
+                assert [img.coeffs[1] for img in D.images] == values
+                for precision in (None, 0, 1, 2, 4):
+                    f = random_series(rng, 2, field, max_degree=4, precision=precision)
+                    got = D.apply_component(1, f)
+                    assert got == reference.derivation_apply(values, f), (values, f)
+                    assert D.truncated(1).apply_component(1, f) == got
 
 
 # -- the group law ---------------------------------------------------------------------
@@ -265,9 +309,14 @@ def test_compose_components_follow_the_convolution_law(rng):
 
 
 def test_degree1_is_additive(rng):
+    """The t^1 coefficients of the product's images are the sums of the
+    operands': at length 1 the group law is addition."""
     D = random_hsd(rng, 2, 3, QQ)
     Dp = random_hsd(rng, 2, 3, QQ)
-    assert group_compose(D, Dp).degree1() == D.degree1() + Dp.degree1()
+    comp = group_compose(D, Dp)
+    for j in range(2):
+        assert comp.images[j].coeffs[1] == D.images[j].coeffs[1] + Dp.images[j].coeffs[1]
+    assert group_compose(D.truncated(1), Dp.truncated(1)) == comp.truncated(1)
 
 
 def test_inverse_of_taylor_shift():
@@ -334,7 +383,7 @@ def test_compose_multi_order_matters():
     field = QQ
     x = Series.variable(1, field, 0)
     base = taylor_derivation(1, 2, field, 0)
-    euler = integrate(Derivation([x]), 2)  # weight-1 part X d/dX
+    euler = integrate([x], 2)  # weight-1 part X d/dX
     lhs = compose_multi([base, euler], (1, 1), x * x)
     rhs = compose_multi([euler, base], (1, 1), x * x)
     assert lhs != rhs
@@ -347,7 +396,7 @@ def test_leibniz_passes_for_every_constructor(rng):
     for build in (
         lambda: taylor_derivation(2, 3, GF(2), 1),
         lambda: random_hsd(rng, 2, 3, QQ),
-        lambda: integrate(Derivation([x, x * x]), 3),
+        lambda: integrate([x, x * x], 3),
         lambda: group_compose(random_hsd(rng, 1, 2, GF(5)), random_hsd(rng, 1, 2, GF(5))),
         lambda: group_inverse(random_hsd(rng, 2, 2, GF(3))),
     ):
@@ -389,7 +438,7 @@ def test_leibniz_matches_the_per_weight_reference(field, rng):
     x, y = (Series.variable(2, field, j) for j in range(2))
     derivations = [
         random_hsd(rng, 2, 3, field),
-        integrate(Derivation([y, x * x]), 3),
+        integrate([y, x * x], 3),
         group_compose(random_hsd(rng, 2, 2, field), random_hsd(rng, 2, 2, field)),
         group_inverse(random_hsd(rng, 2, 3, field)),
     ]

@@ -244,6 +244,22 @@ def test_the_cap_is_checked_before_the_derivations():
         serialize.problem_from_json(obj)
 
 
+def test_the_nvars_cap_is_checked_before_the_derivations():
+    """NVARS_CAP variables load; one more, or 10**9, is refused at once,
+    before a derivation is parsed."""
+    cap = serialize.NVARS_CAP
+    problem = serialize.problem_from_json(taylor_problem_json(cap, 1, 2))
+    assert problem.nvars == len(problem.derivations) == cap
+    for nvars in (cap + 1, 10 ** 9):
+        obj = worked_problem_json()
+        obj["nvars"] = nvars
+        obj["derivations"] = [{"name": "broken"}]
+        start = time.perf_counter()
+        with pytest.raises(ProblemFormatError, match=f"{nvars} variables, more than the cap of {cap}$"):
+            serialize.problem_from_json(obj)
+        assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("name, data, message", [
     ("deep-nesting", b"[" * 200_000, "too deeply"),
     ("not-utf8", b"\xff\xfe", "not UTF-8"),
