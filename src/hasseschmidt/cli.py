@@ -80,16 +80,12 @@ def cmd_decompose(args) -> int:
         raise ProblemFormatError(
             f"decompose needs exactly {problem.nvars} derivations, got {len(problem.derivations)}"
         )
-    try:
-        result = decompose(
-            problem.target,
-            problem.derivations,
-            out_precision=problem.truncation,
-            verify_degree=args.max_degree,
-        )
-    except NotABasis as exc:
-        sys.stderr.write(f"not a basis: {exc}\n")
-        return 2
+    result = decompose(
+        problem.target,
+        problem.derivations,
+        out_precision=problem.truncation,
+        verify_degree=args.max_degree,
+    )
     report = serialize.decomposition_to_json(result, problem.field)
     _write_or_print(serialize.dumps(report), args.out)
     if result.witness is not None:
@@ -100,13 +96,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_kernel(args) -> int:
     problem = serialize.load_problem(args.input)
-    try:
-        report = coefficient_field(
-            problem.derivations, problem.truncation, degree1_only=args.degree1_only
-        )
-    except NotABasis as exc:
-        sys.stderr.write(f"not a basis: {exc}\n")
-        return 2
+    report = coefficient_field(
+        problem.derivations, problem.truncation, degree1_only=args.degree1_only
+    )
     _write_or_print(serialize.dumps(serialize.kernel_report_to_json(report)), args.out)
     return 0
 
@@ -245,6 +237,9 @@ def main(argv=None) -> int:
     except ProblemFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except NotABasis as exc:
+        sys.stderr.write(f"not a basis: {exc}\n")
+        return 2
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 1

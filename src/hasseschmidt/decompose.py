@@ -27,14 +27,18 @@ from .formula import CoeffTable, apply_table, table_sum, weighted_terms  # noqa:
 
 @dataclass
 class Degree1Matrix:
-    """The values D^d_1(X_j) as a matrix: entries[j][d], with determinant;
+    """The values D^d_1(X_j) as a matrix: entries[j][d], with determinant,
+    a unit (NotABasis otherwise: the degree-1 parts are then no basis);
     its cofactors and the inverse of the determinant are cached."""
 
     entries: list  # entries[j][d] : Series
     det: Series
-    det_unit: bool
     _inverses: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
     _cofactors: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.det.constant_term():
+            raise NotABasis("degree-1 values have non-unit determinant")
 
     def det_inverse(self, precision: int) -> Series:
         """1/det: exact when det is a nonzero constant, otherwise modulo
@@ -109,24 +113,33 @@ def _det(rows) -> Series:
     return minor(tuple(range(n)))
 
 
+def _leading_members(family) -> list:
+    """The first n members, n the variables of the first one: NotABasis if
+    fewer, IncompatibleAmbient if one has another ambient ring."""
+    family = list(family)
+    n, field = family[0].nvars, family[0].field
+    if len(family) < n:
+        raise NotABasis(f"{len(family)} derivation(s) cannot span {n} variables")
+    for D in family[:n]:
+        if D.nvars != n or D.field != field:
+            raise IncompatibleAmbient("series does not match the derivation's ambient ring")
+    return family[:n]
+
+
 def degree1_values(family, points) -> list:
     """The entries D^d_1(a_j), row j and column d, of the first n members
     at the points a_1..a_n, where there are n variables."""
-    family = list(family)
-    n = family[0].nvars
-    if len(family) < n:
-        raise NotABasis(f"{len(family)} derivation(s) cannot span {n} variables")
-    return [[family[d].apply_component(1, a) for d in range(n)] for a in points]
+    members = _leading_members(family)
+    return [[D.apply_component(1, a) for D in members] for a in points]
 
 
 def degree1_matrix(family) -> Degree1Matrix:
-    """Evaluate the degree-1 component of the first n members on every
-    variable, where there are n variables."""
-    family = list(family)
-    n, field = family[0].nvars, family[0].field
-    entries = degree1_values(family, [Series.variable(n, field, j) for j in range(n)])
-    det = _det(entries)
-    return Degree1Matrix(entries, det, bool(det.constant_term()))
+    """The degree-1 matrix of the first n members, n the number of
+    variables: entries[j][d] = D^d_1(X_j) is the t^1 coefficient of the
+    stored image E^d(X_j)."""
+    members = _leading_members(family)
+    entries = [[D.images[j].coeffs[1] for D in members] for j in range(len(members))]
+    return Degree1Matrix(entries, _det(entries))
 
 
 def residual(target: HSDerivation, family, table: CoeffTable, level: int, f: Series) -> Series:
@@ -160,8 +173,6 @@ def solve_derivation_coords(values, matrix: Degree1Matrix, out_precision: int) -
     without terms included: every values[j] whose cofactor cof[j][d] is
     not an exact zero.
     """
-    if not matrix.det_unit:
-        raise NotABasis("degree-1 values have non-unit determinant")
     n = len(matrix.entries)
     values = list(values)
     if len(values) != n:
@@ -311,8 +322,6 @@ def decompose(
             f"out_precision {out_precision} leaves no trusted digits after {m} levels"
         )
     matrix = degree1_matrix(family)
-    if not matrix.det_unit:
-        raise NotABasis("degree-1 values have non-unit determinant")
     variables = [Series.variable(n, field, j) for j in range(n)]
     table = CoeffTable.empty(n, field)
     for level in range(1, m + 1):

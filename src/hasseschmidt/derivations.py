@@ -6,9 +6,11 @@ D_i(fg) = sum_{r+s=i} D_r(f) D_s(g).  Equivalently it is the ring
 homomorphism E: A -> A[t]/(t^{m+1}) with E(f) = sum_i D_i(f) t^i and
 E(f) = f mod t.  Storing E(X_j) makes the Leibniz rule hold by
 construction and keeps the data sparse; components are recovered by
-substitution.  An ordinary derivation delta is the case m = 1,
-E(X_j) = X_j + delta(X_j) t: ``integrate(values, 1)`` builds it, and the
-D_1 of a longer derivation D is ``D.truncated(1)``.
+substitution.  D_0 = id holds because the constructor checks that
+E(X_j) = X_j mod t, so ``leibniz_check`` reads fg off E(f) E(g).  An
+ordinary derivation delta is the case m = 1, E(X_j) = X_j + delta(X_j) t:
+``integrate(values, 1)`` builds it, and the D_1 of a longer derivation D
+is ``D.truncated(1)``.
 
 Weight indices (the i in D_i) keep their mathematical value everywhere;
 variable indices are 0-based.
@@ -148,6 +150,8 @@ def taylor_derivation(nvars, length, field, j, name=None) -> HSDerivation:
     Its weight-i component acts on monomials by
     D_i(X^beta) = C(beta_j, i) * X^(beta - i*e_j).
     """
+    if not 0 <= j < nvars:
+        raise IncompatibleAmbient(f"variable index {j} out of range for nvars={nvars}")
     values = [Series.one(nvars, field) if d == j else Series.zero(nvars, field)
               for d in range(nvars)]
     return integrate(values, length, name or f"taylor{j + 1}")
@@ -223,12 +227,14 @@ def group_compose(D: HSDerivation, Dp: HSDerivation) -> HSDerivation:
     m = D.length
     images = []
     for j in range(D.nvars):
-        total = TSeries.zero(D.nvars, D.field, m)
+        slots = [Series.zero(D.nvars, D.field)] * (m + 1)
         for s, g in enumerate(Dp.images[j].coeffs):
             if g.is_zero():
                 continue
-            total = total + D.apply(g).tshift(s)
-        images.append(total)
+            # t^s E_D(g): its t^k coefficient lands in slot s + k
+            for k, c in enumerate(D.apply(g).coeffs[: m + 1 - s]):
+                slots[s + k] = slots[s + k] + c
+        images.append(TSeries(slots))
     return HSDerivation(images)
 
 
@@ -294,38 +300,28 @@ class LeibnizReport:
         return f"leibniz: FAIL at weight {i} on f={f}, g={g}: {lhs} != {rhs}"
 
 
-def leibniz_check(
-    D,
-    trials: int = 25,
-    seed: int | None = 0,
-    basis_degree: int = 2,
-    random_degree: int = 3,
-) -> LeibnizReport:
+BASIS_DEGREE = 2
+RANDOM_DEGREE = 3
+
+
+def leibniz_check(D: HSDerivation, trials: int = 25, seed: int | None = 0) -> LeibnizReport:
     """Verify D_i(fg) = sum_{r+s=i} D_r(f) D_s(g) for every weight i: the
     t^i coefficient of the homomorphism identity E(fg) = E(f) E(g).
 
-    ``D`` is an HSDerivation or a tuple (components, length, nvars,
-    field) where ``components(i, f)`` returns the weight-i value; the
-    tuple form lets tests probe corrupted component tables, and its E(f)
-    is the TSeries of components(0, f), .., components(length, f).
-    Checks every pair of monomials up to basis_degree, then ``trials``
-    random pairs drawn from the given seed.  A violation is reported, not
+    fg is read off slot 0 of E(f) E(g), since D_0 = id (HSDerivation
+    checks that E(X_j) is X_j mod t).  Checks every pair of monomials up
+    to BASIS_DEGREE, then ``trials`` random pairs of degree up to
+    RANDOM_DEGREE drawn from the seed.  A violation is reported, not
     raised: the first weight i >= 1 where the two sides differ.
     """
     import random
 
-    if isinstance(D, HSDerivation):
-        E, length = D.apply, D.length
-        nvars, field = D.nvars, D.field
-    else:
-        (components, length, nvars, field) = D
-
-        def E(f):
-            return TSeries([components(r, f) for r in range(length + 1)])
+    E, length, nvars, field = D.apply, D.length, D.nvars, D.field
 
     def mismatch(f, g, Ef, Eg):
         """The counterexample at the first weight where (f, g) fails, or None."""
-        lhs, rhs = E(f * g).coeffs, (Ef * Eg).coeffs
+        rhs = (Ef * Eg).coeffs
+        lhs = E(rhs[0]).coeffs
         for i in range(1, length + 1):
             if lhs[i] != rhs[i]:
                 return (i, f, g, lhs[i], rhs[i])
@@ -333,7 +329,7 @@ def leibniz_check(
 
     # lexicographic order of the exponent vectors
     monomials = sorted(
-        e for degree in range(basis_degree + 1) for e in monomials_of_degree(nvars, degree)
+        e for degree in range(BASIS_DEGREE + 1) for e in monomials_of_degree(nvars, degree)
     )
     basis = [(f, E(f)) for f in (Series.monomial(nvars, field, e) for e in monomials)]
     checked = 0
@@ -346,8 +342,8 @@ def leibniz_check(
 
     rng = random.Random(seed)
     for _ in range(trials):
-        f = _random_polynomial(rng, nvars, field, random_degree)
-        g = _random_polynomial(rng, nvars, field, random_degree)
+        f = _random_polynomial(rng, nvars, field, RANDOM_DEGREE)
+        g = _random_polynomial(rng, nvars, field, RANDOM_DEGREE)
         checked += 1
         bad = mismatch(f, g, E(f), E(g))
         if bad:

@@ -14,8 +14,6 @@ and this evaluation reconstructs the target's components.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import IncompatibleAmbient
 from .fields import FieldSpec
 from .series import Series, dot, monomials_of_degree
@@ -28,9 +26,10 @@ class CoeffTable:
     ``rows[l-1][d]`` stores C at level l and variable d (0-based d).
     The table is treated as immutable; derived values are cached on the
     instance: the coefficients of ``product_coeff`` keyed by (mu, i),
-    weighted-term lists and, per family, the sums of ``table_sum``.  A
-    cached value at weight i reads only the rows at levels <= i, so
-    ``extended`` hands every cache on to the longer table.
+    weighted-term lists and the sums of ``table_sum`` for the family it
+    was last used with.  A cached value at weight i reads only the rows
+    at levels <= i, so ``extended`` hands every cache on to the longer
+    table.
     """
 
     __slots__ = ("rows", "nvars", "field", "_term_cache", "_products", "_sums")
@@ -54,7 +53,10 @@ class CoeffTable:
         self.field = field
         self._term_cache: dict = {}
         self._products: dict = {}
-        self._sums: dict = {}  # see _family_sums
+        # (members, {(i, min_parts, f): table_sum}) of one family; another
+        # family, told apart by the identity of its members, replaces it.
+        # Holding the members keeps their ids from being reused.
+        self._sums: tuple | None = None
 
     @property
     def levels(self) -> int:
@@ -77,9 +79,9 @@ class CoeffTable:
         out = CoeffTable(self.rows + [list(row)], nvars=self.nvars, field=self.field)
         out._term_cache.update(self._term_cache)
         out._products.update(self._products)
-        out._sums.update(
-            (key, (members, dict(sums))) for key, (members, sums) in self._sums.items()
-        )
+        if self._sums is not None:
+            members, sums = self._sums
+            out._sums = (members, dict(sums))
         return out
 
     def __eq__(self, other):
@@ -125,7 +127,7 @@ class CoeffTable:
 
 def weighted_terms(table: CoeffTable, i: int, min_parts: int = 1) -> list:
     """The (coefficient, mu) terms of the weight-i operator, one per mu
-    with |mu| >= min_parts, single-factor terms first; cached per table.
+    with |mu| >= min_parts in order of |mu|; cached per table.
 
     A coefficient that truncates to zero stays in the list when its tag is
     finite: the term contributes nothing but still limits the precision
@@ -144,19 +146,6 @@ def weighted_terms(table: CoeffTable, i: int, min_parts: int = 1) -> list:
     return terms
 
 
-def _family_sums(table: CoeffTable, family) -> tuple:
-    """(members, sums) of the family on this table: ``sums`` maps
-    (i, min_parts, f) to a ``table_sum``.  Keyed by the identity of the
-    members, which the entry holds on to so that no other family can take
-    their ids."""
-    family = tuple(family)
-    key = tuple(map(id, family))
-    entry = table._sums.get(key)
-    if entry is None:
-        entry = table._sums[key] = (family, {})
-    return entry
-
-
 def _term_pairs(terms, family, f: Series):
     """The (coefficient, D_mu(f)) pairs of the terms for ``dot``; a
     coefficient that truncates to zero is paired with 1 instead, so it
@@ -168,9 +157,12 @@ def _term_pairs(terms, family, f: Series):
 
 def table_sum(table: CoeffTable, family, i: int, f: Series, min_parts: int = 1) -> Series:
     """sum of coefficient * D_mu(f) over the weight-i terms with
-    |mu| >= min_parts, memoized on the table per family (see
-    _family_sums); f is compared by value."""
-    family, sums = _family_sums(table, family)
+    |mu| >= min_parts, memoized on the table for one family at a time;
+    f is compared by value."""
+    family = tuple(family)
+    if table._sums is None or list(map(id, table._sums[0])) != list(map(id, family)):
+        table._sums = (family, {})
+    sums = table._sums[1]
     out = sums.get((i, min_parts, f))
     if out is None:
         pairs = _term_pairs(weighted_terms(table, i, min_parts), family, f)
@@ -182,13 +174,13 @@ def apply_table(table: CoeffTable, family, i: int, f: Series) -> Series:
     """Apply the weight-i operator built from the family through the table:
     the memoized sum of the terms with at least two factors, which the
     level-i residual of a decomposition has already built, plus the
-    single-factor terms C[i][d] * D^d_1(f)."""
+    single-factor terms C[i][d] * D^d_1(f) read off the table."""
     family = list(family)
     if len(family) != table.nvars:
         raise IncompatibleAmbient(
             f"table is over {table.nvars} slots but the family has {len(family)} members"
         )
     out = table_sum(table, family, i, f, 2)
-    # weighted_terms lists the single-factor terms first
-    singles = itertools.takewhile(lambda term: sum(term[1]) == 1, weighted_terms(table, i))
+    n = table.nvars
+    singles = [(table.at(i, d), tuple(int(k == d) for k in range(n))) for d in range(n)]
     return out + dot(_term_pairs(singles, family, f), f.nvars, f.field, f.precision)

@@ -366,26 +366,10 @@ class TSeries:
         return self.coeffs[0].precision
 
     @classmethod
-    def zero(cls, nvars, field, tlen, precision=None):
-        return cls([Series.zero(nvars, field, precision) for _ in range(tlen + 1)])
-
-    @classmethod
     def from_series(cls, f: Series, tlen: int):
         out = [f]
         out.extend(Series.zero(f.nvars, f.field, f.precision) for _ in range(tlen))
         return cls(out)
-
-    def _check_ambient(self, other: "TSeries") -> None:
-        if (
-            self.nvars != other.nvars
-            or self.field != other.field
-            or self.tlen != other.tlen
-        ):
-            raise IncompatibleAmbient("TSeries operands disagree on ambient or t-length")
-
-    def __add__(self, other):
-        self._check_ambient(other)
-        return TSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other):
         """Product in A[t]/(t^{tlen+1}); t-degrees beyond tlen are discarded."""
@@ -403,7 +387,8 @@ class TSeries:
         cut results.  The tags stay those of the operands: a cut result is
         one exact representative of its class modulo J_N.
         """
-        self._check_ambient(other)
+        if (self.nvars, self.field, self.tlen) != (other.nvars, other.field, other.tlen):
+            raise IncompatibleAmbient("TSeries operands disagree on ambient or t-length")
         tlen = self.tlen
         nvars, field = self.nvars, self.field
         prec = min_prec(self.precision, other.precision)
@@ -419,14 +404,6 @@ class TSeries:
                 bound = prec if cuts is None else min_prec(prec, cuts[ta + tb])
                 _mac(slots[ta + tb], fa.terms, fb_terms, bound, add, mul)
         return TSeries([Series._of(nvars, field, s, prec) for s in slots])
-
-    def tshift(self, s: int) -> "TSeries":
-        """Multiply by t^s, discarding what falls beyond t^tlen."""
-        if s == 0:
-            return self
-        zero = Series.zero(self.nvars, self.field, self.precision)
-        shifted = [zero] * min(s, self.tlen + 1) + self.coeffs[: max(self.tlen + 1 - s, 0)]
-        return TSeries(shifted)
 
     def __eq__(self, other):
         if not isinstance(other, TSeries):

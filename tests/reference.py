@@ -30,7 +30,7 @@ from hasseschmidt import CoeffTable, HSDerivation, Series, TSeries
 from hasseschmidt.coefffield import ComponentMatrix, KernelReport, QuotientBasis
 from hasseschmidt.decompose import VerificationReport, Witness, _agree_to_trusted, degree1_matrix
 from hasseschmidt.derivations import LeibnizReport, _random_polynomial, compose_multi
-from hasseschmidt.errors import ComponentOutOfRange, LengthMismatch, NotABasis, PrecisionExhausted
+from hasseschmidt.errors import ComponentOutOfRange, LengthMismatch, PrecisionExhausted
 from hasseschmidt.series import min_prec, monomials_of_degree
 
 
@@ -206,8 +206,7 @@ def all_weights_kernel(family, order, degree1_only=False):
     weight 1 with ``degree1_only``) of every member, stacked at once from
     dense matrices."""
     family = list(family)
-    if not degree1_matrix(family).det_unit:
-        raise NotABasis("degree-1 values have non-unit determinant")
+    degree1_matrix(family)  # NotABasis unless the degree-1 parts form a basis
     max_weight = min(1, order - 1) if degree1_only else order - 1
     for D in family:
         if D.length < max_weight:
@@ -360,9 +359,8 @@ def laplace_det(rows):
 
 
 def solve_derivation_coords(values, matrix, out_precision):
-    """Cramer's rule, inverting a non-constant determinant on every call."""
-    if not matrix.det_unit:
-        raise NotABasis("degree-1 values have non-unit determinant")
+    """Cramer's rule, inverting a non-constant determinant on every call;
+    the matrix is a unit by construction (see Degree1Matrix)."""
     n = len(matrix.entries)
     det = matrix.det
     if det.degree() <= 0:
@@ -412,6 +410,27 @@ def decompose(target, family, out_precision, verify_degree):
         row = solve_derivation_coords(values, matrix, out_precision)
         table = CoeffTable(table.rows + [row], nvars=n, field=field)
     return table, sweep(target, family, table, verify_degree)
+
+
+# -- the group law through shifted images -----------------------------------------
+
+
+def group_compose(D, Dp):
+    """The group product as a sum of shifted images: the image of X_j is
+    the sum over s of t^s E_D(c_s), c_s the t^s coefficient of Dp's image,
+    each shifted image built as a whole TSeries and added slot by slot."""
+    m, n, field = D.length, D.nvars, D.field
+    zero = Series.zero(n, field)
+    images = []
+    for j in range(n):
+        total = [zero] * (m + 1)
+        for s, g in enumerate(Dp.images[j].coeffs):
+            if g.is_zero():
+                continue
+            shifted = [zero] * s + D.apply(g).coeffs[: m + 1 - s]
+            total = [a + b for a, b in zip(total, shifted)]
+        images.append(TSeries(total))
+    return HSDerivation(images)
 
 
 # -- the Leibniz rule weight by weight -------------------------------------------

@@ -122,6 +122,8 @@ def test_apply_table_on_an_extended_table_matches_a_fresh_one(field, rng):
 
 
 def test_one_table_keeps_each_familys_own_sums(rng):
+    """Sums are kept for one family at a time: a table used with A, then B,
+    then A again gives each family its own sums, not the other's."""
     field, n, m = QQ, 2, 3
     rows = [[random_series(rng, n, field, max_degree=2) for _ in range(n)] for _ in range(m)]
     table = CoeffTable(rows, nvars=n, field=field)
@@ -137,6 +139,8 @@ def test_one_table_keeps_each_familys_own_sums(rng):
     A, B = taylor_basis(n, m, field), random_family(rng, n, m, field)
     for family in (A, B, A, B):
         check(family)
+        members, sums = table._sums
+        assert all(a is b for a, b in zip(members, family)) and sums
     # a family dropped by its caller may not leave its sums to a new one
     # that the allocator places at the same addresses
     for _ in range(4):
@@ -161,7 +165,6 @@ def test_a_non_constant_determinant_is_inverted_once_per_matrix(field, rng, monk
         matrix = degree1_matrix(family)
         x1 = Series.variable(n, field, 0)
         assert matrix.det == (Series.one(n, field) + x1) ** n
-        assert matrix.det_unit
         target = random_hsd(rng, n, m, field)
         out_precision = m + 3
         del calls[:]
@@ -238,14 +241,17 @@ def test_extended_carries_every_cache(rng):
         cache = getattr(table, name)
         assert cache
         assert all(getattr(longer, name)[key] is value for key, value in cache.items())
-    ((members, sums),) = table._sums.values()
-    ((longer_members, longer_sums),) = longer._sums.values()
-    assert longer_members == members == tuple(family)
+    members, sums = table._sums
+    longer_members, longer_sums = longer._sums
+    assert all(a is b for a, b in zip(longer_members, members))
+    assert len(longer_members) == len(members) == len(family)
     assert sums and all(longer_sums[key] is value for key, value in sums.items())
+    assert longer_sums is not sums
     # the longer table's own entries stay out of the shorter one's caches:
     # that one has no row m to build weight m or m + 1 from
     products = dict(table._products)
     apply_table(longer, family, m, x)
+    formula.weighted_terms(longer, m)
     assert (m, 1) in longer._term_cache and (m, 1) not in table._term_cache
     table_sum(longer, family, m + 1, x, 2)
     assert ((1,) + (0,) * (n - 1), m) in longer._products

@@ -23,7 +23,7 @@ from hasseschmidt import (
 from hasseschmidt import cli, coefffield, serialize
 from hasseschmidt.cli import main
 from hasseschmidt.coefffield import nullspace
-from hasseschmidt.decompose import degree1_matrix
+from hasseschmidt.decompose import degree1_matrix, degree1_values
 from hasseschmidt.errors import (
     ComponentOutOfRange,
     IncompatibleAmbient,
@@ -328,6 +328,27 @@ def test_too_few_derivations_are_not_a_basis():
                  lambda: coefficient_field(family, 4)):
         with pytest.raises(NotABasis):
             call()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["taylor", "random", "scaled"])
+def test_degree1_matrix_reads_the_values_on_the_variables(kind, field, rng):
+    """The stored t^1 coefficients of the images are the degree-1 values
+    at the variables."""
+    for n, m in ((1, 2), (2, 3), (3, 2)):
+        family = family_for(kind, rng, n, m, field)
+        variables = [Series.variable(n, field, j) for j in range(n)]
+        assert degree1_matrix(family).entries == degree1_values(family, variables)
+
+
+def test_mixed_families_are_incompatible():
+    """A family whose first n members mix numbers of variables or fields
+    is refused before any determinant."""
+    for family in ([taylor_derivation(2, 2, QQ, 0), taylor_derivation(3, 2, QQ, 1)],
+                   [taylor_derivation(2, 2, QQ, 0), taylor_derivation(2, 2, GF(5), 1)]):
+        for call in (degree1_matrix, lambda F: coefficient_field(F, 3)):
+            with pytest.raises(IncompatibleAmbient, match="ambient ring"):
+                call(family)
 
 
 def test_kernel_at_order_one_is_the_constants():

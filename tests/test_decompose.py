@@ -20,7 +20,7 @@ from hasseschmidt import (
     verify_decomposition,
 )
 from hasseschmidt import serialize
-from hasseschmidt.decompose import _det
+from hasseschmidt.decompose import Degree1Matrix, _det
 from hasseschmidt.errors import NotABasis, PrecisionExhausted
 from hasseschmidt.series import min_prec
 
@@ -45,14 +45,12 @@ def test_taylor_basis_gives_identity_matrix():
             expect = Series.one(3, QQ) if j == d else Series.zero(3, QQ)
             assert M.entries[j][d] == expect
     assert M.det == Series.one(3, QQ)
-    assert M.det_unit
 
 
 def test_euler_derivation_is_not_a_basis():
     x = Series.variable(1, QQ, 0)
-    M = degree1_matrix([integrate([x], 2)])
-    assert M.entries[0][0] == x
-    assert not M.det_unit
+    with pytest.raises(NotABasis, match="non-unit determinant"):
+        degree1_matrix([integrate([x], 2)])
 
 
 def test_triangular_two_variable_matrix():
@@ -64,7 +62,6 @@ def test_triangular_two_variable_matrix():
     M = degree1_matrix([A, B])
     assert M.entries == [[one, zero], [x2, one]]
     assert M.det == one
-    assert M.det_unit
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=repr)
@@ -130,10 +127,22 @@ def test_solve_worked_direct_division():
 
 
 def test_solve_rejects_singular_matrix():
+    """A solve never sees a singular matrix: degree1_matrix refuses the
+    Euler family before any solve."""
     x = Series.variable(1, QQ, 0)
-    M = degree1_matrix([integrate([x], 2)])
-    with pytest.raises(NotABasis):
-        solve_derivation_coords([x], M, 6)
+    with pytest.raises(NotABasis, match="non-unit determinant"):
+        solve_derivation_coords([x], degree1_matrix([integrate([x], 2)]), 6)
+
+
+def test_a_hand_built_matrix_is_a_unit_by_construction():
+    x1, x2 = Series.variable(2, QQ, 0), Series.variable(2, QQ, 1)
+    one, zero = Series.one(2, QQ), Series.zero(2, QQ)
+    for entries in ([[x1, x2], [x2, x1]], [[one, one], [one, one]], [[zero, one], [zero, x1]]):
+        with pytest.raises(NotABasis, match="non-unit determinant"):
+            Degree1Matrix(entries, _det(entries))
+    # a unit determinant that is not constant is accepted
+    entries = [[one + x1, x2], [zero, one]]
+    assert Degree1Matrix(entries, _det(entries)).det == one + x1
 
 
 def test_solve_with_series_inversion():

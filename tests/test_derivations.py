@@ -205,6 +205,12 @@ def test_factorial_delta_equals_partial_power(rng):
 
 # -- integration ---------------------------------------------------------------------
 
+@pytest.mark.parametrize("j", [2, 5, -1])
+def test_taylor_derivation_checks_the_variable_index(j):
+    with pytest.raises(IncompatibleAmbient, match=f"variable index {j} out of range for nvars=2"):
+        taylor_derivation(2, 2, QQ, j)
+
+
 def test_integrate_zero_is_identity():
     D = integrate([Series.zero(2, QQ)] * 2, 3)
     assert D == HSDerivation.identity(2, 3, QQ)
@@ -285,6 +291,14 @@ def test_compose_with_identity(rng):
     e = HSDerivation.identity(2, 3, GF(5))
     assert group_compose(D, e) == D
     assert group_compose(e, D) == D
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_compose_matches_the_sum_of_shifted_images(field, rng):
+    for n, m in ((1, 1), (1, 4), (2, 3), (3, 2)):
+        for _ in range(4):
+            D, Dp = random_hsd(rng, n, m, field), random_hsd(rng, n, m, field)
+            assert group_compose(D, Dp).images == reference.group_compose(D, Dp).images
 
 
 def test_compose_rejects_mismatched_operands(rng):
@@ -404,37 +418,40 @@ def test_leibniz_passes_for_every_constructor(rng):
         assert report.passed, report.summary()
 
 
+class Corrupted(HSDerivation):
+    """D with 1 added to D_i(f) wherever hit(i, f) holds, both in E(f),
+    which ``leibniz_check`` reads, and in the components, which
+    ``reference.leibniz_check`` reads."""
+
+    def __init__(self, D, hit):
+        super().__init__(D.images, D.name)
+        self.hit = hit
+
+    def apply_component(self, i, f):
+        value = super().apply_component(i, f)
+        return value + 1 if self.hit(i, f) else value
+
+    def apply(self, f):
+        coeffs = super().apply(f).coeffs
+        return TSeries([c + 1 if self.hit(i, f) else c for i, c in enumerate(coeffs)])
+
+
 def test_leibniz_flags_corrupted_component_table():
-    D = worked_target()
     x = Series.variable(1, QQ, 0)
-
-    def corrupted(i, f):
-        value = D.apply_component(i, f)
-        if i == 2 and f == x * x:
-            return value + 1
-        return value
-
-    report = leibniz_check((corrupted, 2, 1, QQ), trials=5, seed=0)
+    D = Corrupted(worked_target(), lambda i, f: i == 2 and f == x * x)
+    report = leibniz_check(D, trials=5, seed=0)
     assert not report.passed
     i, f, g, lhs, rhs = report.counterexample
-    assert i == 2
-
-
-def corrupted(D, hit):
-    """D in tuple form, with 1 added to D_i(f) wherever hit(i, f)."""
-    def components(i, f):
-        value = D.apply_component(i, f)
-        return value + 1 if hit(i, f) else value
-
-    return (components, D.length, D.nvars, D.field)
+    assert (i, f, g) == (2, x, x)
+    assert report == reference.leibniz_check(D, trials=5, seed=0)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
 def test_leibniz_matches_the_per_weight_reference(field, rng):
     """E(fg) against E(f) E(g) gives the report of the per-weight product
     chain, field by field: on derivations that pass, and on component
-    tables corrupted on a product of two basis monomials, or only on the
-    products of the random pairs, which have degree above 4."""
+    derivations corrupted on a product of two basis monomials, or only on
+    the products of the random pairs, which have degree above 4."""
     x, y = (Series.variable(2, field, j) for j in range(2))
     derivations = [
         random_hsd(rng, 2, 3, field),
@@ -452,8 +469,8 @@ def test_leibniz_matches_the_per_weight_reference(field, rng):
             (lambda i, f: i == 2 and f == x * y, False),
             (lambda i, f: i == D.length and f.degree() > 4, True),
         ):
-            table = corrupted(D, hit)
-            report = leibniz_check(table, trials=25, seed=1)
+            bad = Corrupted(D, hit)
+            report = leibniz_check(bad, trials=25, seed=1)
             assert not report.passed
             assert (report.checked_pairs > basis_pairs) == late
-            assert report == reference.leibniz_check(table, trials=25, seed=1)
+            assert report == reference.leibniz_check(bad, trials=25, seed=1)
