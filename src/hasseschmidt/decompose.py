@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient, NotABasis, PrecisionExhausted
 from .series import Series, dot, min_prec
-# compose_multi and weighted_terms run inside table_sum; bench/spans.py
-# patches them in this namespace as well
+# bench/spans.py patches compose_multi and weighted_terms in this
+# namespace as well as in formula's
 from .derivations import HSDerivation, compose_multi  # noqa: F401
 from .formula import CoeffTable, apply_table, table_sum, weighted_terms  # noqa: F401
 
@@ -300,9 +300,10 @@ def decompose(
     Proceeds level by level:  the residual at level N, evaluated on the
     variables, is solved against the degree-1 matrix; its coordinates
     are row N.  Each level extends the table with its caches (the
-    coefficients [t^i] P_mu, term lists and the residual sums), so no
-    coefficient is built twice, and the check on the variables reuses
-    the residual sums.  The filled table is then checked by
+    coefficients [t^i] P_mu and their tags, the residual sums and the
+    values D_mu(X_j) they read), so no coefficient is built twice and no
+    D_mu is applied to a variable twice, and the check on the variables
+    reuses the residual sums.  The filled table is then checked by
     reconstruction up to verify_degree.  The family's degree-1 parts must form a basis
     (NotABasis otherwise) and out_precision must exceed the length
     (PrecisionExhausted otherwise); the result is unique, hence

@@ -10,13 +10,19 @@ E_C = E^1_{c_1(t)} o .. o E^n_{c_n(t)} has the weight-i component
 where D_mu = D^1_{mu_1} o .. o D^n_{mu_n}.  Decomposition of a target
 derivation through a family (module ``decompose``) produces such tables
 and this evaluation reconstructs the target's components.
+
+The sums are demand-driven: D_mu(f) is evaluated first, once per
+(family, f, mu), and the coefficient [t^i] P_mu is built only when
+D_mu(f) has terms or a finite tag.  For any other mu the term is an
+exact zero times the coefficient, so only the coefficient's tag enters,
+and ``CoeffTable.product_tag`` gives it without building a product.
 """
 
 from __future__ import annotations
 
-from .errors import IncompatibleAmbient
+from .errors import ComponentOutOfRange, IncompatibleAmbient
 from .fields import FieldSpec
-from .series import Series, dot, monomials_of_degree
+from .series import Series, dot, min_prec, monomials_of_degree
 from .derivations import compose_multi
 
 
@@ -25,14 +31,16 @@ class CoeffTable:
 
     ``rows[l-1][d]`` stores C at level l and variable d (0-based d).
     The table is treated as immutable; derived values are cached on the
-    instance: the coefficients of ``product_coeff`` keyed by (mu, i),
-    weighted-term lists and the sums of ``table_sum`` for the family it
-    was last used with.  A cached value at weight i reads only the rows
-    at levels <= i, so ``extended`` hands every cache on to the longer
-    table.
+    instance: the coefficients of ``product_coeff`` and the tags of
+    ``product_tag`` keyed by (mu, i), weighted-term lists, and for the
+    family it was last used with the sums of ``table_sum`` and the values
+    D_mu(f) they read.  A cached value at weight i reads only the rows at
+    levels <= i, and D_mu(f) reads no row, so ``extended`` hands every
+    cache on to the longer table.
     """
 
-    __slots__ = ("rows", "nvars", "field", "_term_cache", "_products", "_sums")
+    __slots__ = ("rows", "nvars", "field", "_term_cache", "_products", "_tags",
+                 "_sums", "_images")
 
     def __init__(self, rows, nvars: int | None = None, field: FieldSpec | None = None):
         rows = [list(r) for r in rows]
@@ -53,10 +61,13 @@ class CoeffTable:
         self.field = field
         self._term_cache: dict = {}
         self._products: dict = {}
+        self._tags: dict = {}
         # (members, {(i, min_parts, f): table_sum}) of one family; another
-        # family, told apart by the identity of its members, replaces it.
+        # family, told apart by the identity of its members, replaces it
+        # together with _images, {f: {mu: D_mu(f)}} of the same family.
         # Holding the members keeps their ids from being reused.
         self._sums: tuple | None = None
+        self._images: dict = {}
 
     @property
     def levels(self) -> int:
@@ -75,13 +86,16 @@ class CoeffTable:
     def extended(self, row) -> "CoeffTable":
         """This table with one more level, holding a copy of every cache:
         an entry was computed from the rows this table has, which the new
-        row leaves alone."""
+        row leaves alone.  The values D_mu(f) read no row at all, so the
+        two tables share them."""
         out = CoeffTable(self.rows + [list(row)], nvars=self.nvars, field=self.field)
         out._term_cache.update(self._term_cache)
         out._products.update(self._products)
+        out._tags.update(self._tags)
         if self._sums is not None:
             members, sums = self._sums
             out._sums = (members, dict(sums))
+            out._images = self._images
         return out
 
     def __eq__(self, other):
@@ -124,6 +138,28 @@ class CoeffTable:
             self._products[key] = out
         return out
 
+    def product_tag(self, mu, i: int):
+        """The tag of ``product_coeff(mu, i)``, memoized, without building
+        any product: the least tag of the entries and shorter
+        coefficients it would multiply (see ``dot``)."""
+        key = (mu, i)
+        built = self._products.get(key)
+        if built is not None:
+            return built.precision
+        if key not in self._tags:
+            j = next(d for d, e in enumerate(mu) if e)
+            parts = sum(mu)
+            if parts == 1:
+                tag = self.at(i, j).precision
+            else:
+                rest = mu[:j] + (mu[j] - 1,) + mu[j + 1:]
+                tag = None
+                for r in range(1, i - parts + 2):
+                    tag = min_prec(tag, min_prec(self.at(r, j).precision,
+                                                 self.product_tag(rest, i - r)))
+            self._tags[key] = tag
+        return self._tags[key]
+
 
 def weighted_terms(table: CoeffTable, i: int, min_parts: int = 1) -> list:
     """The (coefficient, mu) terms of the weight-i operator, one per mu
@@ -131,7 +167,9 @@ def weighted_terms(table: CoeffTable, i: int, min_parts: int = 1) -> list:
 
     A coefficient that truncates to zero stays in the list when its tag is
     finite: the term contributes nothing but still limits the precision
-    of the result, so callers pair it with 1 in place of D_mu(f)."""
+    of the result.  ``table_sum`` builds only the coefficients it needs
+    and does not call this; the list serves tests and the benchmark's
+    spans, which count its terms."""
     key = (i, min_parts)
     cached = table._term_cache.get(key)
     if cached is not None:
@@ -146,27 +184,70 @@ def weighted_terms(table: CoeffTable, i: int, min_parts: int = 1) -> list:
     return terms
 
 
-def _term_pairs(terms, family, f: Series):
-    """The (coefficient, D_mu(f)) pairs of the terms for ``dot``; a
-    coefficient that truncates to zero is paired with 1 instead, so it
-    bounds the precision without D_mu being applied."""
-    one = Series.one(f.nvars, f.field)
-    return [(coeff, compose_multi(family, mu, f) if coeff.terms else one)
-            for coeff, mu in terms]
+def _image(family, images: dict, mu) -> Series:
+    """D_mu(f), memoized in ``images`` (which holds f under the zero
+    vector): D_mu(f) = D^d_{mu_d}(D_mu'(f)), d the first nonzero slot of
+    mu and mu' = mu with slots 0..d zeroed, so every suffix is evaluated
+    once.  The rightmost factor acts first, as in ``compose_multi``.  An
+    exact zero stays one, so it is not applied further."""
+    g = images.get(mu)
+    if g is None:
+        d = next(k for k, e in enumerate(mu) if e)
+        D = family[d]
+        if mu[d] > D.length:
+            raise ComponentOutOfRange(
+                f"weight {mu[d]} exceeds length {D.length} of derivation {d}"
+            )
+        g = _image(family, images, (0,) * (d + 1) + mu[d + 1:])
+        if g.terms or g.precision is not None:
+            g = D.apply_component(mu[d], g)
+        images[mu] = g
+    return g
 
 
 def table_sum(table: CoeffTable, family, i: int, f: Series, min_parts: int = 1) -> Series:
-    """sum of coefficient * D_mu(f) over the weight-i terms with
-    |mu| >= min_parts, memoized on the table for one family at a time;
-    f is compared by value."""
+    """sum of [t^i] P_mu * D_mu(f) over mu with min_parts <= |mu| <= i,
+    memoized on the table for one family at a time; f is compared by
+    value.
+
+    The coefficient of D_mu is built only when g = D_mu(f) has terms or a
+    finite tag.  It is then summed with g when it has terms, and bounds
+    the tag by its own when it truncates to zero: the product's tag is
+    the weaker of the two, but a vanished coefficient leaves D_mu
+    unapplied (see ``weighted_terms``).  When g is an exact zero the term
+    is zero times the coefficient, whose tag ``product_tag`` gives; so
+    the value and tag are those of the sum over every term."""
     family = tuple(family)
+    n = table.nvars
     if table._sums is None or list(map(id, table._sums[0])) != list(map(id, family)):
+        if len(family) != n:
+            raise IncompatibleAmbient(
+                f"table is over {n} slots but the family has {len(family)} members"
+            )
         table._sums = (family, {})
+        table._images = {}
     sums = table._sums[1]
     out = sums.get((i, min_parts, f))
     if out is None:
-        pairs = _term_pairs(weighted_terms(table, i, min_parts), family, f)
-        out = sums[(i, min_parts, f)] = dot(pairs, f.nvars, f.field, f.precision)
+        images = table._images.get(f)
+        if images is None:
+            if f.nvars != n or f.field != table.field:
+                raise IncompatibleAmbient("series does not match the derivation's ambient ring")
+            images = table._images[f] = {(0,) * n: f}
+        pairs = []
+        prec = f.precision
+        for m in range(min_parts, i + 1):
+            for mu in monomials_of_degree(n, m):
+                g = _image(family, images, mu)
+                if g.terms or g.precision is not None:
+                    coeff = table.product_coeff(mu, i)
+                    if coeff.terms:
+                        pairs.append((coeff, g))
+                    else:
+                        prec = min_prec(prec, coeff.precision)
+                else:
+                    prec = min_prec(prec, table.product_tag(mu, i))
+        out = sums[(i, min_parts, f)] = dot(pairs, f.nvars, f.field, prec)
     return out
 
 
@@ -174,13 +255,13 @@ def apply_table(table: CoeffTable, family, i: int, f: Series) -> Series:
     """Apply the weight-i operator built from the family through the table:
     the memoized sum of the terms with at least two factors, which the
     level-i residual of a decomposition has already built, plus the
-    single-factor terms C[i][d] * D^d_1(f) read off the table."""
-    family = list(family)
-    if len(family) != table.nvars:
-        raise IncompatibleAmbient(
-            f"table is over {table.nvars} slots but the family has {len(family)} members"
-        )
+    single-factor terms C[i][d] * D^d_1(f) read off the table (a
+    coefficient that truncates to zero bounds the tag alone)."""
+    family = tuple(family)
     out = table_sum(table, family, i, f, 2)
-    n = table.nvars
-    singles = [(table.at(i, d), tuple(int(k == d) for k in range(n))) for d in range(n)]
-    return out + dot(_term_pairs(singles, family, f), f.nvars, f.field, f.precision)
+    one = Series.one(f.nvars, f.field)
+    singles = []
+    for d, mu in enumerate(monomials_of_degree(table.nvars, 1)):
+        coeff = table.at(i, d)
+        singles.append((coeff, compose_multi(family, mu, f) if coeff.terms else one))
+    return out + dot(singles, f.nvars, f.field, f.precision)

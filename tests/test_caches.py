@@ -228,18 +228,26 @@ def test_the_cofactors_are_built_once_per_matrix(field, rng, monkeypatch):
 
 
 def test_extended_carries_every_cache(rng):
+    """Every cache of a table is handed on to the table one level longer:
+    the coefficients, tags and term lists copied, the sums copied for the
+    same family, and the values D_mu(f), which read no row, shared."""
     field, n, m = GF(3), 2, 3
-    family = random_family(rng, n, m + 1, field)
+    # on the variables every D_mu with |mu| >= 2 of the Taylor family is
+    # zero, so their sums read tags only; on f some D_mu is not
+    family = taylor_basis(n, m + 1, field)
     rows = [[random_series(rng, n, field, max_degree=2) for _ in range(n)] for _ in range(m)]
     table = CoeffTable(rows[:-1], nvars=n, field=field)
     x = Series.variable(n, field, 0)
+    f = Series.monomial(n, field, (2, 1))
     for i in range(1, m):
         apply_table(table, family, i, x)
+        apply_table(table, family, i, f)
+        formula.weighted_terms(table, i)
     table_sum(table, family, m, x, 2)
     longer = table.extended(rows[-1])
-    for name in ("_term_cache", "_products"):
+    for name in ("_term_cache", "_products", "_tags"):
         cache = getattr(table, name)
-        assert cache
+        assert cache, name
         assert all(getattr(longer, name)[key] is value for key, value in cache.items())
     members, sums = table._sums
     longer_members, longer_sums = longer._sums
@@ -247,40 +255,55 @@ def test_extended_carries_every_cache(rng):
     assert len(longer_members) == len(members) == len(family)
     assert sums and all(longer_sums[key] is value for key, value in sums.items())
     assert longer_sums is not sums
+    assert set(table._images) == {x, f} and longer._images is table._images
     # the longer table's own entries stay out of the shorter one's caches:
     # that one has no row m to build weight m or m + 1 from
-    products = dict(table._products)
+    products, tags = dict(table._products), dict(table._tags)
     apply_table(longer, family, m, x)
     formula.weighted_terms(longer, m)
     assert (m, 1) in longer._term_cache and (m, 1) not in table._term_cache
     table_sum(longer, family, m + 1, x, 2)
+    table_sum(longer, family, m + 1, f, 2)
     assert ((1,) + (0,) * (n - 1), m) in longer._products
+    assert ((2,) + (0,) * (n - 1), m + 1) in longer._tags
     assert len(longer._products) > len(products) and table._products == products
-    with pytest.raises(IndexError):
-        table_sum(table, family, m + 1, x, 2)
+    assert len(longer._tags) > len(tags) and table._tags == tags
+    for g in (x, f):  # through product_tag and through product_coeff
+        with pytest.raises(IndexError):
+            table_sum(table, family, m + 1, g, 2)
 
 
 @pytest.mark.parametrize("kind", ["taylor", "random", "scaled"])
 def test_decompose_applies_each_term_once_per_variable(kind, rng, monkeypatch):
-    """The residuals apply every term with at least two factors to each
-    variable, and the check on the variables adds only the single-factor
-    ones: no term is applied to a variable twice."""
-    calls = []
-    compose = formula.compose_multi
+    """A decomposition evaluates each D_mu on each variable at most once,
+    through the values its tables share; the check on the variables
+    applies only the single-factor terms anew.  A Taylor family moves no
+    variable by a D_mu with |mu| >= 2, so no such coefficient is built."""
+    evaluated, composed = [], []
+    image, compose = formula._image, formula.compose_multi
 
-    def counted(family, mu, f):
-        calls.append((mu, f))
+    def counted_image(family, images, mu):
+        if mu not in images:
+            evaluated.append((images[(0,) * len(mu)], mu))
+        return image(family, images, mu)
+
+    def counted_compose(family, mu, f):
+        composed.append(mu)
         return compose(family, mu, f)
 
-    monkeypatch.setattr(formula, "compose_multi", counted)
+    monkeypatch.setattr(formula, "_image", counted_image)
+    monkeypatch.setattr(formula, "compose_multi", counted_compose)
     field = GF(5)
     for n, m in ((1, 4), (2, 3), (3, 2)):
         family = family_for(kind, rng, n, m, field)
         target = random_hsd(rng, n, m, field)
-        del calls[:]
+        del evaluated[:], composed[:]
         table = decompose(target, family, m + 2, verify_degree=3).table
-        applied = [
-            mu for i in range(1, m + 1) for coeff, mu in formula.weighted_terms(table, i)
-            if coeff.terms
-        ]
-        assert len(calls) == n * len(applied)
+        variables = {Series.variable(n, field, j) for j in range(n)}
+        assert evaluated and len(set(evaluated)) == len(evaluated)
+        assert {f for f, _ in evaluated} == variables
+        assert all(sum(mu) == 1 for mu in composed)
+        for f, mu in evaluated:
+            assert table._images[f][mu] == compose(family, mu, f)
+        if kind == "taylor":
+            assert not [mu for mu, _ in table._products if sum(mu) >= 2]

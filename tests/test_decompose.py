@@ -21,7 +21,7 @@ from hasseschmidt import (
 )
 from hasseschmidt import serialize
 from hasseschmidt.decompose import Degree1Matrix, _det
-from hasseschmidt.errors import NotABasis, PrecisionExhausted
+from hasseschmidt.errors import IncompatibleAmbient, NotABasis, PrecisionExhausted
 from hasseschmidt.series import min_prec
 
 import reference
@@ -268,6 +268,23 @@ def test_decompose_rejects_non_basis():
     family = [integrate([x], 2)]
     with pytest.raises(NotABasis):
         decompose(worked_target(), family, out_precision=6)
+
+
+@pytest.mark.parametrize("mismatch", ["field", "length", "nvars"])
+def test_decompose_rejects_a_family_off_the_targets_ambient(mismatch, rng):
+    """Every member must share the target's field, length and nvars.
+    ``degree1_matrix`` compares the members with the first one only, so
+    this check is the one that compares them with the target."""
+    n, m = 2, 2
+    target = random_hsd(rng, n, m, GF(5))
+    if mismatch == "field":
+        family = taylor_basis(n, m, GF(3))
+    elif mismatch == "length":
+        family = [taylor_derivation(n, m, GF(5), 0), taylor_derivation(n, m + 1, GF(5), 1)]
+    else:
+        family = [taylor_derivation(n, m, GF(5), 0), taylor_derivation(n + 1, m, GF(5), 1)]
+    with pytest.raises(IncompatibleAmbient, match="family members must share"):
+        decompose(target, family, out_precision=m + 2)
 
 
 def test_decompose_round_trip_random(rng):

@@ -1,16 +1,21 @@
 """The shared product kernel and monomial-image builder against the
-brute-force and recursive versions in ``reference``, and the
-sum-of-products accumulator against a chain of products and sums."""
+brute-force and recursive versions in ``reference``, the
+sum-of-products accumulator against a chain of products and sums, and
+the demand-driven table sums against the term-by-term sums."""
 
 import pytest
 
-from hasseschmidt import QQ, CoeffTable, Series, TSeries, substitute, taylor_basis
-from hasseschmidt.derivations import taylor_derivation
+from hasseschmidt import (
+    QQ, CoeffTable, Series, TSeries, apply_table, substitute, taylor_basis,
+)
+from hasseschmidt.derivations import compose_multi, taylor_derivation
 from hasseschmidt.formula import table_sum
-from hasseschmidt.series import dot
+from hasseschmidt.series import dot, monomials_of_degree
 
 import reference
-from conftest import FIELDS, random_family, random_hsd, random_scalar, random_series
+from conftest import (
+    FIELDS, family_for, random_family, random_hsd, random_scalar, random_series, random_table,
+)
 
 PRECISIONS = (None, 1, 2, 3, 5, 7)
 
@@ -170,3 +175,59 @@ def test_product_coeff_and_table_sum_match_the_pairs(field, rng):
                     for min_parts in (1, 2):
                         got = table_sum(table, family, i, f, min_parts)
                         assert got == reference.table_sum(table, family, i, f, min_parts)
+
+
+def vanishing_inputs(n, field):
+    """Inputs whose D_mu(f) lose every term but keep a finite tag: X_j
+    trusted to degree 2 and a zero trusted to degree 3."""
+    return [Series.variable(n, field, j, precision=2) for j in range(n)] + [
+        Series.zero(n, field, 3)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["taylor", "random", "scaled"])
+def test_demand_driven_sums_match_the_reference(field, kind, rng):
+    """``table_sum`` builds a coefficient only where D_mu(f) has terms or a
+    finite tag and reads the tag alone elsewhere; value and tag equal the
+    sum over every term, on exact variables and degree-2 monomials, on
+    inputs whose D_mu(f) is zero with a finite tag, and on tables whose
+    entries truncate to zero with a finite tag.  Each memoized D_mu(f) is
+    ``compose_multi``'s."""
+    for n in (1, 2, 3):
+        m = rng.randint(2, 4)
+        family = family_for(kind, rng, n, m, field)
+        table = random_table(rng, n, m, field)
+        fs = [Series.variable(n, field, j) for j in range(n)]
+        fs += [Series.monomial(n, field, beta) for beta in monomials_of_degree(n, 2)]
+        fs += vanishing_inputs(n, field)
+        for i in range(1, m + 1):
+            for f in fs:
+                for min_parts in (1, 2):
+                    got = table_sum(table, family, i, f, min_parts)
+                    want = reference.table_sum(table, family, i, f, min_parts)
+                    assert (got, got.precision) == (want, want.precision), (i, f, min_parts)
+                got = apply_table(table, family, i, f)
+                want = reference.apply_table(table, family, i, f)
+                assert (got, got.precision) == (want, want.precision), (i, f)
+        for f, images in table._images.items():
+            assert len(images) > 1
+            for mu, g in images.items():
+                assert g == compose_multi(family, mu, f), (f, mu)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_product_tag_is_the_tag_of_product_coeff(field, rng):
+    """For every mu and weight, computed before the coefficient exists and
+    read off it afterwards, on tables with zero entries of finite tag."""
+    for n in (1, 2, 3):
+        for _ in range(3):
+            m = rng.randint(1, 5)
+            rows = random_table(rng, n, m, field).rows
+            first, second = (CoeffTable(rows, nvars=n, field=field) for _ in range(2))
+            for i in range(1, m + 1):
+                for parts in range(1, i + 1):
+                    for mu in monomials_of_degree(n, parts):
+                        tag = first.product_tag(mu, i)
+                        assert tag == second.product_coeff(mu, i).precision, (i, mu)
+                        assert second.product_tag(mu, i) == tag
+            assert first._tags and not first._products
