@@ -45,9 +45,10 @@ MAX_TRIALS = 10_000
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-def _bounded_int(low: int, high: int | None = None):
+def _bounded_int(low: int | None, high: int | None = None):
     """An argparse ``type``: a decimal integer (ASCII digits, optional
-    '-') from low to high; anything else is a usage error."""
+    '-') from low to high (None: no bound below); anything else is a
+    usage error."""
 
     def parse(text: str) -> int:
         try:
@@ -57,7 +58,7 @@ def _bounded_int(low: int, high: int | None = None):
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected an integer, got {reprlib.repr(text)}") from None
-        if value < low or (high is not None and value > high):
+        if (low is not None and value < low) or (high is not None and value > high):
             bound = f"at least {low}" if high is None else f"between {low} and {high}"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="Leibniz and reconstruction checks")
     p.add_argument("input", help="problem file (JSON)")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_bounded_int(None), default=None,
                    help="override the problem file's seed")
     p.add_argument("--trials", type=_bounded_int(0, MAX_TRIALS), default=25,
                    help=f"random pairs per Leibniz check (0 to {MAX_TRIALS})")

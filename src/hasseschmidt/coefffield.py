@@ -130,7 +130,7 @@ def component_matrix(D: HSDerivation, i: int, order: int,
     index = source.index
     rows = [{} for _ in range(len(target))]
     for c, beta in enumerate(source.monomials):
-        for e, v in D._image_of_monomial(beta, order).coeffs[i].terms.items():
+        for e, v in D._image_of_monomial(beta, order)[i].items():
             rows[index[e]][c] = v
     label = f"{D.name or 'D'}_{i}"
     return ComponentMatrix(rows, source, target, i, D.field, label)

@@ -39,7 +39,8 @@ class HSDerivation:
     components of the same derivation from several threads is safe.
     """
 
-    __slots__ = ("nvars", "length", "field", "images", "name", "_mono_cache", "_cut_caches")
+    __slots__ = ("nvars", "length", "field", "images", "name", "_image_slots", "_mono_cache",
+                 "_cut_caches")
 
     def __init__(self, images, name: str | None = None):
         images = list(images)
@@ -70,6 +71,8 @@ class HSDerivation:
         self.field = field
         self.images = images
         self.name = name
+        # the engine's view of the images: one terms dict per t-degree
+        self._image_slots = [[c.terms for c in img.coeffs] for img in images]
         self._mono_cache: dict = {}
         self._cut_caches: dict = {}  # order N -> {exps: E(X^exps) mod J_N}
 
@@ -90,8 +93,10 @@ class HSDerivation:
 
     # -- the components ----------------------------------------------
 
-    def _image_of_monomial(self, exps, order: int | None = None) -> TSeries:
-        """E(X^exps), built as E(X^(exps - e_j)) * E(X_j) and memoized.
+    def _image_of_monomial(self, exps, order: int | None = None) -> list:
+        """E(X^exps) as a slot list, its t^i coefficient's exponent ->
+        coefficient dict at index i, built as E(X^(exps - e_j)) * E(X_j)
+        and memoized; a read-only cache entry.
 
         With an ``order`` N the image is only computed modulo
         J_N = {sum_k a_k t^k : a_k in (X)^(N-k)} (see TSeries.mul_cut): its
@@ -103,7 +108,7 @@ class HSDerivation:
         else:
             cache = self._cut_caches.setdefault(order, {})
             cuts = range(order, order - self.length - 1, -1)
-        return monomial_image(exps, self.images, cache, cuts)
+        return monomial_image(exps, self._image_slots, self.field, cache, cuts)
 
     def apply_component(self, i: int, f: Series) -> Series:
         """D_i(f): the t^i coefficient of E(f).
@@ -119,7 +124,8 @@ class HSDerivation:
         if i == 0:
             return f
         prec = None if f.precision is None else max(f.precision - i, 0)
-        return image_sum(f, self.images, self._mono_cache, (i,), prec)[0]
+        acc, = image_sum(f, self._image_slots, self._mono_cache, (i,), prec)
+        return Series._of(f.nvars, f.field, acc, prec)
 
     def apply(self, f: Series) -> TSeries:
         """E(f), the full image in A[t]/(t^{length+1}); every slot is
@@ -128,7 +134,8 @@ class HSDerivation:
             raise IncompatibleAmbient("series does not match the derivation's ambient ring")
         m = self.length
         prec = None if f.precision is None else max(f.precision - m, 0)
-        return TSeries(image_sum(f, self.images, self._mono_cache, range(m + 1), prec))
+        slots = image_sum(f, self._image_slots, self._mono_cache, range(m + 1), prec)
+        return TSeries._of(f.nvars, f.field, slots, prec)
 
     def __eq__(self, other):
         if not isinstance(other, HSDerivation):

@@ -10,7 +10,14 @@ precision.
 
 A :class:`TSeries` is an element of A[t]/(t^{tlen+1}) stored as its list
 of t-coefficients.  It is the carrier for substitution homomorphisms
-X_j |-> image_j, which is how Hasse-Schmidt derivations act.
+X_j |-> image_j, which is how Hasse-Schmidt derivations act, at the API.
+
+The engine below works on plain slot lists instead: one exponent ->
+coefficient dict per t-degree, without ambient or tag.  Products of
+slot lists (``_mul_slots``), monomial images (``monomial_image``) and
+their linear combinations (``image_sum``) never build a Series; their
+callers wrap the result once.  Dicts that an engine cache holds are
+read-only.
 """
 
 from __future__ import annotations
@@ -58,7 +65,9 @@ def monomials_of_degree(nvars: int, degree: int):
 
 
 class Series:
-    __slots__ = ("nvars", "field", "terms", "precision")
+    # _hash is set on the first hash() call only; no operation changes a
+    # Series after construction
+    __slots__ = ("nvars", "field", "terms", "precision", "_hash")
 
     def __init__(self, nvars: int, field: FieldSpec, terms=None, precision: int | None = None):
         if nvars < 0:
@@ -295,9 +304,13 @@ class Series:
         )
 
     def __hash__(self):
-        return hash(
-            (self.nvars, self.field, self.precision, frozenset(self.terms.items()))
-        )
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(
+                (self.nvars, self.field, self.precision, frozenset(self.terms.items()))
+            )
+            return self._hash
 
     def _format_term(self, exps, coeff) -> str:
         factors = [
@@ -349,6 +362,14 @@ class TSeries:
                 raise IncompatibleAmbient("t-coefficients carry different precisions")
         self.coeffs = coeffs
 
+    @classmethod
+    def _of(cls, nvars, field, slots, precision):
+        """Internal constructor from engine slots: fresh dicts that
+        ``Series._of`` accepts, wrapped with one shared ambient and tag."""
+        self = object.__new__(cls)
+        self.coeffs = [Series._of(nvars, field, s, precision) for s in slots]
+        return self
+
     @property
     def tlen(self) -> int:
         return len(self.coeffs) - 1
@@ -385,25 +406,19 @@ class TSeries:
         J_N = {sum_k a_k t^k : a_k in (X)^(N-k)}, which is an ideal because
         the cuts do not increase with k, so the operands may themselves be
         cut results.  The tags stay those of the operands: a cut result is
-        one exact representative of its class modulo J_N.
+        one exact representative of its class modulo J_N.  The slots are
+        multiplied by ``_mul_slots``, with the weaker tag folded into the
+        cuts, and wrapped once.
         """
         if (self.nvars, self.field, self.tlen) != (other.nvars, other.field, other.tlen):
             raise IncompatibleAmbient("TSeries operands disagree on ambient or t-length")
-        tlen = self.tlen
-        nvars, field = self.nvars, self.field
+        field = self.field
         prec = min_prec(self.precision, other.precision)
-        add, mul = field.add, field.mul
-        slots: list[dict] = [dict() for _ in range(tlen + 1)]
-        other_parts = [(tb, fb.terms) for tb, fb in enumerate(other.coeffs) if fb.terms]
-        for ta, fa in enumerate(self.coeffs):
-            if fa.is_zero():
-                continue
-            for tb, fb_terms in other_parts:
-                if ta + tb > tlen:
-                    break
-                bound = prec if cuts is None else min_prec(prec, cuts[ta + tb])
-                _mac(slots[ta + tb], fa.terms, fb_terms, bound, add, mul)
-        return TSeries([Series._of(nvars, field, s, prec) for s in slots])
+        if prec is not None:
+            cuts = [prec] * len(self.coeffs) if cuts is None else [min_prec(prec, c) for c in cuts]
+        slots = _mul_slots([c.terms for c in self.coeffs], [c.terms for c in other.coeffs],
+                           cuts, field.add, field.mul)
+        return TSeries._of(self.nvars, field, slots, prec)
 
     def __eq__(self, other):
         if not isinstance(other, TSeries):
@@ -442,7 +457,9 @@ def substitute(f: Series, images) -> TSeries:
         if img.precision is not None:
             raise IncompatibleAmbient("substitution images must be exact polynomials")
     prec = None if f.precision is None else max(f.precision - tlen, 0)
-    return TSeries(image_sum(f, images, {}, range(tlen + 1), prec))
+    slots = image_sum(f, [[c.terms for c in img.coeffs] for img in images], {},
+                      range(tlen + 1), prec)
+    return TSeries._of(f.nvars, f.field, slots, prec)
 
 
 # -- the shared engine: products, monomial images, linear images ----------
@@ -486,37 +503,61 @@ def dot(pairs, nvars: int, field: FieldSpec, precision: int | None = None) -> Se
     return Series._of(nvars, field, acc, prec)
 
 
-def monomial_image(exps, images, cache: dict, cuts=None) -> TSeries:
-    """The image of X^exps under X_j -> images[j], memoized in ``cache``.
+def _mul_slots(a: list, b: list, cuts, add, mul) -> list:
+    """The product of two slot lists of one length L in A[t]/(t^L): slot k
+    is sum_{i+j=k} a[i] * b[j], kept below total degree cuts[k] (``cuts``
+    None keeps every product), in fresh dicts without zero coefficients.
+    Empty slots are skipped."""
+    tlen = len(a) - 1
+    out: list[dict] = [{} for _ in a]
+    b_parts = [(tb, fb) for tb, fb in enumerate(b) if fb]
+    for ta, fa in enumerate(a):
+        if not fa:
+            continue
+        for tb, fb in b_parts:
+            k = ta + tb
+            if k > tlen:
+                break
+            _mac(out[k], fa, fb, None if cuts is None else cuts[k], add, mul)
+    return [s if all(s.values()) else {e: c for e, c in s.items() if c} for s in out]
 
+
+def monomial_image(exps, images: list, field: FieldSpec, cache: dict, cuts=None) -> list:
+    """The image of X^exps under X_j -> images[j], as a slot list (one
+    exponent -> coefficient dict per t-degree), memoized in ``cache``.
+
+    ``images`` are the slot lists of exact images, all of one length.
     Built as image(X^(exps - e_j)) * images[j] with j the first nonzero
     exponent: the loop walks down to the nearest cached monomial (or to
     1) and multiplies back up, caching every intermediate image, so no
-    exponent is too large for it.  ``cuts`` as in TSeries.mul_cut; the
-    cache must only ever see one value of it.
+    exponent is too large for it.  ``cuts`` as in ``_mul_slots``; the
+    cache must only ever see one value of it.  The result is a cache
+    entry: read it, never change it.
     """
     chain = []
     result = cache.get(exps)
     while result is None:
         if not any(exps):
-            first = images[0]
-            result = TSeries.from_series(Series.one(first.nvars, first.field), first.tlen)
+            result = [{exps: field.one()}] + [{} for _ in images[0][1:]]
             cache[exps] = result
             break
         j = next(d for d, e in enumerate(exps) if e)
         chain.append((exps, j))
         exps = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
         result = cache.get(exps)
+    add, mul = field.add, field.mul
     for exps, j in reversed(chain):
-        result = result * images[j] if cuts is None else result.mul_cut(images[j], cuts)
+        result = _mul_slots(result, images[j], cuts, add, mul)
         cache[exps] = result
     return result
 
 
-def image_sum(f: Series, images, cache: dict, slots, prec) -> list:
-    """[sum_e c_e * image(X^e).coeffs[s] for s in slots] over the terms
-    c_e X^e of f, each kept below total degree ``prec`` (None keeps all)
-    and carrying that precision; images memoized in ``cache``."""
+def image_sum(f: Series, images: list, cache: dict, slots, prec) -> list:
+    """[sum_e c_e * image(X^e)[s] for s in slots] over the terms c_e X^e
+    of f, as fresh exponent -> coefficient dicts kept below total degree
+    ``prec`` (None keeps all); they may hold zero coefficients, which
+    ``Series._of`` drops.  ``images`` and ``cache`` as in
+    ``monomial_image``."""
     field = f.field
     add, mul = field.add, field.mul
     out = []
@@ -525,12 +566,12 @@ def image_sum(f: Series, images, cache: dict, slots, prec) -> list:
         for exps, coeff in f.terms.items():
             mono = cache.get(exps)
             if mono is None:
-                mono = monomial_image(exps, images, cache)
-            for e, v in mono.coeffs[s].terms.items():
+                mono = monomial_image(exps, images, field, cache)
+            for e, v in mono[s].items():
                 if prec is not None and sum(e) >= prec:
                     continue
                 w = mul(coeff, v)
                 prev = acc.get(e)
                 acc[e] = w if prev is None else add(prev, w)
-        out.append(Series._of(f.nvars, field, acc, prec))
+        out.append(acc)
     return out

@@ -8,7 +8,9 @@ once, from those two.  Substitution is the version from before the
 products and monomial images moved into shared helpers, with its own
 recursion and its own scaled sum; its image products, and the products
 and inverses here, are pair-by-pair brute force, so they share no loop
-with the library's product kernel.  An ordinary derivation acts by the
+with the library's product kernel.  Monomial images, cut modulo J_N or
+not, come from the chain of TSeries products the library walked before
+its engine moved to slot lists.  An ordinary derivation acts by the
 Leibniz rule term by term, as it did before it became a length-1
 Hasse-Schmidt derivation.  The residual, table application, coordinate
 solve and decomposition are the versions from before a decomposition
@@ -71,6 +73,38 @@ def inverse(a, target_precision):
         power = product(power, minus_u)
         total = total + power
     return total.scale(c0_inv)
+
+
+def monomial_image(exps, images, cache, cuts=None):
+    """The monomial-image chain from before the library's engine moved to
+    slot lists: image(X^exps) = image(X^(exps - e_j)) * images[j], j the
+    first nonzero exponent, walked down to the nearest cached monomial
+    (or to 1) and multiplied back up as TSeries, caching every step.  The
+    products are ``tseries_product``'s; with ``cuts``, slot k of each
+    product then keeps only its terms below total degree cuts[k], which
+    are the products a cut product forms."""
+    chain = []
+    result = cache.get(exps)
+    while result is None:
+        if not any(exps):
+            first = images[0]
+            result = TSeries.from_series(Series.one(first.nvars, first.field), first.tlen)
+            cache[exps] = result
+            break
+        j = next(d for d, e in enumerate(exps) if e)
+        chain.append((exps, j))
+        exps = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+        result = cache.get(exps)
+    for exps, j in reversed(chain):
+        result = tseries_product(result, images[j])
+        if cuts is not None:
+            result = TSeries([
+                Series(c.nvars, c.field, {e: v for e, v in c.terms.items() if sum(e) < cut},
+                       c.precision)
+                for c, cut in zip(result.coeffs, cuts)
+            ])
+        cache[exps] = result
+    return result
 
 
 def substitute(f, images):

@@ -476,6 +476,10 @@ def test_calls_in_one_process_do_not_leak_into_each_other(tmp_path, capsys, monk
     ["verify", "{input}", "--trials", "2.5"],
     ["verify", "{input}", "--trials", "1" * 5000],
     ["verify", "{input}", "--seed", "x"],
+    ["verify", "{input}", "--seed", " 7"],
+    ["verify", "{input}", "--seed", "+7"],
+    ["verify", "{input}", "--seed", "7_0"],
+    ["verify", "{input}", "--seed", "\u0667"],  # Arabic-Indic seven
     ["kernel", "{input}", "--bogus"],
 ], ids=lambda argv: " ".join(a[:12] for a in argv) or "no-arguments")
 def test_usage_errors_exit_1_with_argparse_s_message(tmp_path, capsys, argv):
@@ -504,6 +508,12 @@ def test_the_bounds_are_inclusive(tmp_path, capsys):
     assert "(9 pairs" in capsys.readouterr().out  # the basis pairs alone
     assert main(["decompose", path, "--max-degree", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["verified_to_degree"] == 0
+
+
+def test_a_negative_seed_is_accepted(tmp_path, capsys):
+    path = write_problem(tmp_path / "worked.json", worked_problem())
+    assert main(["verify", path, "--seed", "-7", "--trials", "1"]) == 0
+    assert "[seed=-7]" in capsys.readouterr().out
 
 
 def test_the_largest_trial_count_is_accepted():

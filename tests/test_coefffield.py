@@ -260,7 +260,7 @@ def test_degree1_only_kernels_cut_their_images_to_two_slots(monkeypatch):
     family = taylor_basis(2, 4, GF(2))
     coefficient_field(family, 5, degree1_only=True)
     assert [D.length for D in seen] == [1, 1]
-    assert {img.tlen for D in seen for img in D._cut_caches[5].values()} == {1}
+    assert {len(img) for D in seen for img in D._cut_caches[5].values()} == {2}
     del seen[:]
     coefficient_field(family, 5)
     assert {id(D) for D in seen} == {id(D) for D in family}  # length 4 = N - 1: no copies

@@ -1,5 +1,5 @@
-"""The shared product kernel and monomial-image builder against the
-brute-force and recursive versions in ``reference``, the
+"""The shared product kernel and the slot-list monomial images against
+the brute-force versions and the TSeries chain in ``reference``, the
 sum-of-products accumulator against a chain of products and sums, and
 the demand-driven table sums against the term-by-term sums."""
 
@@ -10,7 +10,8 @@ from hasseschmidt import (
 )
 from hasseschmidt.derivations import compose_multi, taylor_derivation
 from hasseschmidt.formula import table_sum
-from hasseschmidt.series import dot, monomials_of_degree
+from hasseschmidt.coefffield import component_matrix
+from hasseschmidt.series import dot, monomial_image, monomials_of_degree
 
 import reference
 from conftest import (
@@ -47,6 +48,24 @@ def test_tseries_mul_matches_brute_force(rng):
                 prec = rng.choice(PRECISIONS)
                 a, b = (random_tseries(rng, 2, tlen, field, prec) for _ in range(2))
                 assert a * b == reference.tseries_product(a, b), (a, b)
+
+
+def test_cut_tseries_mul_is_the_brute_force_product_reduced(rng):
+    """mul_cut keeps slot k of the product below cuts[k] and the weaker
+    tag, whichever is lower, and carries the weaker tag."""
+    for field in FIELDS:
+        for tlen in (1, 2, 3):
+            for _ in range(10):
+                prec = rng.choice(PRECISIONS)
+                a, b = (random_tseries(rng, 2, tlen, field, prec) for _ in range(2))
+                N = rng.randint(1, 6)
+                cuts = range(N, N - tlen - 1, -1)
+                full = reference.tseries_product(a, b)
+                want = [Series(2, field, {e: c for e, c in s.terms.items() if sum(e) < cut}, prec)
+                        for s, cut in zip(full.coeffs, cuts)]
+                got = a.mul_cut(b, cuts)
+                assert got == TSeries(want), (a, b, N)
+                assert all(c.precision == prec for c in got.coeffs)
 
 
 def test_inverse_matches_brute_force(rng):
@@ -90,6 +109,16 @@ def test_apply_and_components_match_reference(rng):
                         assert D.apply_component(i, f) == expected, (D, f, i)
 
 
+def slots_of(ts):
+    """The slot list of a TSeries: one terms dict per t-degree."""
+    return [c.terms for c in ts.coeffs]
+
+
+def reduce_mod_J(slots, order):
+    """Slot k kept below total degree order - k: the reduction modulo J_N."""
+    return [{e: c for e, c in s.items() if sum(e) < order - k} for k, s in enumerate(slots)]
+
+
 def test_monomial_images_strip_the_first_variable_and_cache_every_step(rng):
     D = random_hsd(rng, 3, 2, QQ)
     D.apply_component(1, Series.monomial(3, QQ, (0, 2, 1)))
@@ -97,12 +126,77 @@ def test_monomial_images_strip_the_first_variable_and_cache_every_step(rng):
     D.apply_component(2, Series.monomial(3, QQ, (1, 2, 1)))
     assert set(D._mono_cache) == {(1, 2, 1), (0, 2, 1), (0, 1, 1), (0, 0, 1), (0, 0, 0)}
     for exps, image in D._mono_cache.items():
-        assert image == reference.substitute(Series.monomial(3, QQ, exps), D.images)
+        assert image == slots_of(reference.substitute(Series.monomial(3, QQ, exps), D.images))
     cut = D._image_of_monomial((2, 0, 1), 4)
     assert set(D._cut_caches[4]) == {(2, 0, 1), (1, 0, 1), (0, 0, 1), (0, 0, 0)}
     exact = reference.substitute(Series.monomial(3, QQ, (2, 0, 1)), D.images)
-    for i in range(3):
-        assert cut.coeffs[i].truncate(4 - i) == exact.coeffs[i].truncate(4 - i)
+    assert len(cut) == 3
+    assert cut == reduce_mod_J(slots_of(exact), 4)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_slot_images_match_the_tseries_chain(field, rng):
+    """Cut and uncut slot images of every monomial up to degree 5 against
+    the TSeries chain in ``reference``, on random exact images whose t^0
+    coefficients are arbitrary polynomials; the cut image at N is the
+    uncut one reduced modulo J_N, and no slot keeps a zero coefficient."""
+    for nvars in (1, 2, 3):
+        for tlen in (1, 2, 3):
+            images = [random_tseries(rng, nvars, tlen, field) for _ in range(nvars)]
+            slots = [slots_of(img) for img in images]
+            cache, ref_cache = {}, {}
+            cut_caches = {N: {} for N in (1, 2, 4, 6)}
+            ref_cut_caches = {N: {} for N in cut_caches}
+            for degree in range(6):
+                for exps in monomials_of_degree(nvars, degree):
+                    image = monomial_image(exps, slots, field, cache)
+                    assert image == slots_of(reference.monomial_image(exps, images, ref_cache))
+                    for N, cut_cache in cut_caches.items():
+                        cuts = range(N, N - tlen - 1, -1)
+                        cut = monomial_image(exps, slots, field, cut_cache, cuts)
+                        ref = reference.monomial_image(exps, images, ref_cut_caches[N], cuts)
+                        assert cut == slots_of(ref), (exps, N)
+                        assert cut == reduce_mod_J(image, N), (exps, N)
+            for c in (cache, *cut_caches.values()):
+                assert all(v for image in c.values() for s in image for v in s.values())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_component_matrix_columns_are_truncated_components(field, rng):
+    """Column X^beta of the weight-i matrix on the order-N quotient is
+    D_i(X^beta) truncated below N - i, for every beta and i < N."""
+    for nvars, length, order in ((1, 4, 5), (2, 3, 4), (3, 2, 3)):
+        D = random_hsd(rng, nvars, length, field, max_degree=3, max_terms=3)
+        for i in range(min(length, order - 1) + 1):
+            mat = component_matrix(D, i, order)
+            for c, beta in enumerate(mat.source.monomials):
+                column = {mat.target.monomials[r]: row[c] for r, row in enumerate(mat.rows)
+                          if c in row}
+                want = D.apply_component(i, Series.monomial(nvars, field, beta))
+                assert column == want.truncate(order - i).terms, (i, beta)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_results_never_share_a_cached_dict(field, rng):
+    """What apply_component, apply and substitute return holds fresh dicts:
+    clearing them leaves every cached image equal to the reference, and
+    the same calls give the same values again."""
+    for nvars in (1, 2, 3):
+        D = random_hsd(rng, nvars, 3, field)
+        fs = [Series.monomial(nvars, field, e) for e in monomials_of_degree(nvars, 2)]
+        fs += [random_series(rng, nvars, field, max_degree=3, max_terms=4) for _ in range(4)]
+        before = [(D.apply_component(2, f), D.apply(f), substitute(f, D.images)) for f in fs]
+        cached = {id(s) for image in D._mono_cache.values() for s in image}
+        for f, (component, full, sub) in zip(fs, before):
+            for g in (component, *full.coeffs, *sub.coeffs):
+                assert id(g.terms) not in cached
+                g.terms.clear()
+            want = reference.substitute(f, D.images)
+            assert D.apply_component(2, f) == want.coeffs[2], f
+            assert D.apply(f) == want == substitute(f, D.images), f
+        for exps, image in D._mono_cache.items():
+            want = reference.substitute(Series.monomial(nvars, field, exps), D.images)
+            assert image == slots_of(want), exps
 
 
 @pytest.mark.parametrize("evaluate", ["apply_component", "apply", "substitute"])

@@ -36,6 +36,25 @@ def test_equality_is_structural():
     assert a != a.truncate(5)  # differing precision tags differ structurally
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_equal_series_hash_equal_and_the_cached_hash_is_fresh(field, rng):
+    """Series built apart (validating constructor, engine products and
+    sums) hash alike when equal, and the hash cached on the first call
+    equals one computed afresh from the fields."""
+    for nvars in (1, 2, 3):
+        for _ in range(20):
+            prec = rng.choice((None, 2, 4))
+            a = random_series(rng, nvars, field, precision=prec)
+            b = random_series(rng, nvars, field, precision=prec)
+            ab = a * b + a
+            twin = Series(nvars, field, dict(ab.terms), ab.precision)
+            assert ab == twin and hash(ab) == hash(twin)
+            for f in (a, b, ab, twin):
+                fresh = hash((f.nvars, f.field, f.precision, frozenset(f.terms.items())))
+                assert hash(f) == fresh
+                assert f._hash == fresh and hash(f) == fresh
+
+
 def test_ambient_mismatch_raises():
     x = Series.variable(1, QQ, 0)
     y = Series.variable(2, QQ, 0)
