@@ -55,6 +55,7 @@ class HSDerivation:
             raise IncompatibleAmbient(
                 f"expected {nvars} images for {nvars} variables, got {len(images)}"
             )
+        one = field.one()
         for j, img in enumerate(images):
             if img.nvars != nvars or img.field != field:
                 raise IncompatibleAmbient("variable images live in different ambient rings")
@@ -62,7 +63,9 @@ class HSDerivation:
                 raise IncompatibleAmbient("variable images disagree on length")
             if img.precision is not None:
                 raise IncompatibleAmbient("variable images must be exact polynomials")
-            if img.coeffs[0] != Series.variable(nvars, field, j):
+            # the t^0 coefficient is exactly X_j: tag None (checked above), terms {e_j: 1}
+            e_j = (0,) * j + (1,) + (0,) * (nvars - j - 1)
+            if img.coeffs[0].terms != {e_j: one}:
                 raise IncompatibleAmbient(
                     f"t^0 coefficient of image {j} must be the variable X{j + 1}"
                 )

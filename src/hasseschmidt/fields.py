@@ -59,7 +59,7 @@ def is_prime(n: int) -> bool:
 
 
 _GF_SCALAR = re.compile(r"-?[0-9]+")
-_Q_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_Q_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class FieldSpec:
@@ -134,11 +134,13 @@ class FieldSpec:
         if not isinstance(text, str):
             raise ValueError(f"expected a scalar string, got {reprlib.repr(text)}")
         grammar = _GF_SCALAR if self.p is not None else _Q_SCALAR
-        if not grammar.fullmatch(text):
+        match = grammar.fullmatch(text)
+        if not match:
             raise ValueError(f"{reprlib.repr(text)} is not a scalar of {self!r}")
         if self.p is not None:
             return int(text, 10) % self.p
-        return Fraction(text)
+        num, den = match.groups()
+        return Fraction(int(num), 1 if den is None else int(den))
 
     def format_scalar(self, a) -> str:
         """The text form of a field element.  Raises CoefficientTooLarge on

@@ -15,14 +15,20 @@ Formats:
                 "coefficients": table or absent}
 
 Emission is canonical (sorted keys, graded-lex term order) so identical
-inputs produce byte-identical reports.
+inputs produce byte-identical reports.  ``dumps`` is a small writer of
+its own for the values these forms hold (dicts with str keys, lists,
+str, int, bool and None); it gives the bytes of
+``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, at less
+than half the cost of the stdlib's pure-Python indenting encoder.
 
 A problem's order is the larger of its truncation and length + 1: the
 kernel works on k[X]/(X)^truncation, decompose keeps the table to that
 precision, and verify runs every weight up to the length.  A problem
 with more than NVARS_CAP variables, or with more than MONOMIAL_CAP
-monomials below its order, is refused before anything is built.  Every refusal is a ProblemFormatError whose message
-is one line, with input values shortened by ``reprlib``.
+monomials below its order, is refused before anything is built.  Each
+term of a series is checked once, in ``series_from_json``.  Every
+refusal is a ProblemFormatError whose message is one line, with input
+values shortened by ``reprlib``.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import json
 import re
 import reprlib
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .errors import HasseSchmidtError, ProblemFormatError
 from .fields import EXPONENT_CAP, GF, QQ, FieldSpec
@@ -111,6 +118,13 @@ def series_to_json(f: Series) -> dict:
 
 
 def series_from_json(obj, nvars: int, field: FieldSpec) -> Series:
+    """The series of a JSON object, every term checked here and only here:
+    its length, its exponents (integers from 0 to EXPONENT_CAP), its
+    coefficient (``field.parse_scalar``) and that no exponent repeats,
+    also among the terms that are dropped.  Terms at or above the
+    precision are dropped here and zero coefficients by ``Series._of``,
+    which wraps the rest without a second check, as ``Series(...)``
+    would have dropped them."""
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise ProblemFormatError(
             f"series must be an object with a 'terms' array, got {reprlib.repr(obj)}")
@@ -140,10 +154,9 @@ def series_from_json(obj, nvars: int, field: FieldSpec) -> Series:
         if key in terms:
             raise ProblemFormatError(f"duplicate exponent {key} in series")
         terms[key] = value
-    try:
-        return Series(nvars, field, terms, prec)
-    except HasseSchmidtError as exc:
-        raise ProblemFormatError(str(exc)) from exc
+    if prec is not None:  # only now: a duplicate above prec is still refused
+        terms = {e: c for e, c in terms.items() if sum(e) < prec}
+    return Series._of(nvars, field, terms, prec)
 
 
 def tseries_to_json(ts: TSeries) -> list:
@@ -327,9 +340,47 @@ def problem_from_json(obj) -> Problem:
     return Problem(field, nvars, length, truncation, seed, derivations, target, coefficients)
 
 
+# the text of each scalar type the canonical forms hold; str through the
+# escaper json.dumps uses by default (ASCII output, \uXXXX escapes)
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _text(value, newline: str) -> str:
+    """value as indented JSON, its nested lines starting with newline."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = newline + "  "
+    if type(value) is list:
+        if not value:
+            return "[]"
+        try:  # a row of scalars, such as a term, in one pass
+            items = [_SCALARS[type(v)](v) for v in value]
+        except KeyError:
+            items = [_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        # a key that is not a str fails in sorted() or in the escaper
+        items = [encode_basestring_ascii(k) + ": " + _text(value[k], inner)
+                 for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"cannot write a {type(value).__name__} as canonical JSON")
+
+
 def dumps(obj) -> str:
-    """Canonical JSON emission: sorted keys, two-space indent, newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON emission: the bytes of
+    ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, without
+    the stdlib's pure-Python indenting encoder.  obj is built from dicts
+    with str keys (written in sorted order), lists, str, int, bool and
+    None; any other type, a float or a tuple included, is a TypeError."""
+    return _text(obj, "\n") + "\n"
 
 
 def load_problem(path) -> Problem:

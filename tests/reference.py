@@ -23,16 +23,23 @@ D_mu is applied, where the library reads each mu's sum off
 prod_d c_d(t)^mu_d.  The monomial sweep is the reconstruction check from
 before it was decided on the variables alone, and the per-weight
 Leibniz check the one from before it compared E(fg) with E(f) E(g).
+A JSON series is read as it was before each term was checked only once:
+the loader's checks, then the validating ``Series`` constructor, which
+checks every term again and drops those at or above the precision.
 They are slow on purpose and must not change with the library.
 """
 
 import random
+import reprlib
 
 from hasseschmidt import CoeffTable, HSDerivation, Series, TSeries
 from hasseschmidt.coefffield import ComponentMatrix, KernelReport, QuotientBasis
 from hasseschmidt.decompose import VerificationReport, Witness, _agree_to_trusted, degree1_matrix
 from hasseschmidt.derivations import LeibnizReport, _random_polynomial, compose_multi
-from hasseschmidt.errors import ComponentOutOfRange, LengthMismatch, PrecisionExhausted
+from hasseschmidt.errors import (
+    ComponentOutOfRange, HasseSchmidtError, LengthMismatch, PrecisionExhausted, ProblemFormatError,
+)
+from hasseschmidt.fields import EXPONENT_CAP
 from hasseschmidt.series import min_prec, monomials_of_degree
 
 
@@ -518,3 +525,40 @@ def leibniz_check(D, trials=25, seed=0, basis_degree=2, random_degree=3):
         if bad:
             return LeibnizReport(False, checked, length, seed, bad)
     return LeibnizReport(True, checked, length, seed, None)
+
+
+def series_from_json(obj, nvars, field):
+    """The loader's checks on every term, then ``Series(...)``'s."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
+        raise ProblemFormatError(
+            f"series must be an object with a 'terms' array, got {reprlib.repr(obj)}")
+    prec = obj.get("prec", "exact")
+    if prec == "exact":
+        prec = None
+    elif type(prec) is not int or prec < 0:
+        raise ProblemFormatError(f"bad precision {reprlib.repr(prec)}")
+    terms = {}
+    for row in obj["terms"]:
+        if not isinstance(row, list) or len(row) != nvars + 1:
+            raise ProblemFormatError(
+                f"term {reprlib.repr(row)} must list {nvars} exponents and one coefficient"
+            )
+        exps, coeff = row[:-1], row[-1]
+        if not all(type(e) is int and e >= 0 for e in exps):
+            raise ProblemFormatError(f"bad exponents in term {reprlib.repr(row)}")
+        if max(exps, default=0) > EXPONENT_CAP:
+            raise ProblemFormatError(
+                f"exponent above the cap {EXPONENT_CAP} in term {reprlib.repr(row[:-1])}"
+            )
+        try:
+            value = field.parse_scalar(coeff)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ProblemFormatError(f"bad coefficient {reprlib.repr(coeff)}: {exc}") from exc
+        key = tuple(exps)
+        if key in terms:
+            raise ProblemFormatError(f"duplicate exponent {key} in series")
+        terms[key] = value
+    try:
+        return Series(nvars, field, terms, prec)
+    except HasseSchmidtError as exc:
+        raise ProblemFormatError(str(exc)) from exc

@@ -1,5 +1,6 @@
 """Fuzzing the command-line boundary: any argv and any problem-file bytes
-end in an exit code from 0 to 3, never an exception (SystemExit included)."""
+end in an exit code from 0 to 3, never an exception (SystemExit included),
+and every JSON report printed is what the stdlib encoder writes for it."""
 
 import io
 import json
@@ -155,3 +156,7 @@ def test_main_answers_every_argv_and_file_with_an_exit_code(case):
     if code in (1, 2):
         assert err.getvalue(), argv
         assert not out.getvalue(), argv
+    if argv[0] in ("decompose", "kernel") and out.getvalue():
+        assert code in (0, 3), (argv, code)
+        report = out.getvalue()
+        assert report == json.dumps(json.loads(report), indent=2, sort_keys=True) + "\n", argv

@@ -87,6 +87,14 @@ def test_images_must_start_with_the_variable():
     x = Series.variable(1, QQ, 0)
     with pytest.raises(IncompatibleAmbient):
         HSDerivation([TSeries([x + 1, x])])
+    for field in (QQ, GF(5)):
+        x1, x2 = Series.variable(2, field, 0), Series.variable(2, field, 1)
+        for first in (x1 * 2, x1 * 4, x1 + x2, Series.zero(2, field), x1 * x1):
+            with pytest.raises(IncompatibleAmbient, match="t\\^0 coefficient of image 0 must be "
+                                                          "the variable X1"):
+                HSDerivation([TSeries([first, x2]), TSeries([x2, x1])])
+        with pytest.raises(IncompatibleAmbient, match="image 1 must be the variable X2"):
+            HSDerivation([TSeries([x1, x2]), TSeries([x1, x1])])
 
 
 def test_truncated_keeps_the_low_components_and_the_name(rng):

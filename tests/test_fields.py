@@ -1,6 +1,7 @@
 """Field arithmetic and the binomial machinery."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -175,3 +176,15 @@ def test_scalar_grammar_accepts_signed_integers_and_fractions():
     assert QQ.parse_scalar("0") == Fraction(0)
     with pytest.raises(ZeroDivisionError):
         QQ.parse_scalar("1/0")
+
+
+@given(st.from_regex(r"-?[0-9]+(/[0-9]+)?", fullmatch=True))
+def test_q_scalars_parse_as_fraction_parses_their_text(text):
+    try:
+        expected = Fraction(text)
+    except ZeroDivisionError as exc:
+        with pytest.raises(ZeroDivisionError, match=re.escape(str(exc))):
+            QQ.parse_scalar(text)
+        return
+    value = QQ.parse_scalar(text)
+    assert type(value) is Fraction and value == expected

@@ -3,17 +3,22 @@
 import json
 import math
 import sys
+from fractions import Fraction
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hasseschmidt import GF, QQ, CoeffTable, HSDerivation, Series, TSeries
+from hasseschmidt import GF, QQ, CoeffTable, HSDerivation, Series, TSeries, taylor_basis
+from hasseschmidt.coefffield import coefficient_field
+from hasseschmidt.decompose import DecompositionResult, decompose, verify_decomposition
 from hasseschmidt.errors import ProblemFormatError
 from hasseschmidt import serialize
 from hasseschmidt.derivations import taylor_derivation
 
-from conftest import random_hsd, random_series
+import reference
+from conftest import FIELDS, random_hsd, random_series
 
 
 def test_field_strings():
@@ -198,6 +203,147 @@ def test_load_problem_malformed_json(tmp_path):
 
 def test_dumps_is_canonical():
     assert serialize.dumps({"b": 1, "a": [2]}) == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
+
+
+# -- the canonical writer against the stdlib encoder ---------------------------------
+
+def stdlib_dumps(value) -> str:
+    """The oracle ``serialize.dumps`` must match byte for byte."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII (BMP and astral),
+# line separators, a byte-order mark and lone surrogates
+AWKWARD_CHARS = st.sampled_from(
+    ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\u00e9", "\u2028", "\ufeff",
+     "\ud800", "\udfff", "\U0001f600"])
+JSON_STRINGS = st.text(st.one_of(st.characters(exclude_categories=()), AWKWARD_CHARS),
+                       max_size=8)
+JSON_INTS = st.one_of(
+    st.integers(), st.integers(-10 ** 300, 10 ** 300),
+    st.sampled_from([2 ** 63, -2 ** 64, 10 ** 4000]),
+)
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | JSON_INTS | JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+def test_dumps_writes_the_bytes_of_the_stdlib_encoder(value):
+    assert serialize.dumps(value) == stdlib_dumps(value)
+
+
+def emitted_forms(rng):
+    """A decomposition with a witness, kernel reports, and a problem with
+    a target and coefficients."""
+    field = QQ
+    T = random_hsd(rng, 2, 2, field)
+    family = taylor_basis(2, 2, field)
+    result = decompose(T, family, out_precision=6, verify_degree=3)
+    rows = [list(row) for row in result.table.rows]
+    rows[1][0] = rows[1][0] + Series.constant(2, field, Fraction(-7, 3))
+    table = CoeffTable(rows)
+    report = verify_decomposition(T, family, table, 3)
+    assert report.witness is not None
+    failed = DecompositionResult(table, report.verified_to_degree, result.basis_order,
+                                 report.witness)
+    kernel_family = taylor_basis(2, 3, GF(2))
+    return [
+        serialize.decomposition_to_json(failed, field),
+        serialize.decomposition_to_json(result, field),
+        serialize.kernel_report_to_json(coefficient_field(kernel_family, 4)),
+        serialize.kernel_report_to_json(coefficient_field(kernel_family, 4, degree1_only=True)),
+        worked_problem_json(),
+    ]
+
+
+def test_dumps_writes_every_emitted_form_as_the_stdlib_encoder_does(rng):
+    forms = emitted_forms(rng)
+    assert forms[0]["witness"] is not None and "target" in forms[-1]
+    for form in forms:
+        assert serialize.dumps(form) == stdlib_dumps(form)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, (1, 2), {1: "a"}, {"a": 1, 2: "b"}, [[0, 0.0]], {"terms": [(0, "1")]}, [0, 1, b"x"],
+])
+def test_dumps_refuses_types_outside_the_canonical_forms(value):
+    with pytest.raises(TypeError):
+        serialize.dumps(value)
+
+
+# -- the load path against the validating constructor --------------------------------
+
+COEFFICIENTS = st.sampled_from(["1", "-2", "7", "0", "-0", "0/3", "3/4", "-6/4", 2, 0, -9])
+PRECISIONS = st.sampled_from([None, "exact", 0, 1, 2, 3, 5])  # None: no "prec" key
+BAD_EXPONENTS = st.sampled_from([-1, True, False, 4097, 1.0, "1", None])
+BAD_COEFFICIENTS = st.sampled_from(["1/0", "x", "1.5", " 2", "+1", True, 1.5, None, [1]])
+BAD_PRECISIONS = st.sampled_from([-1, True, 2.0, "3", None, [2]])
+BAD_ROWS = st.sampled_from([None, "x", 3, {}])
+
+
+@st.composite
+def json_series(draw, nvars):
+    """A JSON series with terms below and above the precision and zero
+    coefficients; in about half the draws one mistake is put in: a wrong
+    arity, a bad exponent, coefficient or precision, a duplicate exponent
+    or a row that is not a list."""
+    rows = [[draw(st.integers(0, 3)) for _ in range(nvars)] + [draw(COEFFICIENTS)]
+            for _ in range(draw(st.integers(0, 5)))]
+    obj = {"terms": rows}
+    prec = draw(PRECISIONS)
+    if prec is not None:
+        obj["prec"] = prec
+    mistake = draw(st.sampled_from(
+        [None] * 7 + ["arity", "exponent", "coefficient", "duplicate", "row", "prec", "cap"]))
+    at = draw(st.integers(0, max(len(rows) - 1, 0)))
+    if mistake in ("arity", "exponent", "coefficient", "duplicate", "cap") and rows:
+        row = rows[at]
+        if mistake == "arity" and draw(st.booleans()):
+            row.insert(0, 0)
+        elif mistake == "arity":
+            row.pop(0)
+        elif mistake == "exponent":
+            row[draw(st.integers(0, nvars - 1))] = draw(BAD_EXPONENTS)
+        elif mistake == "cap":
+            row[draw(st.integers(0, nvars - 1))] = draw(st.sampled_from([4096, 4097, 10 ** 9]))
+        elif mistake == "coefficient":
+            row[-1] = draw(BAD_COEFFICIENTS)
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), row[:-1] + [draw(COEFFICIENTS)])
+    elif mistake == "row":
+        rows.insert(at, draw(BAD_ROWS))
+    elif mistake == "prec":
+        obj["prec"] = draw(BAD_PRECISIONS)
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 3), st.data())
+def test_series_from_json_agrees_with_the_validating_constructor(field, nvars, data):
+    obj = data.draw(json_series(nvars))
+    try:
+        expected = reference.series_from_json(obj, nvars, field)
+    except ProblemFormatError as exc:
+        with pytest.raises(ProblemFormatError) as info:
+            serialize.series_from_json(obj, nvars, field)
+        assert str(info.value) == str(exc)
+        return
+    assert serialize.series_from_json(obj, nvars, field) == expected  # terms and tag
+
+
+def test_series_from_json_drops_high_and_zero_terms_but_not_duplicates():
+    obj = {"prec": 2, "terms": [[0, 0, "1"], [1, 1, "2"], [0, 3, "5"], [1, 0, "0/4"]]}
+    loaded = serialize.series_from_json(obj, 2, QQ)
+    assert (loaded.terms, loaded.precision) == ({(0, 0): Fraction(1)}, 2)
+    assert serialize.series_from_json({"terms": [[1, 0, "10"]]}, 2, GF(5)).terms == {}
+    for exps in ([1, 1], [0, 0]):  # a duplicate above the precision, and one below it
+        obj = {"prec": 2, "terms": [exps + ["1"], [0, 1, "1"], exps + ["2"]]}
+        with pytest.raises(ProblemFormatError, match=r"^duplicate exponent \(\d, \d\) in series$"):
+            serialize.series_from_json(obj, 2, QQ)
 
 
 def test_monomials_below_counts_and_saturates():
