@@ -9,6 +9,7 @@ truncated quotients in positive characteristic.
 from .errors import (
     CoefficientTooLarge,
     ComponentOutOfRange,
+    DegreeLimitExceeded,
     HasseSchmidtError,
     IncompatibleAmbient,
     LengthMismatch,
@@ -100,4 +101,5 @@ __all__ = [
     "PrecisionExhausted",
     "ProblemFormatError",
     "CoefficientTooLarge",
+    "DegreeLimitExceeded",
 ]

@@ -16,18 +16,21 @@ the other weights are never stacked.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient, PrecisionExhausted
 from .fields import FieldSpec
-from .series import Series, monomials_of_degree
+from .series import Series, monomials_of_degree, pack
 from .derivations import HSDerivation
 from .decompose import _det, degree1_matrix, degree1_values
 
 
 class QuotientBasis:
-    """The monomials of total degree < N in graded-lex order."""
+    """The monomials of total degree < N in graded-lex order: exponent
+    tuples in ``monomials``, and ``index`` from the packed key of each
+    (see series.pack) to its position."""
 
     __slots__ = ("nvars", "order", "monomials", "index")
 
@@ -39,7 +42,7 @@ class QuotientBasis:
         self.monomials = tuple(
             e for degree in range(order) for e in monomials_of_degree(nvars, degree)
         )
-        self.index = {e: i for i, e in enumerate(self.monomials)}
+        self.index = {pack(e): i for i, e in enumerate(self.monomials)}
 
     def prefix(self, order: int) -> "QuotientBasis":
         """The basis of the order-``order`` quotient, order <= self.order:
@@ -50,7 +53,7 @@ class QuotientBasis:
         out = object.__new__(QuotientBasis)
         out.nvars, out.order = self.nvars, order
         out.monomials = self.monomials[: math.comb(order - 1 + self.nvars, self.nvars)]
-        out.index = {e: i for i, e in enumerate(out.monomials)}
+        out.index = dict(itertools.islice(self.index.items(), len(out.monomials)))
         return out
 
     def __len__(self):
@@ -129,7 +132,7 @@ def component_matrix(D: HSDerivation, i: int, order: int,
     # a monomial has the same index in the target as in the source
     index = source.index
     rows = [{} for _ in range(len(target))]
-    for c, beta in enumerate(source.monomials):
+    for beta, c in index.items():
         for e, v in D._image_of_monomial(beta, order)[i].items():
             rows[index[e]][c] = v
     label = f"{D.name or 'D'}_{i}"
@@ -297,11 +300,15 @@ def nomura_unit_test(family, points) -> bool:
     """Whether det(D^d_1(a_j)) has a nonzero constant term.
 
     ``points`` supplies the elements a_j; with a_j = X_j this is the unit
-    test for the degree-1 matrix itself.
+    test for the degree-1 matrix itself.  det(M) mod (X) = det(M mod (X)),
+    so the determinant is taken of the entries truncated to precision 1:
+    field elements, with their tags kept, so an entry trusted to no
+    degree still answers False.
     """
     family = list(family)
     points = list(points)
     n = family[0].nvars
     if len(points) != n:
         raise IncompatibleAmbient(f"expected {n} points, got {len(points)}")
-    return bool(_det(degree1_values(family, points)).constant_term())
+    values = degree1_values(family, points)
+    return bool(_det([[v.truncate(1) for v in row] for row in values]).constant_term())

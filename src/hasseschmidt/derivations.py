@@ -27,6 +27,7 @@ from .series import (
     image_sum,
     monomial_image,
     monomials_of_degree,
+    variable_key,
 )
 
 
@@ -64,8 +65,7 @@ class HSDerivation:
             if img.precision is not None:
                 raise IncompatibleAmbient("variable images must be exact polynomials")
             # the t^0 coefficient is exactly X_j: tag None (checked above), terms {e_j: 1}
-            e_j = (0,) * j + (1,) + (0,) * (nvars - j - 1)
-            if img.coeffs[0].terms != {e_j: one}:
+            if img.coeffs[0].terms != {variable_key(nvars, j): one}:
                 raise IncompatibleAmbient(
                     f"t^0 coefficient of image {j} must be the variable X{j + 1}"
                 )
@@ -77,7 +77,7 @@ class HSDerivation:
         # the engine's view of the images: one terms dict per t-degree
         self._image_slots = [[c.terms for c in img.coeffs] for img in images]
         self._mono_cache: dict = {}
-        self._cut_caches: dict = {}  # order N -> {exps: E(X^exps) mod J_N}
+        self._cut_caches: dict = {}  # order N -> {key: E(X^beta) mod J_N}
 
     # -- constructors ------------------------------------------------
 
@@ -96,14 +96,15 @@ class HSDerivation:
 
     # -- the components ----------------------------------------------
 
-    def _image_of_monomial(self, exps, order: int | None = None) -> list:
-        """E(X^exps) as a slot list, its t^i coefficient's exponent ->
-        coefficient dict at index i, built as E(X^(exps - e_j)) * E(X_j)
-        and memoized; a read-only cache entry.
+    def _image_of_monomial(self, key: int, order: int | None = None) -> list:
+        """E(X^beta) for the packed key of beta (see series.pack) as a
+        slot list, its t^i coefficient's key -> coefficient dict at index
+        i, built as E(X^(beta - e_j)) * E(X_j) and memoized; a read-only
+        cache entry.
 
         With an ``order`` N the image is only computed modulo
         J_N = {sum_k a_k t^k : a_k in (X)^(N-k)} (see TSeries.mul_cut): its
-        t^i coefficient is D_i(X^exps) below degree N - i, which is all a
+        t^i coefficient is D_i(X^beta) below degree N - i, which is all a
         component matrix on the order-N quotient reads.
         """
         if order is None:
@@ -111,7 +112,7 @@ class HSDerivation:
         else:
             cache = self._cut_caches.setdefault(order, {})
             cuts = range(order, order - self.length - 1, -1)
-        return monomial_image(exps, self._image_slots, self.field, cache, cuts)
+        return monomial_image(key, self._image_slots, self.field, cache, cuts)
 
     def apply_component(self, i: int, f: Series) -> Series:
         """D_i(f): the t^i coefficient of E(f).

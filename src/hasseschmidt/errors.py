@@ -35,3 +35,8 @@ class ProblemFormatError(HasseSchmidtError):
 
 class CoefficientTooLarge(HasseSchmidtError):
     """A coefficient has too many digits to be written as text."""
+
+
+class DegreeLimitExceeded(HasseSchmidtError):
+    """A monomial would reach total degree series.DEGREE_LIMIT, where its
+    packed exponent key could carry from one exponent into the next."""

@@ -41,7 +41,7 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import HasseSchmidtError, ProblemFormatError
 from .fields import EXPONENT_CAP, GF, QQ, FieldSpec
-from .series import Series, TSeries, grlex_key
+from .series import Series, TSeries, grlex_sorted, pack, unpack
 from .derivations import HSDerivation
 from .formula import CoeffTable
 from .coefffield import KernelReport
@@ -110,9 +110,10 @@ def _int_field(obj: dict, key: str, minimum: int | None = None) -> int:
 
 
 def series_to_json(f: Series) -> dict:
+    n = f.nvars
     terms = [
-        list(e) + [f.field.format_scalar(f.terms[e])]
-        for e in sorted(f.terms, key=grlex_key)
+        list(unpack(e, n)) + [f.field.format_scalar(f.terms[e])]
+        for e in grlex_sorted(f.terms, n)
     ]
     return {"prec": "exact" if f.precision is None else f.precision, "terms": terms}
 
@@ -121,10 +122,10 @@ def series_from_json(obj, nvars: int, field: FieldSpec) -> Series:
     """The series of a JSON object, every term checked here and only here:
     its length, its exponents (integers from 0 to EXPONENT_CAP), its
     coefficient (``field.parse_scalar``) and that no exponent repeats,
-    also among the terms that are dropped.  Terms at or above the
-    precision are dropped here and zero coefficients by ``Series._of``,
-    which wraps the rest without a second check, as ``Series(...)``
-    would have dropped them."""
+    also among the terms that are dropped.  Zero coefficients are
+    dropped by ``Series._of``, which wraps the packed terms without a
+    second check, and terms at or above the precision by
+    ``Series.truncate``, as ``Series(...)`` would have dropped them."""
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise ProblemFormatError(
             f"series must be an object with a 'terms' array, got {reprlib.repr(obj)}")
@@ -150,13 +151,13 @@ def series_from_json(obj, nvars: int, field: FieldSpec) -> Series:
             value = field.parse_scalar(coeff)
         except (ValueError, ZeroDivisionError) as exc:
             raise ProblemFormatError(f"bad coefficient {reprlib.repr(coeff)}: {exc}") from exc
-        key = tuple(exps)
+        key = pack(exps)
         if key in terms:
-            raise ProblemFormatError(f"duplicate exponent {key} in series")
+            raise ProblemFormatError(f"duplicate exponent {tuple(exps)} in series")
         terms[key] = value
-    if prec is not None:  # only now: a duplicate above prec is still refused
-        terms = {e: c for e, c in terms.items() if sum(e) < prec}
-    return Series._of(nvars, field, terms, prec)
+    f = Series._of(nvars, field, terms, None)
+    # only now: a duplicate above prec is still refused
+    return f if prec is None else f.truncate(prec)
 
 
 def tseries_to_json(ts: TSeries) -> list:

@@ -1,6 +1,6 @@
 """Sparse truncated multivariate power series and their t-extension.
 
-A :class:`Series` is a finite map exponent-vector -> nonzero coefficient
+A :class:`Series` is a finite map monomial -> nonzero coefficient
 together with an ambient (nvars, field) and a precision tag.  Precision
 ``None`` means "exact": the value is a plain polynomial.  A finite
 precision N means the value is only trusted modulo monomials of total
@@ -18,14 +18,34 @@ slot lists (``_mul_slots``), monomial images (``monomial_image``) and
 their linear combinations (``image_sum``) never build a Series; their
 callers wrap the result once.  Dicts that an engine cache holds are
 read-only.
+
+Every monomial is keyed by one int, its packed exponent vector
+(``pack``): the total degree in the top, unbounded field, then e_1 ..
+e_n in B-bit fields, e_n lowest.  The key of a product is the sum of
+the keys, the total degree is ``key >> (n * B)``, and a degree bound is
+one comparison against ``bound << (n * B)``.  Keys of one total degree
+order by e_1, then e_2, ..: graded-lex order, which ``grlex_sorted``
+reads off the key.  A field can carry into the next only from an
+exponent of 2^B, which needs a total degree of DEGREE_LIMIT = 2^B, so
+no key is made there: ``pack`` and the product kernel raise
+DegreeLimitExceeded first.  These keys are in ``Series.terms``, in the
+engine's slot dicts and in the monomial-image caches.  Exponent tuples
+remain only at the edge: the public ``Series(...)`` constructor and
+``Series.monomial``, ``Series.tuple_terms``, ``__str__``, the JSON
+files of ``serialize`` and ``QuotientBasis.monomials``.  Multi-indices
+mu and alpha are not monomials and stay tuples.
 """
 
 from __future__ import annotations
 
-import operator
-
-from .errors import IncompatibleAmbient, NotAUnit
+from .errors import DegreeLimitExceeded, IncompatibleAmbient, NotAUnit
 from .fields import FieldSpec
+
+# bits per exponent field of a packed key; every monomial stays below
+# total degree DEGREE_LIMIT, so no field overflows into the next
+B = 32
+DEGREE_LIMIT = 1 << B
+_FIELD_MASK = DEGREE_LIMIT - 1
 
 
 def min_prec(a: int | None, b: int | None) -> int | None:
@@ -36,14 +56,41 @@ def min_prec(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-def grlex_key(exponents):
-    """Sort key realizing graded lexicographic order, X1 largest."""
-    return (sum(exponents), tuple(-e for e in exponents))
+def pack(exps) -> int:
+    """The key of the exponent vector ``exps``: its total degree shifted
+    above e_1 .. e_n, B bits each.  DegreeLimitExceeded from total degree
+    DEGREE_LIMIT on; the exponents must not be negative."""
+    key = degree = 0
+    for e in exps:
+        key = key << B | e
+        degree += e
+    if degree >= DEGREE_LIMIT:
+        raise DegreeLimitExceeded(f"total degree {degree} reaches the limit {DEGREE_LIMIT} "
+                                  "of packed monomial keys")
+    return degree << len(exps) * B | key
+
+
+def unpack(key: int, nvars: int) -> tuple:
+    """The exponent vector of a key in nvars variables."""
+    return tuple(key >> i * B & _FIELD_MASK for i in range(nvars - 1, -1, -1))
+
+
+def variable_key(nvars: int, j: int) -> int:
+    """The key of X_j (j is 0-based); X^(beta - e_j) is key - variable_key."""
+    return 1 << nvars * B | 1 << (nvars - 1 - j) * B
+
+
+def grlex_sorted(keys, nvars: int, reverse: bool = False) -> list:
+    """The keys in graded lexicographic order, X1 largest: by total
+    degree, and within one degree by e_1 descending, then e_2, ..  Within
+    one degree a larger key has the larger (e_1, .., e_n), so flipping the
+    exponent bits reverses their order and keeps the degree order."""
+    return sorted(keys, key=((1 << nvars * B) - 1).__xor__, reverse=reverse)
 
 
 def monomials_of_degree(nvars: int, degree: int):
     """The exponent vectors of total degree ``degree`` in ``nvars``
-    variables, in graded-lex order (see grlex_key): X1 largest first."""
+    variables, in graded-lex order (see grlex_sorted): X1 largest first."""
     if degree < 0 or (nvars == 0 and degree):
         return
     if nvars == 0:
@@ -70,6 +117,9 @@ class Series:
     __slots__ = ("nvars", "field", "terms", "precision", "_hash")
 
     def __init__(self, nvars: int, field: FieldSpec, terms=None, precision: int | None = None):
+        """``terms`` maps exponent tuples to coefficients; each is checked
+        and packed, and terms at or above the precision and zero
+        coefficients are dropped."""
         if nvars < 0:
             raise ValueError("nvars must be >= 0")
         if precision is not None and precision < 0:
@@ -89,7 +139,7 @@ class Series:
                 if precision is not None and sum(exps) >= precision:
                     continue
                 if coeff:
-                    clean[tuple(exps)] = coeff
+                    clean[pack(exps)] = coeff
         self.terms = clean
 
     # -- constructors ------------------------------------------------
@@ -97,7 +147,7 @@ class Series:
     @classmethod
     def _of(cls, nvars, field, terms, precision):
         """Internal constructor for a fresh dict the engine below made:
-        tuple keys of length nvars below the precision, which is not
+        packed keys in nvars variables below the precision, which is not
         negative.  Only zero coefficients are dropped; a dict without
         them becomes the terms itself, not a copy."""
         self = object.__new__(cls)
@@ -120,7 +170,7 @@ class Series:
         c = field.coerce(value)
         if precision is not None and precision <= 0:
             return cls._of(nvars, field, {}, 0)
-        return cls._of(nvars, field, {(0,) * nvars: c}, precision)
+        return cls._of(nvars, field, {0: c}, precision)
 
     @classmethod
     def one(cls, nvars, field, precision=None):
@@ -144,11 +194,16 @@ class Series:
         return not self.terms
 
     def constant_term(self):
-        return self.terms.get((0,) * self.nvars, self.field.zero())
+        return self.terms.get(0, self.field.zero())
 
     def degree(self) -> int:
         """Maximal total degree of a stored monomial; -1 for the zero series."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(self.terms, default=-1) >> self.nvars * B
+
+    def tuple_terms(self) -> dict:
+        """The terms keyed by exponent tuples, in stored order."""
+        n = self.nvars
+        return {unpack(e, n): c for e, c in self.terms.items()}
 
     def _check_ambient(self, other: "Series") -> None:
         if self.nvars != other.nvars or self.field != other.field:
@@ -170,13 +225,14 @@ class Series:
         field = self.field
         prec = min_prec(self.precision, other.precision)
         # only an operand trusted beyond prec can hold terms at or above it
+        limit = None if prec is None else prec << self.nvars * B
         if self.precision == prec:
             terms = dict(self.terms)
         else:
-            terms = {e: c for e, c in self.terms.items() if sum(e) < prec}
+            terms = {e: c for e, c in self.terms.items() if e < limit}
         b = other.terms
         if other.precision != prec:
-            b = {e: c for e, c in b.items() if sum(e) < prec}
+            b = {e: c for e, c in b.items() if e < limit}
         add = field.add
         for e, c in b.items():
             prev = terms.get(e)
@@ -208,7 +264,7 @@ class Series:
         if len(a) > len(b):
             a, b = b, a
         acc: dict = {}
-        _mac(acc, a, b, prec, field.add, field.mul)
+        _mac(acc, a, b, prec, self.nvars * B, field.add, field.mul)
         return Series._of(self.nvars, field, acc, prec)
 
     def __rmul__(self, other):
@@ -219,7 +275,7 @@ class Series:
         if not c:
             return Series.zero(self.nvars, self.field, self.precision)
         mul = self.field.mul
-        return Series(
+        return Series._of(
             self.nvars, self.field, {e: mul(c, v) for e, v in self.terms.items()}, self.precision
         )
 
@@ -244,7 +300,8 @@ class Series:
         prec = min_prec(self.precision, precision)
         if prec == self.precision:
             return self
-        terms = {e: c for e, c in self.terms.items() if sum(e) < prec}
+        limit = prec << self.nvars * B
+        terms = {e: c for e, c in self.terms.items() if e < limit}
         return Series._of(self.nvars, self.field, terms, prec)
 
     def inverse(self, target_precision: int) -> "Series":
@@ -263,13 +320,13 @@ class Series:
         prec = min_prec(self.precision, target_precision)
         c0_inv = field.inv(c0)
         # tail = a - c0, grouped by total degree
+        shift = self.nvars * B
         by_degree: dict[int, dict] = {}
         for e, c in self.terms.items():
-            d = sum(e)
+            d = e >> shift
             if 0 < d < prec:
                 by_degree.setdefault(d, {})[e] = c
-        zero_exp = (0,) * self.nvars
-        out: dict[int, dict] = {0: {zero_exp: c0_inv}}
+        out: dict[int, dict] = {0: {0: c0_inv}}
         add, mul, neg = field.add, field.mul, field.neg
         for d in range(1, prec):
             acc: dict = {}
@@ -279,7 +336,7 @@ class Series:
                 slice_b = out.get(d - da)
                 if not slice_b:
                     continue
-                _mac(acc, slice_a, slice_b, None, add, mul)
+                _mac(acc, slice_a, slice_b, None, shift, add, mul)
             slice_d = {}
             for e, c in acc.items():
                 if c:
@@ -329,9 +386,10 @@ class Series:
         if not self.terms:
             body = "0"
         else:
+            n = self.nvars
             parts = [
-                self._format_term(e, self.terms[e])
-                for e in sorted(self.terms, key=grlex_key, reverse=True)
+                self._format_term(unpack(e, n), self.terms[e])
+                for e in grlex_sorted(self.terms, n, reverse=True)
             ]
             body = " + ".join(parts)
         if self.precision is None:
@@ -417,7 +475,7 @@ class TSeries:
         if prec is not None:
             cuts = [prec] * len(self.coeffs) if cuts is None else [min_prec(prec, c) for c in cuts]
         slots = _mul_slots([c.terms for c in self.coeffs], [c.terms for c in other.coeffs],
-                           cuts, field.add, field.mul)
+                           cuts, self.nvars * B, field.add, field.mul)
         return TSeries._of(self.nvars, field, slots, prec)
 
     def __eq__(self, other):
@@ -465,18 +523,37 @@ def substitute(f: Series, images) -> TSeries:
 # -- the shared engine: products, monomial images, linear images ----------
 
 
-def _mac(acc: dict, a: dict, b: dict, bound, add, mul) -> None:
-    """acc += a * b on exponent -> coefficient maps, keeping only the
-    products of total degree below ``bound`` (None keeps every one)."""
+def _mac(acc: dict, a: dict, b: dict, bound, shift: int, add, mul) -> None:
+    """acc += a * b on key -> coefficient maps whose exponent fields take
+    ``shift`` = n * B bits, keeping only the products of total degree
+    below ``bound`` (None keeps every one).
+
+    Under a bound of at most DEGREE_LIMIT no kept product can carry.
+    Without one (or above it), a product key at or past
+    DEGREE_LIMIT << shift, which is a product of total degree
+    DEGREE_LIMIT or more, carried or not, raises DegreeLimitExceeded
+    before it is stored."""
+    if bound is None or bound > DEGREE_LIMIT:
+        top = DEGREE_LIMIT << shift
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                if e >= top:
+                    raise DegreeLimitExceeded(f"a product reaches total degree {DEGREE_LIMIT}, "
+                                              "the limit of packed monomial keys")
+                v = mul(c1, c2)
+                prev = acc.get(e)
+                acc[e] = v if prev is None else add(prev, v)
+        return
+    limit = bound << shift
     for e1, c1 in a.items():
-        if bound is not None:
-            room = bound - sum(e1)
-            if room <= 0:
-                continue
+        room = limit - e1
+        if room <= 0:
+            continue
         for e2, c2 in b.items():
-            if bound is not None and sum(e2) >= room:
+            if e2 >= room:
                 continue
-            e = tuple(map(operator.add, e1, e2))
+            e = e1 + e2
             v = mul(c1, c2)
             prev = acc.get(e)
             acc[e] = v if prev is None else add(prev, v)
@@ -493,21 +570,21 @@ def dot(pairs, nvars: int, field: FieldSpec, precision: int | None = None) -> Se
     prec = precision
     for a, b in pairs:
         prec = min_prec(prec, min_prec(a.precision, b.precision))
-    add, mul = field.add, field.mul
+    add, mul, shift = field.add, field.mul, nvars * B
     acc: dict = {}
     for a, b in pairs:
         a, b = a.terms, b.terms
         if len(a) > len(b):
             a, b = b, a
-        _mac(acc, a, b, prec, add, mul)
+        _mac(acc, a, b, prec, shift, add, mul)
     return Series._of(nvars, field, acc, prec)
 
 
-def _mul_slots(a: list, b: list, cuts, add, mul) -> list:
+def _mul_slots(a: list, b: list, cuts, shift: int, add, mul) -> list:
     """The product of two slot lists of one length L in A[t]/(t^L): slot k
     is sum_{i+j=k} a[i] * b[j], kept below total degree cuts[k] (``cuts``
     None keeps every product), in fresh dicts without zero coefficients.
-    Empty slots are skipped."""
+    Empty slots are skipped; ``shift`` as in ``_mac``."""
     tlen = len(a) - 1
     out: list[dict] = [{} for _ in a]
     b_parts = [(tb, fb) for tb, fb in enumerate(b) if fb]
@@ -518,57 +595,65 @@ def _mul_slots(a: list, b: list, cuts, add, mul) -> list:
             k = ta + tb
             if k > tlen:
                 break
-            _mac(out[k], fa, fb, None if cuts is None else cuts[k], add, mul)
+            _mac(out[k], fa, fb, None if cuts is None else cuts[k], shift, add, mul)
     return [s if all(s.values()) else {e: c for e, c in s.items() if c} for s in out]
 
 
-def monomial_image(exps, images: list, field: FieldSpec, cache: dict, cuts=None) -> list:
-    """The image of X^exps under X_j -> images[j], as a slot list (one
-    exponent -> coefficient dict per t-degree), memoized in ``cache``.
+def monomial_image(key: int, images: list, field: FieldSpec, cache: dict, cuts=None) -> list:
+    """The image of the monomial with packed ``key`` under X_j -> images[j],
+    as a slot list (one key -> coefficient dict per t-degree), memoized
+    in ``cache``.
 
     ``images`` are the slot lists of exact images, all of one length.
-    Built as image(X^(exps - e_j)) * images[j] with j the first nonzero
-    exponent: the loop walks down to the nearest cached monomial (or to
-    1) and multiplies back up, caching every intermediate image, so no
-    exponent is too large for it.  ``cuts`` as in ``_mul_slots``; the
-    cache must only ever see one value of it.  The result is a cache
-    entry: read it, never change it.
+    Built as image(X^(beta - e_j)) * images[j] with j the first nonzero
+    exponent, the highest nonzero exponent field of the key: the loop
+    walks down to the nearest cached monomial (or to 1) and multiplies
+    back up, caching every intermediate image, so no exponent is too
+    large for it.  ``cuts`` as in ``_mul_slots``; the cache must only
+    ever see one value of it.  The result is a cache entry: read it,
+    never change it.
     """
+    result = cache.get(key)
+    if result is not None:
+        return result
+    n = len(images)
+    shift = n * B
+    exponent_bits = (1 << shift) - 1
     chain = []
-    result = cache.get(exps)
     while result is None:
-        if not any(exps):
-            result = [{exps: field.one()}] + [{} for _ in images[0][1:]]
-            cache[exps] = result
+        if not key:
+            result = [{0: field.one()}] + [{} for _ in images[0][1:]]
+            cache[0] = result
             break
-        j = next(d for d, e in enumerate(exps) if e)
-        chain.append((exps, j))
-        exps = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
-        result = cache.get(exps)
+        j = n - 1 - ((key & exponent_bits).bit_length() - 1) // B
+        chain.append((key, j))
+        key -= variable_key(n, j)
+        result = cache.get(key)
     add, mul = field.add, field.mul
-    for exps, j in reversed(chain):
-        result = _mul_slots(result, images[j], cuts, add, mul)
-        cache[exps] = result
+    for key, j in reversed(chain):
+        result = _mul_slots(result, images[j], cuts, shift, add, mul)
+        cache[key] = result
     return result
 
 
 def image_sum(f: Series, images: list, cache: dict, slots, prec) -> list:
     """[sum_e c_e * image(X^e)[s] for s in slots] over the terms c_e X^e
-    of f, as fresh exponent -> coefficient dicts kept below total degree
+    of f, as fresh key -> coefficient dicts kept below total degree
     ``prec`` (None keeps all); they may hold zero coefficients, which
     ``Series._of`` drops.  ``images`` and ``cache`` as in
     ``monomial_image``."""
     field = f.field
     add, mul = field.add, field.mul
+    limit = None if prec is None else prec << f.nvars * B
     out = []
     for s in slots:
         acc: dict = {}
-        for exps, coeff in f.terms.items():
-            mono = cache.get(exps)
+        for key, coeff in f.terms.items():
+            mono = cache.get(key)
             if mono is None:
-                mono = monomial_image(exps, images, field, cache)
+                mono = monomial_image(key, images, field, cache)
             for e, v in mono[s].items():
-                if prec is not None and sum(e) >= prec:
+                if limit is not None and e >= limit:
                     continue
                 w = mul(coeff, v)
                 prev = acc.get(e)

@@ -26,7 +26,10 @@ Leibniz check the one from before it compared E(fg) with E(f) E(g).
 A JSON series is read as it was before each term was checked only once:
 the loader's checks, then the validating ``Series`` constructor, which
 checks every term again and drops those at or above the precision.
-They are slow on purpose and must not change with the library.
+Graded-lex order is ``grlex_key`` on exponent tuples, the sort key the
+library used before its monomials became packed ints, and ``product``
+multiplies on exponent tuples.  They are slow on purpose and must not
+change with the library.
 """
 
 import random
@@ -43,12 +46,18 @@ from hasseschmidt.fields import EXPONENT_CAP
 from hasseschmidt.series import min_prec, monomials_of_degree
 
 
+def grlex_key(exponents):
+    """Sort key of graded lexicographic order on exponent tuples, X1
+    largest: by total degree, then by -e_1, -e_2, .."""
+    return (sum(exponents), tuple(-e for e in exponents))
+
+
 def product(a, b):
     """a * b pair by pair; Series() drops what the weaker tag cuts off."""
     field = a.field
     terms = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
+    for e1, c1 in a.tuple_terms().items():
+        for e2, c2 in b.tuple_terms().items():
             e = tuple(x + y for x, y in zip(e1, e2))
             terms[e] = field.add(terms.get(e, field.zero()), field.mul(c1, c2))
     return Series(a.nvars, field, terms, min_prec(a.precision, b.precision))
@@ -106,7 +115,8 @@ def monomial_image(exps, images, cache, cuts=None):
         result = tseries_product(result, images[j])
         if cuts is not None:
             result = TSeries([
-                Series(c.nvars, c.field, {e: v for e, v in c.terms.items() if sum(e) < cut},
+                Series(c.nvars, c.field,
+                       {e: v for e, v in c.tuple_terms().items() if sum(e) < cut},
                        c.precision)
                 for c, cut in zip(result.coeffs, cuts)
             ])
@@ -139,11 +149,11 @@ def substitute(f, images):
 
     add, mul = field.add, field.mul
     slots = [dict() for _ in range(tlen + 1)]
-    for exps, coeff in f.terms.items():
+    for exps, coeff in f.tuple_terms().items():
         mono = image_of_monomial(exps)
         for i, part in enumerate(mono.coeffs):
             acc = slots[i]
-            for e, v in part.terms.items():
+            for e, v in part.tuple_terms().items():
                 w = mul(coeff, v)
                 prev = acc.get(e)
                 acc[e] = w if prev is None else add(prev, w)
@@ -158,7 +168,7 @@ def derivation_apply(values, f):
     the precision of f minus 1."""
     nvars, field = f.nvars, f.field
     out = Series.zero(nvars, field, f.precision)
-    for exps, coeff in f.terms.items():
+    for exps, coeff in f.tuple_terms().items():
         for j, e in enumerate(exps):
             if e == 0:
                 continue

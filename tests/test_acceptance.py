@@ -239,7 +239,7 @@ def test_criterion_5_char_p_coefficient_fields():
 def partial_derivative(f, j):
     field = f.field
     terms = {}
-    for e, c in f.terms.items():
+    for e, c in f.tuple_terms().items():
         if e[j]:
             lower = list(e)
             lower[j] -= 1

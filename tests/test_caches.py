@@ -220,7 +220,8 @@ def test_the_cofactors_are_built_once_per_matrix(field, rng, monkeypatch):
                 if constant:
                     assert all(entry.precision is None for entry in cofactors)
                 else:
-                    assert all(sum(e) < precision for entry in cofactors for e in entry.terms)
+                    assert all(sum(e) < precision for entry in cofactors
+                               for e in entry.tuple_terms())
             # a decomposition builds the determinant and one set of cofactors
             del calls[:]
             assert decompose(random_hsd(rng, n, m, field), family, out_precision, 2).passed

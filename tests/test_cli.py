@@ -20,7 +20,7 @@ from hasseschmidt import (
     integrate,
     taylor_basis,
 )
-from hasseschmidt import cli, serialize
+from hasseschmidt import cli, serialize, series
 from hasseschmidt.cli import main
 from hasseschmidt.derivations import taylor_derivation
 
@@ -181,6 +181,22 @@ def test_a_huge_exponent_exits_1_quickly(tmp_path, capsys):
         assert main([command, str(path)]) == 1
         assert time.perf_counter() - start < 1.0
         assert "cap" in capsys.readouterr().err
+
+
+def test_a_product_at_the_degree_limit_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    """No file the caps admit reaches the degree limit of packed monomial
+    keys (tests/test_engine.py derives that from the caps), so the limit
+    is lowered to 8 here: E(X^2) for E(X) = X + (1 + X^5) t has degree
+    10 at t^2, and the Leibniz check stops there with one message."""
+    monkeypatch.setattr(series, "DEGREE_LIMIT", 8)
+    obj = serialize.problem_to_json(char2_problem())
+    obj["derivations"][0]["images"][0][1]["terms"] = [[0, "1"], [5, "1"]]
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "total degree 8" in captured.err
 
 
 def test_a_problem_past_the_nvars_cap_exits_1_before_building(tmp_path, capsys):

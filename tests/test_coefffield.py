@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import random
+import time
 
 import pytest
 
@@ -24,6 +26,7 @@ from hasseschmidt import cli, coefffield, serialize
 from hasseschmidt.cli import main
 from hasseschmidt.coefffield import nullspace
 from hasseschmidt.decompose import degree1_matrix, degree1_values
+from hasseschmidt.series import monomials_of_degree
 from hasseschmidt.errors import (
     ComponentOutOfRange,
     IncompatibleAmbient,
@@ -34,6 +37,7 @@ from hasseschmidt.errors import (
 from conftest import FIELDS, family_for, random_hsd, random_scalar, random_series
 from reference import (
     all_weights_kernel,
+    laplace_det,
     dense_component_matrix,
     dense_nullspace,
     dense_view,
@@ -97,10 +101,10 @@ def test_char2_taylor_column_vanishes_by_lucas():
     D = taylor_derivation(1, 4, GF(2), 0)
     mat = component_matrix(D, 2, 5)
     rows = dense_view(mat).rows
-    col = [row[mat.source.index[(4,)]] for row in rows]
+    col = [row[mat.source.monomials.index((4,))] for row in rows]
     assert all(v == 0 for v in col)
     # while the column of X^3 is C(3,2) X = X
-    col3 = [row[mat.source.index[(3,)]] for row in rows]
+    col3 = [row[mat.source.monomials.index((3,))] for row in rows]
     assert col3 == [0 if e != (1,) else 1 for e in mat.target.monomials]
 
 
@@ -381,7 +385,7 @@ def test_char_p_separation(p):
     assert partial.dimension >= 2
     # diagonal oracle: d/dX kills X^k mod p iff p divides k
     expected_partial = [(k,) for k in range(N) if k % p == 0]
-    assert [b.terms.copy().popitem()[0] for b in partial.basis] == expected_partial
+    assert [b.tuple_terms().popitem()[0] for b in partial.basis] == expected_partial
 
 
 # -- the unit test on points ----------------------------------------------------------
@@ -402,6 +406,86 @@ def test_nomura_euler_derivation_fails():
     x = Series.variable(1, QQ, 0)
     family = [integrate([x], 2)]
     assert not nomura_unit_test(family, [x])
+
+
+def degree1_family(rng, n, field, kind):
+    """Length-1 derivations whose values D^d_1(X_j) are constants, lower
+    triangular (zero for j < d) or dense polynomials of degree <= 2,
+    with random constant terms, zero included."""
+    family = []
+    for d in range(n):
+        values = []
+        for j in range(n):
+            constant = Series.constant(n, field, random_scalar(rng, field))
+            if kind == "constant":
+                values.append(constant)
+            elif kind == "triangular" and j < d:
+                values.append(Series.zero(n, field))
+            else:
+                values.append(constant + random_series(rng, n, field, max_degree=2))
+        family.append(integrate(values, 1))
+    return family
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["constant", "triangular", "dense"])
+def test_nomura_is_the_constant_term_of_the_exact_determinant(field, kind, rng):
+    """Against the plain Laplace determinant of the untruncated entries,
+    at the variables, at random polynomials, and at points trusted to
+    degree 1 or 2, whose entries are trusted to degree 0 or 1: a
+    precision-0 row answers False."""
+    answers = set()
+    for n in (1, 2, 3):
+        for _ in range(6):
+            family = degree1_family(rng, n, field, kind)
+            variables = [Series.variable(n, field, j) for j in range(n)]
+            polynomials = [x + random_series(rng, n, field, max_degree=2) for x in variables]
+            j = rng.randrange(n)
+            for points in (
+                variables,
+                polynomials,
+                [x.truncate(2) if d == j else x for d, x in enumerate(polynomials)],
+                [x.truncate(1) if d == j else x for d, x in enumerate(polynomials)],
+            ):
+                want = bool(laplace_det(degree1_values(family, points)).constant_term())
+                assert nomura_unit_test(family, points) == want, (family, points)
+                answers.add(want)
+    assert answers == {True, False}
+
+
+def test_nomura_with_a_point_trusted_to_no_degree_is_false():
+    """A point known modulo (X)^1 gives a row of entries known modulo
+    (X)^0, so no constant term of the determinant is known."""
+    family = taylor_basis(2, 1, QQ)
+    known = Series.variable(2, QQ, 0)
+    unknown = Series.one(2, QQ) + Series.variable(2, QQ, 1, precision=1)
+    for points in ([known, unknown], [unknown, known]):
+        assert [v.precision for v in degree1_values(family, points)[points.index(unknown)]] == [0, 0]
+        assert not nomura_unit_test(family, points)
+        assert not laplace_det(degree1_values(family, points)).constant_term()
+
+
+def test_nomura_on_a_dense_seven_variable_family_is_fast():
+    """GF(5), seven variables, every degree-1 value dense in the monomials
+    of degree 1 and 2, unit constants on the diagonal.  The exact
+    determinant of these values has about 93,000 terms; the constant
+    terms alone decide."""
+    field, n = GF(5), 7
+    rng = random.Random(7)
+    monomials = [e for d in (1, 2) for e in monomials_of_degree(n, d)]
+    family = []
+    for d in range(n):
+        values = []
+        for j in range(n):
+            terms = {e: rng.randrange(5) for e in monomials}
+            if j == d:
+                terms[(0,) * n] = rng.randrange(1, 5)
+            values.append(Series(n, field, terms))
+        family.append(integrate(values, 1))
+    variables = [Series.variable(n, field, j) for j in range(n)]
+    start = time.perf_counter()
+    assert nomura_unit_test(family, variables)
+    assert time.perf_counter() - start < 1.0
 
 
 # -- the fast paths against the dense references -------------------------------------

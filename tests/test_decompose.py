@@ -414,7 +414,7 @@ def target_from_table(table, family, m):
     for j in range(n):
         x = Series.variable(n, field, j)
         coeffs = [x] + [
-            Series(n, field, apply_table(table, family, i, x).terms) for i in range(1, m + 1)
+            Series(n, field, apply_table(table, family, i, x).tuple_terms()) for i in range(1, m + 1)
         ]
         images.append(TSeries(coeffs))
     return HSDerivation(images)

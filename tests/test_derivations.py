@@ -38,7 +38,7 @@ def partial(f, j):
     """d/dX_j, written directly on exponents (test oracle)."""
     field = f.field
     terms = {}
-    for e, c in f.terms.items():
+    for e, c in f.tuple_terms().items():
         if e[j] == 0:
             continue
         lower = list(e)
@@ -60,7 +60,7 @@ def shift_expansion(f):
     """f(X+T) as a 2n-variable polynomial (test oracle for the delta table)."""
     n, field = f.nvars, f.field
     out = Series.zero(2 * n, field)
-    for beta, c in f.terms.items():
+    for beta, c in f.tuple_terms().items():
         prod = Series.constant(2 * n, field, c)
         for j, e in enumerate(beta):
             xj = Series.variable(2 * n, field, j)
@@ -75,7 +75,7 @@ def delta_from_shift(f, alpha):
     n, field = f.nvars, f.field
     expanded = shift_expansion(f)
     terms = {}
-    for e, c in expanded.terms.items():
+    for e, c in expanded.tuple_terms().items():
         if tuple(e[n:]) == tuple(alpha):
             terms[tuple(e[:n])] = c
     return Series(n, field, terms)
