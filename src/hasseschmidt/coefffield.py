@@ -20,11 +20,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ComponentOutOfRange, IncompatibleAmbient, PrecisionExhausted
+from .errors import ComponentOutOfRange, IncompatibleAmbient, NotABasis, PrecisionExhausted
 from .fields import FieldSpec
 from .series import Series, monomials_of_degree, pack
 from .derivations import HSDerivation
-from .decompose import _det, degree1_matrix, degree1_values
+# bench/spans.py patches degree1_matrix in this namespace as well as in
+# decompose's
+from .decompose import _det, degree1_entries, degree1_matrix, degree1_values  # noqa: F401
 
 
 class QuotientBasis:
@@ -250,7 +252,8 @@ def coefficient_field(family, order: int, degree1_only: bool = False) -> KernelR
     Uses every weight 1..N-1 of every member (each member must be long
     enough); with ``degree1_only`` only the weight-1 components enter,
     which in characteristic p leaves the p-th powers in the kernel.  The
-    family's degree-1 parts must form a basis.
+    family's degree-1 parts must form a basis (NotABasis otherwise), which
+    is decided as in ``nomura_unit_test``.
 
     Only the deciding weights are stacked: 1 over Q, and 1, p, .., p^k
     <= N-1 over GF(p), from monomial images built through the largest of
@@ -275,7 +278,8 @@ def coefficient_field(family, order: int, degree1_only: bool = False) -> KernelR
     k[X^(p^(k+1))], and N <= p^(k+1), so f is a constant.
     """
     family = list(family)
-    degree1_matrix(family)  # NotABasis unless the degree-1 parts form a basis
+    if not _unit_det(degree1_entries(family)):
+        raise NotABasis("degree-1 values have non-unit determinant")
     max_weight = min(1, order - 1) if degree1_only else order - 1
     for D in family:
         if D.length < max_weight:
@@ -300,15 +304,19 @@ def nomura_unit_test(family, points) -> bool:
     """Whether det(D^d_1(a_j)) has a nonzero constant term.
 
     ``points`` supplies the elements a_j; with a_j = X_j this is the unit
-    test for the degree-1 matrix itself.  det(M) mod (X) = det(M mod (X)),
-    so the determinant is taken of the entries truncated to precision 1:
-    field elements, with their tags kept, so an entry trusted to no
-    degree still answers False.
+    test for the degree-1 matrix itself.
     """
     family = list(family)
     points = list(points)
     n = family[0].nvars
     if len(points) != n:
         raise IncompatibleAmbient(f"expected {n} points, got {len(points)}")
-    values = degree1_values(family, points)
-    return bool(_det([[v.truncate(1) for v in row] for row in values]).constant_term())
+    return _unit_det(degree1_values(family, points))
+
+
+def _unit_det(rows) -> bool:
+    """Whether det(rows) has a nonzero constant term.  det(M) mod (X) =
+    det(M mod (X)), so the determinant is taken of the entries truncated
+    to precision 1: field elements, with their tags kept, so an entry
+    trusted to no degree still answers False."""
+    return bool(_det([[v.truncate(1) for v in row] for row in rows]).constant_term())

@@ -133,12 +133,17 @@ def degree1_values(family, points) -> list:
     return [[D.apply_component(1, a) for D in members] for a in points]
 
 
-def degree1_matrix(family) -> Degree1Matrix:
-    """The degree-1 matrix of the first n members, n the number of
-    variables: entries[j][d] = D^d_1(X_j) is the t^1 coefficient of the
-    stored image E^d(X_j)."""
+def degree1_entries(family) -> list:
+    """The entries D^d_1(X_j), row j and column d, of the first n members,
+    n the number of variables: each the t^1 coefficient of the stored
+    image E^d(X_j)."""
     members = _leading_members(family)
-    entries = [[D.images[j].coeffs[1] for D in members] for j in range(len(members))]
+    return [[D.images[j].coeffs[1] for D in members] for j in range(len(members))]
+
+
+def degree1_matrix(family) -> Degree1Matrix:
+    """The degree-1 matrix of the first n members (see degree1_entries)."""
+    entries = degree1_entries(family)
     return Degree1Matrix(entries, _det(entries))
 
 
@@ -157,7 +162,7 @@ def residual(target: HSDerivation, family, table: CoeffTable, level: int, f: Ser
         raise ComponentOutOfRange(f"level {level} outside 1..{target.length}")
     if table.levels < level - 1:
         raise ValueError(f"table has {table.levels} levels, need {level - 1}")
-    return target.apply_component(level, f) - table_sum(table, family, level, f, 2)
+    return target.apply_component(level, f) - table_sum(table, family, level, f)
 
 
 def solve_derivation_coords(values, matrix: Degree1Matrix, out_precision: int) -> list:
@@ -300,11 +305,13 @@ def decompose(
     Proceeds level by level:  the residual at level N, evaluated on the
     variables, is solved against the degree-1 matrix; its coordinates
     are row N.  Each level extends the table with its caches (the
-    coefficients [t^i] P_mu and their tags, the residual sums and the
-    values D_mu(X_j) they read), so no coefficient is built twice and no
-    D_mu is applied to a variable twice, and the check on the variables
-    reuses the residual sums.  The filled table is then checked by
-    reconstruction up to verify_degree.  The family's degree-1 parts must form a basis
+    coefficients [t^i] P_mu, the residual sums and the values D_mu(X_j)
+    they read), so no coefficient is built twice and no D_mu is applied
+    to a variable twice, and the check on the variables reuses the
+    residual sums.  A coefficient is built only where D_mu(X_j) is not an
+    exact zero: the tags of the others are known without them (see
+    ``formula``).  The filled table is then checked by reconstruction up
+    to verify_degree.  The family's degree-1 parts must form a basis
     (NotABasis otherwise) and out_precision must exceed the length
     (PrecisionExhausted otherwise); the result is unique, hence
     deterministic.

@@ -13,9 +13,14 @@ and this evaluation reconstructs the target's components.
 
 The sums are demand-driven: D_mu(f) is evaluated first, once per
 (family, f, mu), and the coefficient [t^i] P_mu is built only when
-D_mu(f) has terms or a finite tag.  For any other mu the term is an
-exact zero times the coefficient, so only the coefficient's tag enters,
-and ``CoeffTable.product_tag`` gives it without building a product.
+D_mu(f) has terms or a finite tag.  No coefficient is built for its tag
+alone, because the tags of all of them are known in advance: a product
+that vanishes keeps the least tag of its factors (see ``dot``), so
+[t^i] P_mu with |mu| >= 2 carries the least tag of the entries it
+multiplies.  The coefficient of mu = 2 e_d, sum over r of
+C[r][d] C[i-r][d], reads every level 1..i-1 of slot d, and every other
+one reads only some of those levels.  So the least tag over all of them
+is the least tag of the entries at levels below i.
 """
 
 from __future__ import annotations
@@ -31,16 +36,14 @@ class CoeffTable:
 
     ``rows[l-1][d]`` stores C at level l and variable d (0-based d).
     The table is treated as immutable; derived values are cached on the
-    instance: the coefficients of ``product_coeff`` and the tags of
-    ``product_tag`` keyed by (mu, i), weighted-term lists, and for the
-    family it was last used with the sums of ``table_sum`` and the values
-    D_mu(f) they read.  A cached value at weight i reads only the rows at
-    levels <= i, and D_mu(f) reads no row, so ``extended`` hands every
-    cache on to the longer table.
+    instance: the coefficients of ``product_coeff`` keyed by (mu, i), and
+    for the family it was last used with the sums of ``table_sum`` and
+    the values D_mu(f) they read.  A cached value at weight i reads only
+    the rows at levels <= i, and D_mu(f) reads no row, so ``extended``
+    hands every cache on to the longer table.
     """
 
-    __slots__ = ("rows", "nvars", "field", "_term_cache", "_products", "_tags",
-                 "_sums", "_images")
+    __slots__ = ("rows", "nvars", "field", "_products", "_sums", "_images")
 
     def __init__(self, rows, nvars: int | None = None, field: FieldSpec | None = None):
         rows = [list(r) for r in rows]
@@ -59,10 +62,8 @@ class CoeffTable:
         self.rows = rows
         self.nvars = nvars
         self.field = field
-        self._term_cache: dict = {}
         self._products: dict = {}
-        self._tags: dict = {}
-        # (members, {(i, min_parts, f): table_sum}) of one family; another
+        # (members, {(i, f): table_sum}) of one family; another
         # family, told apart by the identity of its members, replaces it
         # together with _images, {f: {mu: D_mu(f)}} of the same family.
         # Holding the members keeps their ids from being reused.
@@ -89,9 +90,7 @@ class CoeffTable:
         row leaves alone.  The values D_mu(f) read no row at all, so the
         two tables share them."""
         out = CoeffTable(self.rows + [list(row)], nvars=self.nvars, field=self.field)
-        out._term_cache.update(self._term_cache)
         out._products.update(self._products)
-        out._tags.update(self._tags)
         if self._sums is not None:
             members, sums = self._sums
             out._sums = (members, dict(sums))
@@ -138,50 +137,32 @@ class CoeffTable:
             self._products[key] = out
         return out
 
-    def product_tag(self, mu, i: int):
-        """The tag of ``product_coeff(mu, i)``, memoized, without building
-        any product: the least tag of the entries and shorter
-        coefficients it would multiply (see ``dot``)."""
-        key = (mu, i)
-        built = self._products.get(key)
-        if built is not None:
-            return built.precision
-        if key not in self._tags:
-            j = next(d for d, e in enumerate(mu) if e)
-            parts = sum(mu)
-            if parts == 1:
-                tag = self.at(i, j).precision
-            else:
-                rest = mu[:j] + (mu[j] - 1,) + mu[j + 1:]
-                tag = None
-                for r in range(1, i - parts + 2):
-                    tag = min_prec(tag, min_prec(self.at(r, j).precision,
-                                                 self.product_tag(rest, i - r)))
-            self._tags[key] = tag
-        return self._tags[key]
-
 
 def weighted_terms(table: CoeffTable, i: int, min_parts: int = 1) -> list:
     """The (coefficient, mu) terms of the weight-i operator, one per mu
-    with |mu| >= min_parts in order of |mu|; cached per table.
+    with |mu| >= min_parts in order of |mu|.
 
     A coefficient that truncates to zero stays in the list when its tag is
     finite: the term contributes nothing but still limits the precision
     of the result.  ``table_sum`` builds only the coefficients it needs
     and does not call this; the list serves tests and the benchmark's
     spans, which count its terms."""
-    key = (i, min_parts)
-    cached = table._term_cache.get(key)
-    if cached is not None:
-        return cached
     terms = []
     for m in range(min_parts, i + 1):
         for mu in monomials_of_degree(table.nvars, m):
             coeff = table.product_coeff(mu, i)
             if coeff.terms or coeff.precision is not None:
                 terms.append((coeff, mu))
-    table._term_cache[key] = terms
     return terms
+
+
+def _least_tag(table: CoeffTable, levels):
+    """The least tag of the entries at the given levels."""
+    tag = None
+    for l in levels:
+        for d in range(table.nvars):
+            tag = min_prec(tag, table.at(l, d).precision)
+    return tag
 
 
 def _image(family, images: dict, mu) -> Series:
@@ -205,17 +186,15 @@ def _image(family, images: dict, mu) -> Series:
     return g
 
 
-def table_sum(table: CoeffTable, family, i: int, f: Series, min_parts: int = 1) -> Series:
-    """sum of [t^i] P_mu * D_mu(f) over mu with min_parts <= |mu| <= i,
-    memoized on the table for one family at a time; f is compared by
-    value.
+def table_sum(table: CoeffTable, family, i: int, f: Series) -> Series:
+    """sum of [t^i] P_mu * D_mu(f) over mu with 2 <= |mu| <= i, memoized
+    on the table for one family at a time; f is compared by value.
 
     The coefficient of D_mu is built only when g = D_mu(f) has terms or a
-    finite tag.  It is then summed with g when it has terms, and bounds
-    the tag by its own when it truncates to zero: the product's tag is
-    the weaker of the two, but a vanished coefficient leaves D_mu
-    unapplied (see ``weighted_terms``).  When g is an exact zero the term
-    is zero times the coefficient, whose tag ``product_tag`` gives; so
+    finite tag, and summed with g only when it has terms: a vanished
+    coefficient leaves D_mu unapplied (see ``weighted_terms``).  Every
+    coefficient bounds the tag, built or not, and the least of their tags
+    is that of the entries below level i (see the module docstring); so
     the value and tag are those of the sum over every term."""
     family = tuple(family)
     n = table.nvars
@@ -227,7 +206,7 @@ def table_sum(table: CoeffTable, family, i: int, f: Series, min_parts: int = 1) 
         table._sums = (family, {})
         table._images = {}
     sums = table._sums[1]
-    out = sums.get((i, min_parts, f))
+    out = sums.get((i, f))
     if out is None:
         images = table._images.get(f)
         if images is None:
@@ -235,19 +214,15 @@ def table_sum(table: CoeffTable, family, i: int, f: Series, min_parts: int = 1) 
                 raise IncompatibleAmbient("series does not match the derivation's ambient ring")
             images = table._images[f] = {(0,) * n: f}
         pairs = []
-        prec = f.precision
-        for m in range(min_parts, i + 1):
+        for m in range(2, i + 1):
             for mu in monomials_of_degree(n, m):
                 g = _image(family, images, mu)
                 if g.terms or g.precision is not None:
                     coeff = table.product_coeff(mu, i)
                     if coeff.terms:
                         pairs.append((coeff, g))
-                    else:
-                        prec = min_prec(prec, coeff.precision)
-                else:
-                    prec = min_prec(prec, table.product_tag(mu, i))
-        out = sums[(i, min_parts, f)] = dot(pairs, f.nvars, f.field, prec)
+        prec = min_prec(f.precision, _least_tag(table, range(1, i)))
+        out = sums[(i, f)] = dot(pairs, f.nvars, f.field, prec)
     return out
 
 
@@ -255,13 +230,15 @@ def apply_table(table: CoeffTable, family, i: int, f: Series) -> Series:
     """Apply the weight-i operator built from the family through the table:
     the memoized sum of the terms with at least two factors, which the
     level-i residual of a decomposition has already built, plus the
-    single-factor terms C[i][d] * D^d_1(f) read off the table (a
-    coefficient that truncates to zero bounds the tag alone)."""
+    single-factor terms C[i][d] * D^d_1(f) read off the table.  An entry
+    that truncates to zero bounds the tag alone, like every other entry
+    at level i."""
     family = tuple(family)
-    out = table_sum(table, family, i, f, 2)
-    one = Series.one(f.nvars, f.field)
+    out = table_sum(table, family, i, f)
     singles = []
     for d, mu in enumerate(monomials_of_degree(table.nvars, 1)):
         coeff = table.at(i, d)
-        singles.append((coeff, compose_multi(family, mu, f) if coeff.terms else one))
-    return out + dot(singles, f.nvars, f.field, f.precision)
+        if coeff.terms:
+            singles.append((coeff, compose_multi(family, mu, f)))
+    prec = min_prec(f.precision, _least_tag(table, (i,)))
+    return out + dot(singles, f.nvars, f.field, prec)

@@ -55,11 +55,13 @@ from .decompose import DecompositionResult
 # with about the cube of the length (CHANGES.md).
 MONOMIAL_CAP = 500
 
-# The most variables a problem may have.  The degree-1 determinant is an
-# exact Laplace expansion whose cost grows exponentially with nvars, not
-# with the monomial count: decompose of a dense GF(5) family of length 1
-# at truncation 2 took 0.9 s at n = 7 and 8.4 s (53 MB) at n = 8 on one
-# Xeon core under CPython 3.11.  The benchmark corpora reach 4.
+# The most variables a problem may have.  decompose takes the degree-1
+# determinant by an exact Laplace expansion whose cost grows exponentially
+# with nvars, not with the monomial count: for a dense GF(5) family with
+# entries of degree 1 and 2 at length 2 and order 3 it took 1.1 to 3.2 s
+# at n = 6 and 21 to 35 s at n = 7 on a Xeon under CPython 3.11.  Only
+# decompose still pays it; the kernel decides the basis from the constant
+# terms alone (7 ms at n = 7).  The benchmark corpora reach 4.
 NVARS_CAP = 7
 
 

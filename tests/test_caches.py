@@ -110,7 +110,7 @@ def test_apply_table_on_an_extended_table_matches_a_fresh_one(field, rng):
             for f in fs:
                 for i in range(1, level):
                     apply_table(table, family, i, f)
-                table_sum(table, family, level, f, 2)  # what the level residual reads
+                table_sum(table, family, level, f)  # what the level residual reads
             table = table.extended(row)
         fresh = CoeffTable(rows, nvars=n, field=field)
         for i in range(1, m + 1):
@@ -118,7 +118,9 @@ def test_apply_table_on_an_extended_table_matches_a_fresh_one(field, rng):
                 got = apply_table(table, family, i, f)
                 assert got == apply_table(fresh, family, i, f)
                 assert got == reference.apply_table(table, family, i, f)
-                assert got == table_sum(table, family, i, f, 1)
+                assert table_sum(table, family, i, f) == reference.table_sum(
+                    table, family, i, f, min_parts=2
+                )
 
 
 def test_one_table_keeps_each_familys_own_sums(rng):
@@ -230,8 +232,8 @@ def test_the_cofactors_are_built_once_per_matrix(field, rng, monkeypatch):
 
 def test_extended_carries_every_cache(rng):
     """Every cache of a table is handed on to the table one level longer:
-    the coefficients, tags and term lists copied, the sums copied for the
-    same family, and the values D_mu(f), which read no row, shared."""
+    the coefficients copied, the sums copied for the same family, and the
+    values D_mu(f), which read no row, shared."""
     field, n, m = GF(3), 2, 3
     # on the variables every D_mu with |mu| >= 2 of the Taylor family is
     # zero, so their sums read tags only; on f some D_mu is not
@@ -243,13 +245,10 @@ def test_extended_carries_every_cache(rng):
     for i in range(1, m):
         apply_table(table, family, i, x)
         apply_table(table, family, i, f)
-        formula.weighted_terms(table, i)
-    table_sum(table, family, m, x, 2)
+    table_sum(table, family, m, x)
     longer = table.extended(rows[-1])
-    for name in ("_term_cache", "_products", "_tags"):
-        cache = getattr(table, name)
-        assert cache, name
-        assert all(getattr(longer, name)[key] is value for key, value in cache.items())
+    assert table._products
+    assert all(longer._products[key] is value for key, value in table._products.items())
     members, sums = table._sums
     longer_members, longer_sums = longer._sums
     assert all(a is b for a, b in zip(longer_members, members))
@@ -259,19 +258,15 @@ def test_extended_carries_every_cache(rng):
     assert set(table._images) == {x, f} and longer._images is table._images
     # the longer table's own entries stay out of the shorter one's caches:
     # that one has no row m to build weight m or m + 1 from
-    products, tags = dict(table._products), dict(table._tags)
+    products = dict(table._products)
     apply_table(longer, family, m, x)
-    formula.weighted_terms(longer, m)
-    assert (m, 1) in longer._term_cache and (m, 1) not in table._term_cache
-    table_sum(longer, family, m + 1, x, 2)
-    table_sum(longer, family, m + 1, f, 2)
+    table_sum(longer, family, m + 1, x)
+    table_sum(longer, family, m + 1, f)
     assert ((1,) + (0,) * (n - 1), m) in longer._products
-    assert ((2,) + (0,) * (n - 1), m + 1) in longer._tags
     assert len(longer._products) > len(products) and table._products == products
-    assert len(longer._tags) > len(tags) and table._tags == tags
-    for g in (x, f):  # through product_tag and through product_coeff
+    for g in (x, f):  # through the tags of the rows alone and through product_coeff
         with pytest.raises(IndexError):
-            table_sum(table, family, m + 1, g, 2)
+            table_sum(table, family, m + 1, g)
 
 
 @pytest.mark.parametrize("kind", ["taylor", "random", "scaled"])

@@ -360,6 +360,41 @@ def test_verify_with_corrupted_table_exits_3(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+def test_verify_pins_a_loaded_table_with_mixed_tags(field, tmp_path, capsys):
+    """A table read from the file, not made by decompose: exact entries,
+    entries trusted to degrees 2, 3 and 5, and a zero trusted to degree
+    2.  It reproduces the target below weight 3; at weight 3 its X_1
+    entry is off by X_1, which shows modulo (X)^2, the least tag of the
+    entries at levels <= 3.  The witness carries that tag."""
+    from hasseschmidt import CoeffTable
+
+    n = 2
+    x1, x2 = (Series.variable(n, field, j) for j in range(n))
+    one = Series.one(n, field)
+    target = HSDerivation([TSeries([x1, x1 * x2 + one, x2, x1 * x1]),
+                           TSeries([x2, x1, one + x2 * x2, x1 * x2])], name="target")
+    table = CoeffTable([
+        [x1 * x2 + one, x1.truncate(3)],
+        [x2.truncate(2), x2 * x2 + one],
+        [(x1 * x1 + x1).truncate(5), Series.zero(n, field, 2)],
+    ])
+    problem = serialize.Problem(
+        field=field, nvars=n, length=3, truncation=8, seed=3,
+        derivations=taylor_basis(n, 3, field), target=target, coefficients=table,
+    )
+    path = write_problem(tmp_path / "mixed_tags.json", problem)
+    assert main(["verify", path]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "taylor1: leibniz: pass (61 pairs, all weights <= 3) [seed=3]",
+        "taylor2: leibniz: pass (61 pairs, all weights <= 3) [seed=3]",
+        "target: leibniz: pass (61 pairs, all weights <= 3) [seed=3]",
+        "reconstruction: FAIL at weight 3 on X^(1, 0): target gives X1^2, "
+        "table gives X1 + O(deg 2)",
+        "verify: FAIL",
+    ]
+
+
 def test_verify_table_without_target_exits_1(tmp_path):
     problem = char2_problem()
     from hasseschmidt import CoeffTable

@@ -488,6 +488,41 @@ def test_nomura_on_a_dense_seven_variable_family_is_fast():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["constant", "triangular", "dense"])
+def test_coefficient_field_decides_the_basis_at_precision_one(field, kind, rng, monkeypatch):
+    """``coefficient_field`` refuses exactly the families whose exact
+    degree-1 determinant has no constant term, and every determinant it
+    takes is of entries trusted to degree 1 at most.  A family whose
+    first member has values in (X) is among them, so both answers
+    occur."""
+    det, calls = coefffield._det, []
+
+    def truncated_only(rows):
+        assert all(v.precision is not None and v.precision <= 1 for row in rows for v in row)
+        calls.append(len(rows))
+        return det(rows)
+
+    monkeypatch.setattr(coefffield, "_det", truncated_only)
+    answers = set()
+    for n in (1, 2, 3):
+        for _ in range(6):
+            family = degree1_family(rng, n, field, kind)
+            variables = [Series.variable(n, field, j) for j in range(n)]
+            if rng.random() < 0.3:
+                family[0] = integrate([variables[0] * random_series(rng, n, field)
+                                       for _ in range(n)], 1)
+            unit = bool(laplace_det(degree1_values(family, variables)).constant_term())
+            if unit:
+                assert coefficient_field(family, 2).dimension >= 1
+            else:
+                with pytest.raises(NotABasis, match="^degree-1 values have non-unit determinant$"):
+                    coefficient_field(family, 2)
+            answers.add(unit)
+            assert calls.pop() == n and not calls
+    assert answers == {True, False}
+
+
 # -- the fast paths against the dense references -------------------------------------
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

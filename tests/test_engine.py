@@ -19,7 +19,7 @@ from hasseschmidt.errors import DegreeLimitExceeded
 from hasseschmidt.fields import EXPONENT_CAP
 from hasseschmidt.serialize import MONOMIAL_CAP, NVARS_CAP, monomials_below
 from hasseschmidt.series import (
-    B, DEGREE_LIMIT, _mac, _mul_slots, dot, grlex_sorted, image_sum, monomial_image,
+    B, DEGREE_LIMIT, _mac, _mul_slots, dot, grlex_sorted, image_sum, min_prec, monomial_image,
     monomials_of_degree, pack, unpack, variable_key,
 )
 
@@ -281,9 +281,10 @@ def test_product_coeff_and_table_sum_match_the_pairs(field, rng):
                     got = table.product_coeff(mu, i)
                     assert (got, got.precision) == (coeff, coeff.precision), (i, mu)
                 for f in fs:
-                    for min_parts in (1, 2):
-                        got = table_sum(table, family, i, f, min_parts)
-                        assert got == reference.table_sum(table, family, i, f, min_parts)
+                    got = table_sum(table, family, i, f)
+                    assert got == reference.table_sum(table, family, i, f, min_parts=2)
+                    got = apply_table(table, family, i, f)
+                    assert got == reference.apply_table(table, family, i, f)
 
 
 def vanishing_inputs(n, field):
@@ -297,11 +298,11 @@ def vanishing_inputs(n, field):
 @pytest.mark.parametrize("kind", ["taylor", "random", "scaled"])
 def test_demand_driven_sums_match_the_reference(field, kind, rng):
     """``table_sum`` builds a coefficient only where D_mu(f) has terms or a
-    finite tag and reads the tag alone elsewhere; value and tag equal the
-    sum over every term, on exact variables and degree-2 monomials, on
-    inputs whose D_mu(f) is zero with a finite tag, and on tables whose
-    entries truncate to zero with a finite tag.  Each memoized D_mu(f) is
-    ``compose_multi``'s."""
+    finite tag and reads the tags of the rows alone elsewhere; value and
+    tag equal the sum over every term, on exact variables and degree-2
+    monomials, on inputs whose D_mu(f) is zero with a finite tag, and on
+    tables whose entries truncate to zero with a finite tag.  Each
+    memoized D_mu(f) is ``compose_multi``'s."""
     for n in (1, 2, 3):
         m = rng.randint(2, 4)
         family = family_for(kind, rng, n, m, field)
@@ -311,10 +312,9 @@ def test_demand_driven_sums_match_the_reference(field, kind, rng):
         fs += vanishing_inputs(n, field)
         for i in range(1, m + 1):
             for f in fs:
-                for min_parts in (1, 2):
-                    got = table_sum(table, family, i, f, min_parts)
-                    want = reference.table_sum(table, family, i, f, min_parts)
-                    assert (got, got.precision) == (want, want.precision), (i, f, min_parts)
+                got = table_sum(table, family, i, f)
+                want = reference.table_sum(table, family, i, f, min_parts=2)
+                assert (got, got.precision) == (want, want.precision), (i, f)
                 got = apply_table(table, family, i, f)
                 want = reference.apply_table(table, family, i, f)
                 assert (got, got.precision) == (want, want.precision), (i, f)
@@ -324,22 +324,54 @@ def test_demand_driven_sums_match_the_reference(field, kind, rng):
                 assert g == compose_multi(family, mu, f), (f, mu)
 
 
+def mixed_tag_table(rng, n, m, field):
+    """Entries of every kind: exact, tagged with tags 0 to 3, zeros
+    trusted to a finite degree and exact zeros."""
+    def entry():
+        kind = rng.random()
+        if kind < 0.15:
+            return Series.zero(n, field)
+        if kind < 0.35:
+            return Series.zero(n, field, rng.choice((0, 1, 2, 3)))
+        return random_series(rng, n, field, max_degree=2, max_terms=2,
+                             precision=rng.choice((None, None, 0, 1, 2, 3)))
+
+    return CoeffTable([[entry() for _ in range(n)] for _ in range(m)], nvars=n, field=field)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_product_tag_is_the_tag_of_product_coeff(field, rng):
-    """For every mu and weight, computed before the coefficient exists and
-    read off it afterwards, on tables with zero entries of finite tag."""
+def test_the_tag_of_the_sums_is_the_least_tag_below_the_level(field, rng):
+    """The one tag rule of ``table_sum``: the least tag of [t^i] P_mu over
+    |mu| >= 2 is the least tag of the entries at levels 1..i-1, and the
+    sums that start from it equal the term-by-term sums in value and
+    tag, on tables with mixed per-entry tags, tagged and exact zeros,
+    and on inputs with finite tags."""
     for n in (1, 2, 3):
-        for _ in range(3):
-            m = rng.randint(1, 5)
-            rows = random_table(rng, n, m, field).rows
-            first, second = (CoeffTable(rows, nvars=n, field=field) for _ in range(2))
+        for trial in range(3):
+            m = 4
+            family = family_for(("taylor", "random", "scaled")[trial], rng, n, m, field)
+            table = mixed_tag_table(rng, n, m, field)
+            fs = [Series.variable(n, field, j) for j in range(n)]
+            fs += [random_series(rng, n, field, max_degree=3, precision=rng.choice((0, 1, 2, 4)))
+                   for _ in range(2)]
+            fs += vanishing_inputs(n, field)
             for i in range(1, m + 1):
-                for parts in range(1, i + 1):
+                below = None
+                for level in range(1, i):
+                    for d in range(n):
+                        below = min_prec(below, table.at(level, d).precision)
+                least = None
+                for parts in range(2, i + 1):
                     for mu in monomials_of_degree(n, parts):
-                        tag = first.product_tag(mu, i)
-                        assert tag == second.product_coeff(mu, i).precision, (i, mu)
-                        assert second.product_tag(mu, i) == tag
-            assert first._tags and not first._products
+                        least = min_prec(least, table.product_coeff(mu, i).precision)
+                assert least == below, i
+                for f in fs:
+                    got = table_sum(table, family, i, f)
+                    want = reference.table_sum(table, family, i, f, min_parts=2)
+                    assert (got, got.precision) == (want, want.precision), (i, f)
+                    got = apply_table(table, family, i, f)
+                    want = reference.apply_table(table, family, i, f)
+                    assert (got, got.precision) == (want, want.precision), (i, f)
 
 
 # -- packed monomial keys ------------------------------------------------
