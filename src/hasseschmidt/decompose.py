@@ -91,10 +91,14 @@ def _det(rows) -> Series:
     minor computed once and expanded as one ``dot``.  A minor of the last
     k rows is fixed by the k columns it keeps, so an n x n determinant
     takes at most n 2^(n-1) products instead of n!; still exponential, so
-    small n only."""
+    small n only.  An exact zero entry is skipped.  An entry without terms
+    but with a finite tag adds no term, only the tag of its product, as
+    an operand without terms does in ``dot``; so of its minor only the
+    tag is taken, without arithmetic."""
     n = len(rows)
     first = rows[0][0]
     minors: dict = {}
+    tags: dict = {}
 
     def minor(cols):
         row = rows[n - len(cols)]
@@ -102,13 +106,28 @@ def _det(rows) -> Series:
             return row[cols[0]]
         out = minors.get(cols)
         if out is None:
-            pairs = [
-                (row[col] if k % 2 == 0 else -row[col], minor(cols[:k] + cols[k + 1:]))
-                for k, col in enumerate(cols)
-                if not row[col].is_zero()
-            ]
-            out = minors[cols] = dot(pairs, first.nvars, first.field)
+            pairs, prec = [], None
+            for k, col in enumerate(cols):
+                entry, rest = row[col], cols[:k] + cols[k + 1:]
+                if entry.terms:
+                    pairs.append((entry if k % 2 == 0 else -entry, minor(rest)))
+                elif entry.precision is not None:
+                    prec = min_prec(prec, min_prec(entry.precision, tag(rest)))
+            out = minors[cols] = dot(pairs, first.nvars, first.field, prec)
         return out
+
+    def tag(cols):
+        """The tag of minor(cols), taken alone unless the minor is known."""
+        if len(cols) == 1 or cols in minors:
+            return minor(cols).precision
+        if cols not in tags:
+            row, out = rows[n - len(cols)], None
+            for k, col in enumerate(cols):
+                entry = row[col]
+                if entry.terms or entry.precision is not None:
+                    out = min_prec(out, min_prec(entry.precision, tag(cols[:k] + cols[k + 1:])))
+            tags[cols] = out
+        return tags[cols]
 
     return minor(tuple(range(n)))
 

@@ -22,8 +22,10 @@ from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient
 from .series import (
+    B,
     Series,
     TSeries,
+    _mul_slots,
     image_sum,
     monomial_image,
     monomials_of_degree,
@@ -128,7 +130,7 @@ class HSDerivation:
         if i == 0:
             return f
         prec = None if f.precision is None else max(f.precision - i, 0)
-        acc, = image_sum(f, self._image_slots, self._mono_cache, (i,), prec)
+        acc, = image_sum(f.terms, f.field, self._image_slots, self._mono_cache, (i,), prec)
         return Series._of(f.nvars, f.field, acc, prec)
 
     def apply(self, f: Series) -> TSeries:
@@ -136,10 +138,17 @@ class HSDerivation:
         trusted to the input precision minus the length."""
         if f.nvars != self.nvars or f.field != self.field:
             raise IncompatibleAmbient("series does not match the derivation's ambient ring")
-        m = self.length
-        prec = None if f.precision is None else max(f.precision - m, 0)
-        slots = image_sum(f, self._image_slots, self._mono_cache, range(m + 1), prec)
-        return TSeries._of(f.nvars, f.field, slots, prec)
+        prec = None if f.precision is None else max(f.precision - self.length, 0)
+        return TSeries._of(f.nvars, f.field, self._apply_slots(f.terms, prec), prec)
+
+    def _apply_slots(self, terms: dict, prec: int | None = None) -> list:
+        """E(f) for the ``terms`` of f as a slot list, one fresh key ->
+        coefficient dict per t-degree without zero coefficients, kept
+        below total degree ``prec`` (None keeps all): ``apply`` without
+        the wrapping, which ``leibniz_check`` reads."""
+        slots = image_sum(terms, self.field, self._image_slots, self._mono_cache,
+                          range(self.length + 1), prec)
+        return [s if all(s.values()) else {e: c for e, c in s.items() if c} for s in slots]
 
     def __eq__(self, other):
         if not isinstance(other, HSDerivation):
@@ -323,26 +332,30 @@ def leibniz_check(D: HSDerivation, trials: int = 25, seed: int | None = 0) -> Le
     checks that E(X_j) is X_j mod t).  Checks every pair of monomials up
     to BASIS_DEGREE, then ``trials`` random pairs of degree up to
     RANDOM_DEGREE drawn from the seed.  A violation is reported, not
-    raised: the first weight i >= 1 where the two sides differ.
+    raised: the first weight i >= 1 where the two sides differ.  Both
+    sides are engine slot lists without zero coefficients, so they are
+    compared as dicts; only a counterexample is wrapped as Series.
     """
     import random
 
-    E, length, nvars, field = D.apply, D.length, D.nvars, D.field
+    E, length, nvars, field = D._apply_slots, D.length, D.nvars, D.field
+    shift, add, mul = nvars * B, field.add, field.mul
 
     def mismatch(f, g, Ef, Eg):
         """The counterexample at the first weight where (f, g) fails, or None."""
-        rhs = (Ef * Eg).coeffs
-        lhs = E(rhs[0]).coeffs
+        rhs = _mul_slots(Ef, Eg, None, shift, add, mul)
+        lhs = E(rhs[0])
         for i in range(1, length + 1):
             if lhs[i] != rhs[i]:
-                return (i, f, g, lhs[i], rhs[i])
+                return (i, f, g, Series._of(nvars, field, lhs[i], None),
+                        Series._of(nvars, field, rhs[i], None))
         return None
 
     # lexicographic order of the exponent vectors
     monomials = sorted(
         e for degree in range(BASIS_DEGREE + 1) for e in monomials_of_degree(nvars, degree)
     )
-    basis = [(f, E(f)) for f in (Series.monomial(nvars, field, e) for e in monomials)]
+    basis = [(f, E(f.terms)) for f in (Series.monomial(nvars, field, e) for e in monomials)]
     checked = 0
     for fa, pa in basis:
         for fb, pb in basis:
@@ -356,7 +369,7 @@ def leibniz_check(D: HSDerivation, trials: int = 25, seed: int | None = 0) -> Le
         f = _random_polynomial(rng, nvars, field, RANDOM_DEGREE)
         g = _random_polynomial(rng, nvars, field, RANDOM_DEGREE)
         checked += 1
-        bad = mismatch(f, g, E(f), E(g))
+        bad = mismatch(f, g, E(f.terms), E(g.terms))
         if bad:
             return LeibnizReport(False, checked, length, seed, bad)
     return LeibnizReport(True, checked, length, seed, None)

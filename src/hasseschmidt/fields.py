@@ -6,6 +6,18 @@ reduced to [0, p)).  A :class:`FieldSpec` carries the choice and provides
 the arithmetic; series and derivations store raw coefficient values and
 delegate every operation to their field.  Both representations are
 canonical, so structural equality of values is field equality.
+
+A rational result is built directly: the operations read the numerator
+and denominator slots of their operands, take the gcd steps of
+``Fraction``'s own arithmetic, which leave a coprime pair with a
+positive denominator (the canonical form), and fill the two slots of a
+bare ``Fraction``.  That skips the operator dispatch and the
+normalising constructor, most of the cost of an operation.
+``parse_scalar`` and ``coerce`` still go through the constructor, which
+reduces ``2/4`` and checks its input.  The operations stay methods of
+:class:`FieldSpec`, looked up on the class, so that one patch of the
+class counts every field operation of a run (the benchmark's
+``fields.ops``).
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ import re
 import reprlib
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .errors import CoefficientTooLarge, LengthMismatch
 
@@ -58,6 +71,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# the rational operations read and fill Fraction's two slots directly
+_new = object.__new__
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
 _GF_SCALAR = re.compile(r"-?[0-9]+")
 _Q_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -77,10 +95,10 @@ class FieldSpec:
         return self.p if self.p is not None else 0
 
     def zero(self):
-        return 0 if self.p is not None else Fraction(0)
+        return 0 if self.p is not None else _Q_ZERO
 
     def one(self):
-        return 1 if self.p is not None else Fraction(1)
+        return 1 if self.p is not None else _Q_ONE
 
     def coerce(self, x):
         """Bring an int (or a Fraction, over the rationals) into the field."""
@@ -94,25 +112,74 @@ class FieldSpec:
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into {self!r}")
 
+    # The rational branches below follow Fraction._add, _sub and _mul: the
+    # same gcd steps, then the coprime result stored without normalising.
+
     def add(self, a, b):
         if self.p is not None:
             return (a + b) % self.p
-        return a + b
+        na, da = a._numerator, a._denominator
+        nb, db = b._numerator, b._denominator
+        g = gcd(da, db)
+        if g == 1:
+            n, d = na * db + da * nb, da * db
+        else:
+            s = da // g
+            n = na * (db // g) + nb * s
+            g2 = gcd(n, g)
+            if g2 == 1:
+                d = s * db
+            else:
+                n //= g2
+                d = s * (db // g2)
+        r = _new(Fraction)
+        r._numerator, r._denominator = n, d
+        return r
 
     def sub(self, a, b):
         if self.p is not None:
             return (a - b) % self.p
-        return a - b
+        na, da = a._numerator, a._denominator
+        nb, db = b._numerator, b._denominator
+        g = gcd(da, db)
+        if g == 1:
+            n, d = na * db - da * nb, da * db
+        else:
+            s = da // g
+            n = na * (db // g) - nb * s
+            g2 = gcd(n, g)
+            if g2 == 1:
+                d = s * db
+            else:
+                n //= g2
+                d = s * (db // g2)
+        r = _new(Fraction)
+        r._numerator, r._denominator = n, d
+        return r
 
     def neg(self, a):
         if self.p is not None:
             return (-a) % self.p
-        return -a
+        r = _new(Fraction)
+        r._numerator, r._denominator = -a._numerator, a._denominator
+        return r
 
     def mul(self, a, b):
         if self.p is not None:
             return (a * b) % self.p
-        return a * b
+        na, da = a._numerator, a._denominator
+        nb, db = b._numerator, b._denominator
+        g = gcd(na, db)
+        if g > 1:
+            na //= g
+            db //= g
+        g = gcd(nb, da)
+        if g > 1:
+            nb //= g
+            da //= g
+        r = _new(Fraction)
+        r._numerator, r._denominator = na * nb, da * db
+        return r
 
     def inv(self, a):
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
@@ -121,9 +188,12 @@ class FieldSpec:
             if a == 0:
                 raise ZeroDivisionError(f"0 is not invertible in {self!r}")
             return pow(a, -1, self.p)
-        if a == 0:
+        n, d = a._numerator, a._denominator
+        if not n:
             raise ZeroDivisionError("0 is not invertible in the rationals")
-        return 1 / Fraction(a)
+        r = _new(Fraction)
+        r._numerator, r._denominator = (d, n) if n > 0 else (-d, -n)
+        return r
 
     def parse_scalar(self, text: str):
         """Parse the text form: a decimal integer ``-?[0-9]+`` for GF(p),

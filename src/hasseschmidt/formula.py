@@ -35,15 +35,19 @@ class CoeffTable:
     """The series coefficients C[l][d], l a weight level >= 1, d a variable slot.
 
     ``rows[l-1][d]`` stores C at level l and variable d (0-based d).
-    The table is treated as immutable; derived values are cached on the
-    instance: the coefficients of ``product_coeff`` keyed by (mu, i), and
-    for the family it was last used with the sums of ``table_sum`` and
-    the values D_mu(f) they read.  A cached value at weight i reads only
-    the rows at levels <= i, and D_mu(f) reads no row, so ``extended``
-    hands every cache on to the longer table.
+    ``_tags_below[i]`` is the least tag of the entries at levels 1..i-1
+    and ``_level_tags[l-1]`` that of level l, both taken once, when the
+    constructor checks the rows.  The table is treated as immutable;
+    derived values are cached on the instance: the coefficients of
+    ``product_coeff`` keyed by (mu, i), and for the family it was last
+    used with the sums of ``table_sum`` and the values D_mu(f) they
+    read.  A cached value at weight i reads only the rows at levels <= i,
+    and D_mu(f) reads no row, so ``extended`` hands every cache on to the
+    longer table.
     """
 
-    __slots__ = ("rows", "nvars", "field", "_products", "_sums", "_images")
+    __slots__ = ("rows", "nvars", "field", "_level_tags", "_tags_below", "_products", "_sums",
+                 "_images")
 
     def __init__(self, rows, nvars: int | None = None, field: FieldSpec | None = None):
         rows = [list(r) for r in rows]
@@ -53,13 +57,20 @@ class CoeffTable:
             field = first.field if field is None else field
         if nvars is None or field is None:
             raise ValueError("an empty table needs explicit nvars and field")
+        level_tags, below = [], [None, None]
         for r in rows:
             if len(r) != nvars:
                 raise IncompatibleAmbient(f"table row has {len(r)} entries, expected {nvars}")
+            tag = None
             for entry in r:
                 if entry.nvars != nvars or entry.field != field:
                     raise IncompatibleAmbient("table entries live in different ambient rings")
+                tag = min_prec(tag, entry.precision)
+            level_tags.append(tag)
+            below.append(min_prec(below[-1], tag))
         self.rows = rows
+        self._level_tags = level_tags
+        self._tags_below = below
         self.nvars = nvars
         self.field = field
         self._products: dict = {}
@@ -156,15 +167,6 @@ def weighted_terms(table: CoeffTable, i: int, min_parts: int = 1) -> list:
     return terms
 
 
-def _least_tag(table: CoeffTable, levels):
-    """The least tag of the entries at the given levels."""
-    tag = None
-    for l in levels:
-        for d in range(table.nvars):
-            tag = min_prec(tag, table.at(l, d).precision)
-    return tag
-
-
 def _image(family, images: dict, mu) -> Series:
     """D_mu(f), memoized in ``images`` (which holds f under the zero
     vector): D_mu(f) = D^d_{mu_d}(D_mu'(f)), d the first nonzero slot of
@@ -221,7 +223,7 @@ def table_sum(table: CoeffTable, family, i: int, f: Series) -> Series:
                     coeff = table.product_coeff(mu, i)
                     if coeff.terms:
                         pairs.append((coeff, g))
-        prec = min_prec(f.precision, _least_tag(table, range(1, i)))
+        prec = min_prec(f.precision, table._tags_below[i])
         out = sums[(i, f)] = dot(pairs, f.nvars, f.field, prec)
     return out
 
@@ -240,5 +242,5 @@ def apply_table(table: CoeffTable, family, i: int, f: Series) -> Series:
         coeff = table.at(i, d)
         if coeff.terms:
             singles.append((coeff, compose_multi(family, mu, f)))
-    prec = min_prec(f.precision, _least_tag(table, (i,)))
+    prec = min_prec(f.precision, table._level_tags[i - 1])
     return out + dot(singles, f.nvars, f.field, prec)

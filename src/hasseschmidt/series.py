@@ -515,7 +515,7 @@ def substitute(f: Series, images) -> TSeries:
         if img.precision is not None:
             raise IncompatibleAmbient("substitution images must be exact polynomials")
     prec = None if f.precision is None else max(f.precision - tlen, 0)
-    slots = image_sum(f, [[c.terms for c in img.coeffs] for img in images], {},
+    slots = image_sum(f.terms, f.field, [[c.terms for c in img.coeffs] for img in images], {},
                       range(tlen + 1), prec)
     return TSeries._of(f.nvars, f.field, slots, prec)
 
@@ -636,19 +636,18 @@ def monomial_image(key: int, images: list, field: FieldSpec, cache: dict, cuts=N
     return result
 
 
-def image_sum(f: Series, images: list, cache: dict, slots, prec) -> list:
-    """[sum_e c_e * image(X^e)[s] for s in slots] over the terms c_e X^e
-    of f, as fresh key -> coefficient dicts kept below total degree
-    ``prec`` (None keeps all); they may hold zero coefficients, which
-    ``Series._of`` drops.  ``images`` and ``cache`` as in
-    ``monomial_image``."""
-    field = f.field
+def image_sum(terms: dict, field: FieldSpec, images: list, cache: dict, slots, prec) -> list:
+    """[sum_e c_e * image(X^e)[s] for s in slots] over the ``terms``
+    c_e X^e of a polynomial over ``field``, as fresh key -> coefficient
+    dicts kept below total degree ``prec`` (None keeps all); they may hold
+    zero coefficients, which ``Series._of`` drops.  ``images`` and
+    ``cache`` as in ``monomial_image``."""
     add, mul = field.add, field.mul
-    limit = None if prec is None else prec << f.nvars * B
+    limit = None if prec is None else prec << len(images) * B
     out = []
     for s in slots:
         acc: dict = {}
-        for key, coeff in f.terms.items():
+        for key, coeff in terms.items():
             mono = cache.get(key)
             if mono is None:
                 mono = monomial_image(key, images, field, cache)

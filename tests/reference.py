@@ -393,7 +393,8 @@ def residual(target, family, table, level, f):
 
 def laplace_det(rows):
     """The determinant by plain Laplace expansion along the first row,
-    every minor expanded afresh; a zero entry is skipped."""
+    every minor expanded afresh; an exact zero entry is skipped, a tagged
+    one still bounds the tag."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -401,7 +402,7 @@ def laplace_det(rows):
     out = Series.zero(first.nvars, first.field)
     for col in range(n):
         entry = rows[0][col]
-        if entry.is_zero():
+        if entry.is_zero() and entry.precision is None:
             continue
         minor = [[r[c] for c in range(n) if c != col] for r in rows[1:]]
         cofactor = entry * laplace_det(minor)

@@ -77,6 +77,18 @@ def test_det_shares_minors_but_matches_plain_laplace(field, rng):
             assert (got, got.precision) == (expect, expect.precision), rows
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_det_keeps_the_tag_of_a_zero_entry_wherever_it_sits(field):
+    """0 + O(deg 1) in the first row, where the expansion reads it as a
+    factor, or in the minor, gives -1 + O(deg 1) both times: a tagged zero
+    bounds the tag, as an operand without terms does in ``dot``."""
+    zero, one, x = Series.zero(1, field, 1), Series.one(1, field), Series.variable(1, field, 0)
+    want = Series.constant(1, field, -1, 1)
+    for rows in ([[zero, one], [one, x]], [[x, one], [one, zero]]):
+        for det in (_det(rows), reference.laplace_det(rows)):
+            assert (det, det.precision) == (want, 1), rows
+
+
 # -- residuals ----------------------------------------------------------------
 
 def test_residual_level_one_is_the_component(rng):

@@ -427,9 +427,9 @@ def test_leibniz_passes_for_every_constructor(rng):
 
 
 class Corrupted(HSDerivation):
-    """D with 1 added to D_i(f) wherever hit(i, f) holds, both in E(f),
-    which ``leibniz_check`` reads, and in the components, which
-    ``reference.leibniz_check`` reads."""
+    """D with 1 added to D_i(f) wherever hit(i, f) holds, both in the slot
+    list of E(f), which ``leibniz_check`` reads, and in the components,
+    which ``reference.leibniz_check`` reads."""
 
     def __init__(self, D, hit):
         super().__init__(D.images, D.name)
@@ -439,9 +439,11 @@ class Corrupted(HSDerivation):
         value = super().apply_component(i, f)
         return value + 1 if self.hit(i, f) else value
 
-    def apply(self, f):
-        coeffs = super().apply(f).coeffs
-        return TSeries([c + 1 if self.hit(i, f) else c for i, c in enumerate(coeffs)])
+    def _apply_slots(self, terms, prec=None):
+        slots = super()._apply_slots(terms, prec)
+        f = Series._of(self.nvars, self.field, terms, prec)
+        return [(Series._of(self.nvars, self.field, s, prec) + 1).terms if self.hit(i, f) else s
+                for i, s in enumerate(slots)]
 
 
 def test_leibniz_flags_corrupted_component_table():

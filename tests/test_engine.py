@@ -486,7 +486,7 @@ def test_image_sum_matches_the_tuple_substitution(field, rng):
                 full = reference.substitute(f, images).coeffs
                 deg = max(c.degree() for c in full)
                 for prec in (deg - 1, deg, deg + 1, None):
-                    got = image_sum(f, slots, {}, range(tlen + 1), prec)
+                    got = image_sum(f.terms, field, slots, {}, range(tlen + 1), prec)
                     got = [{e: c for e, c in s.items() if c} for s in got]
                     assert got == [packed(below(c, prec)) for c in full], (f, prec)
 

@@ -96,6 +96,57 @@ def test_random_nonzero_inverses(rng):
             assert field.mul(a, field.inv(a)) == field.one()
 
 
+# -- the rational kernel -------------------------------------------------------
+
+def test_fraction_keeps_the_two_slots_the_rational_operations_fill():
+    """QQ's operations build results by filling these slots of a bare
+    Fraction, and only these; an interpreter with another layout must
+    fail here."""
+    assert set(Fraction.__slots__) == {"_numerator", "_denominator"}
+    assert not hasattr(Fraction(1, 2), "__dict__")
+
+
+_big = st.integers(-(10 ** 40), 10 ** 40)
+_rationals = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(max_denominator=12),
+    st.builds(Fraction, _big, st.integers(1, 10 ** 40)),
+    # shared factors, so the gcd steps reduce both ways
+    st.builds(lambda n, d, g: Fraction(n * g, d * g), st.integers(-(10 ** 6), 10 ** 6),
+              st.integers(1, 10 ** 6), st.sampled_from((2, 6, 30, 2 ** 64, 3 ** 41))),
+).map(Fraction)
+
+
+def _canonical(r, want):
+    assert type(r) is Fraction
+    assert r == want
+    assert math.gcd(r.numerator, r.denominator) == 1 and r.denominator > 0
+    assert (r.numerator, r.denominator) == (want.numerator, want.denominator)
+    assert hash(r) == hash(want) and str(r) == str(want)
+
+
+@given(_rationals, _rationals)
+def test_rational_operations_match_the_fraction_operators(a, b):
+    """Equal value, type Fraction, and the canonical coprime form with a
+    positive denominator, against Fraction's own operators."""
+    _canonical(QQ.add(a, b), a + b)
+    _canonical(QQ.sub(a, b), a - b)
+    _canonical(QQ.mul(a, b), a * b)
+    _canonical(QQ.neg(a), -a)
+    if a:
+        _canonical(QQ.inv(a), 1 / a)
+    else:
+        with pytest.raises(ZeroDivisionError, match="^0 is not invertible in the rationals$"):
+            QQ.inv(a)
+
+
+def test_rational_zero_and_one_are_shared_canonical_constants():
+    assert QQ.zero() is QQ.zero() and QQ.one() is QQ.one()
+    _canonical(QQ.zero(), Fraction(0))
+    _canonical(QQ.one(), Fraction(1))
+
+
 # -- binomials ---------------------------------------------------------------
 
 def test_binom_examples():
