@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient, NotABasis, PrecisionExhausted
 from .fields import FieldSpec
-from .series import Series, monomials_of_degree, pack
+from .series import _FIELD_MASK, B, Series, monomials_of_degree, pack
 from .derivations import HSDerivation
 # bench/spans.py patches degree1_matrix in this namespace as well as in
 # decompose's
@@ -115,7 +115,7 @@ def component_matrix(D: HSDerivation, i: int, order: int,
     """Materialize D_i as a matrix k[X]/(X)^order -> k[X]/(X)^(order-i).
 
     Column for the monomial X^beta holds the coordinates of D_i(X^beta)
-    truncated below degree order - i: the t^i coefficient of the image
+    truncated below degree order - i: the t^i terms of the flat image
     E(X^beta) modulo J_order, which the derivation computes once per
     monomial and order and shares between all weights.  ``source``, the
     order-N basis, may be passed in to share it between matrices.
@@ -134,9 +134,11 @@ def component_matrix(D: HSDerivation, i: int, order: int,
     # a monomial has the same index in the target as in the source
     index = source.index
     rows = [{} for _ in range(len(target))]
+    mask, sub = _FIELD_MASK, i << D.nvars * B
     for beta, c in index.items():
-        for e, v in D._image_of_monomial(beta, order)[i].items():
-            rows[index[e]][c] = v
+        for e, v in D._image_of_monomial(beta, order).items():
+            if e & mask == i:
+                rows[index[(e >> B) - sub]][c] = v
     label = f"{D.name or 'D'}_{i}"
     return ComponentMatrix(rows, source, target, i, D.field, label)
 

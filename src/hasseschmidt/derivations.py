@@ -22,14 +22,8 @@ from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient
 from .series import (
-    B,
-    Series,
-    TSeries,
-    _mul_slots,
-    image_sum,
-    monomial_image,
-    monomials_of_degree,
-    variable_key,
+    _FIELD_MASK, B, Series, TSeries, _mac, image_sum, monomial_image,
+    monomials_of_degree, to_flat, variable_key,
 )
 
 
@@ -42,7 +36,7 @@ class HSDerivation:
     components of the same derivation from several threads is safe.
     """
 
-    __slots__ = ("nvars", "length", "field", "images", "name", "_image_slots", "_mono_cache",
+    __slots__ = ("nvars", "length", "field", "images", "name", "_flat_images", "_mono_cache",
                  "_cut_caches")
 
     def __init__(self, images, name: str | None = None):
@@ -76,8 +70,8 @@ class HSDerivation:
         self.field = field
         self.images = images
         self.name = name
-        # the engine's view of the images: one terms dict per t-degree
-        self._image_slots = [[c.terms for c in img.coeffs] for img in images]
+        # the engine's view of the images: one flat dict each (see series)
+        self._flat_images = [to_flat(img) for img in images]
         self._mono_cache: dict = {}
         self._cut_caches: dict = {}  # order N -> {key: E(X^beta) mod J_N}
 
@@ -98,23 +92,15 @@ class HSDerivation:
 
     # -- the components ----------------------------------------------
 
-    def _image_of_monomial(self, key: int, order: int | None = None) -> list:
-        """E(X^beta) for the packed key of beta (see series.pack) as a
-        slot list, its t^i coefficient's key -> coefficient dict at index
-        i, built as E(X^(beta - e_j)) * E(X_j) and memoized; a read-only
-        cache entry.
-
-        With an ``order`` N the image is only computed modulo
-        J_N = {sum_k a_k t^k : a_k in (X)^(N-k)} (see TSeries.mul_cut): its
-        t^i coefficient is D_i(X^beta) below degree N - i, which is all a
-        component matrix on the order-N quotient reads.
+    def _image_of_monomial(self, key: int, order: int | None = None) -> dict:
+        """E(X^beta) for the packed key of beta as a flat dict (see the
+        series module), built as E(X^(beta - e_j)) * E(X_j) and memoized;
+        a read-only cache entry.  With an ``order`` N it is only computed
+        modulo J_N = (X, t)^N: its t^i terms are D_i(X^beta) below degree
+        N - i, all that a component matrix on the order-N quotient reads.
         """
-        if order is None:
-            cache, cuts = self._mono_cache, None
-        else:
-            cache = self._cut_caches.setdefault(order, {})
-            cuts = range(order, order - self.length - 1, -1)
-        return monomial_image(key, self._image_slots, self.field, cache, cuts)
+        cache = self._mono_cache if order is None else self._cut_caches.setdefault(order, {})
+        return monomial_image(key, self._flat_images, self.length, self.field, cache, order)
 
     def apply_component(self, i: int, f: Series) -> Series:
         """D_i(f): the t^i coefficient of E(f).
@@ -130,7 +116,7 @@ class HSDerivation:
         if i == 0:
             return f
         prec = None if f.precision is None else max(f.precision - i, 0)
-        acc, = image_sum(f.terms, f.field, self._image_slots, self._mono_cache, (i,), prec)
+        acc = image_sum(f.terms, f.field, self._flat_images, self.length, self._mono_cache, i, prec)
         return Series._of(f.nvars, f.field, acc, prec)
 
     def apply(self, f: Series) -> TSeries:
@@ -139,16 +125,14 @@ class HSDerivation:
         if f.nvars != self.nvars or f.field != self.field:
             raise IncompatibleAmbient("series does not match the derivation's ambient ring")
         prec = None if f.precision is None else max(f.precision - self.length, 0)
-        return TSeries._of(f.nvars, f.field, self._apply_slots(f.terms, prec), prec)
+        return TSeries._of(f.nvars, f.field, self._apply_flat(f.terms), self.length, prec)
 
-    def _apply_slots(self, terms: dict, prec: int | None = None) -> list:
-        """E(f) for the ``terms`` of f as a slot list, one fresh key ->
-        coefficient dict per t-degree without zero coefficients, kept
-        below total degree ``prec`` (None keeps all): ``apply`` without
-        the wrapping, which ``leibniz_check`` reads."""
-        slots = image_sum(terms, self.field, self._image_slots, self._mono_cache,
-                          range(self.length + 1), prec)
-        return [s if all(s.values()) else {e: c for e, c in s.items() if c} for s in slots]
+    def _apply_flat(self, terms: dict) -> dict:
+        """E(f) for the ``terms`` of f as a fresh flat dict (see the series
+        module) without zero coefficients: ``apply`` before the split into
+        t-coefficients, which ``leibniz_check`` reads."""
+        acc = image_sum(terms, self.field, self._flat_images, self.length, self._mono_cache)
+        return acc if all(acc.values()) else {e: c for e, c in acc.items() if c}
 
     def __eq__(self, other):
         if not isinstance(other, HSDerivation):
@@ -238,23 +222,17 @@ def group_compose(D: HSDerivation, Dp: HSDerivation) -> HSDerivation:
     is D_1 + Dp_1, so the product lifts addition of ordinary derivations.
     The orientation (D acts on Dp's output) is part of the contract.
     """
-    if (
-        D.nvars != Dp.nvars
-        or D.field != Dp.field
-        or D.length != Dp.length
-    ):
+    if (D.nvars, D.field, D.length) != (Dp.nvars, Dp.field, Dp.length):
         raise IncompatibleAmbient("group operands disagree on ambient, field or length")
-    m = D.length
+    field, top = D.field, (D.nvars + 1) * B
     images = []
-    for j in range(D.nvars):
-        slots = [Series.zero(D.nvars, D.field)] * (m + 1)
-        for s, g in enumerate(Dp.images[j].coeffs):
-            if g.is_zero():
-                continue
-            # t^s E_D(g): its t^k coefficient lands in slot s + k
-            for k, c in enumerate(D.apply(g).coeffs[: m + 1 - s]):
-                slots[s + k] = slots[s + k] + c
-        images.append(TSeries(slots))
+    for img in Dp.images:
+        # sum_s t^s E_D(g_s) over the t-coefficients g_s of Dp's image, flat
+        acc: dict = {}
+        for s, g in enumerate(img.coeffs):
+            _mac(acc, {s << top | s: field.one()}, D._apply_flat(g.terms), None, top,
+                 field.add, field.mul)
+        images.append(TSeries._of(D.nvars, field, acc, D.length, None))
     return HSDerivation(images)
 
 
@@ -328,27 +306,32 @@ def leibniz_check(D: HSDerivation, trials: int = 25, seed: int | None = 0) -> Le
     """Verify D_i(fg) = sum_{r+s=i} D_r(f) D_s(g) for every weight i: the
     t^i coefficient of the homomorphism identity E(fg) = E(f) E(g).
 
-    fg is read off slot 0 of E(f) E(g), since D_0 = id (HSDerivation
-    checks that E(X_j) is X_j mod t).  Checks every pair of monomials up
-    to BASIS_DEGREE, then ``trials`` random pairs of degree up to
-    RANDOM_DEGREE drawn from the seed.  A violation is reported, not
-    raised: the first weight i >= 1 where the two sides differ.  Both
-    sides are engine slot lists without zero coefficients, so they are
-    compared as dicts; only a counterexample is wrapped as Series.
+    fg is read off the t^0 terms of E(f) E(g), since D_0 = id
+    (HSDerivation checks that E(X_j) is X_j mod t).  Checks every pair of
+    monomials up to BASIS_DEGREE, then ``trials`` random pairs of degree
+    up to RANDOM_DEGREE drawn from the seed.  A violation is reported,
+    not raised: the first weight i >= 1 where the two sides differ.  Both
+    sides are flat engine dicts without zero coefficients (see the series
+    module), so they are compared whole; only a counterexample is split
+    into t-coefficients and wrapped as Series.
     """
     import random
 
-    E, length, nvars, field = D._apply_slots, D.length, D.nvars, D.field
-    shift, add, mul = nvars * B, field.add, field.mul
+    E, length, nvars, field = D._apply_flat, D.length, D.nvars, D.field
+    shift, mask, add, mul = (nvars + 1) * B, _FIELD_MASK, field.add, field.mul
 
     def mismatch(f, g, Ef, Eg):
         """The counterexample at the first weight where (f, g) fails, or None."""
-        rhs = _mul_slots(Ef, Eg, None, shift, add, mul)
-        lhs = E(rhs[0])
+        acc: dict = {}
+        _mac(acc, Ef, Eg, None, shift, add, mul)
+        rhs = {e: c for e, c in acc.items() if c and e & mask <= length}
+        lhs = E({e >> B: c for e, c in rhs.items() if not e & mask})
+        if lhs == rhs:
+            return None
+        lhs, rhs = (TSeries._of(nvars, field, s, length, None).coeffs for s in (lhs, rhs))
         for i in range(1, length + 1):
             if lhs[i] != rhs[i]:
-                return (i, f, g, Series._of(nvars, field, lhs[i], None),
-                        Series._of(nvars, field, rhs[i], None))
+                return i, f, g, lhs[i], rhs[i]
         return None
 
     # lexicographic order of the exponent vectors

@@ -12,13 +12,6 @@ A :class:`TSeries` is an element of A[t]/(t^{tlen+1}) stored as its list
 of t-coefficients.  It is the carrier for substitution homomorphisms
 X_j |-> image_j, which is how Hasse-Schmidt derivations act, at the API.
 
-The engine below works on plain slot lists instead: one exponent ->
-coefficient dict per t-degree, without ambient or tag.  Products of
-slot lists (``_mul_slots``), monomial images (``monomial_image``) and
-their linear combinations (``image_sum``) never build a Series; their
-callers wrap the result once.  Dicts that an engine cache holds are
-read-only.
-
 Every monomial is keyed by one int, its packed exponent vector
 (``pack``): the total degree in the top, unbounded field, then e_1 ..
 e_n in B-bit fields, e_n lowest.  The key of a product is the sum of
@@ -28,12 +21,24 @@ order by e_1, then e_2, ..: graded-lex order, which ``grlex_sorted``
 reads off the key.  A field can carry into the next only from an
 exponent of 2^B, which needs a total degree of DEGREE_LIMIT = 2^B, so
 no key is made there: ``pack`` and the product kernel raise
-DegreeLimitExceeded first.  These keys are in ``Series.terms``, in the
-engine's slot dicts and in the monomial-image caches.  Exponent tuples
-remain only at the edge: the public ``Series(...)`` constructor and
-``Series.monomial``, ``Series.tuple_terms``, ``__str__``, the JSON
-files of ``serialize`` and ``QuotientBasis.monomials``.  Multi-indices
-mu and alpha are not monomials and stay tuples.
+DegreeLimitExceeded first.  These keys are in ``Series.terms`` and in
+the engine's dicts.  Exponent tuples remain only at the edge: the
+public ``Series(...)`` constructor and ``Series.monomial``,
+``Series.tuple_terms``, ``__str__``, the JSON files of ``serialize``
+and ``QuotientBasis.monomials``.  Multi-indices mu and alpha are not
+monomials and stay tuples.
+
+The engine treats t as a last variable: c X^beta t^k in A[t]/(t^{L+1})
+is keyed by pack(beta + (k,)) in n + 1 variables, so an element is one
+flat key -> coefficient dict (``to_flat`` and ``TSeries._of`` convert
+at the API edge).  For a flat key e, k = e & _FIELD_MASK, beta has the X-key
+(e >> B) - (k << n * B), and the top field is |beta| + k.  A product is
+one ``_mac`` with shift (n + 1) * B: its bound N cuts modulo
+(X, t)^N = J_N = {sum_k a_k t^k : a_k in (X)^(N-k)}, its degree guard
+reads |beta| + k, and t^{L+1} = 0 is the mask k <= L of the pass that
+drops its zeros.  Monomial images (``monomial_image``) and their sums
+(``image_sum``) are flat dicts, wrapped once by their callers; dicts an
+engine cache holds are read-only.
 """
 
 from __future__ import annotations
@@ -421,9 +426,21 @@ class TSeries:
         self.coeffs = coeffs
 
     @classmethod
-    def _of(cls, nvars, field, slots, precision):
-        """Internal constructor from engine slots: fresh dicts that
-        ``Series._of`` accepts, wrapped with one shared ambient and tag."""
+    def _of(cls, nvars, field, flat, tlen, precision, cuts=None):
+        """Internal constructor from a flat engine dict (see the module
+        docstring): its t^k terms through t^tlen, kept below total degree
+        cuts[k] (by default the tag), wrapped with one ambient and tag."""
+        if cuts is None:
+            cuts = [DEGREE_LIMIT if precision is None else precision] * (tlen + 1)
+        shift = nvars * B
+        limits = [c << shift for c in cuts]
+        slots: list[dict] = [{} for _ in range(tlen + 1)]
+        for e, c in flat.items():
+            k = e & _FIELD_MASK
+            if k <= tlen:
+                x = (e >> B) - (k << shift)
+                if x < limits[k]:
+                    slots[k][x] = c
         self = object.__new__(cls)
         self.coeffs = [Series._of(nvars, field, s, precision) for s in slots]
         return self
@@ -464,19 +481,20 @@ class TSeries:
         J_N = {sum_k a_k t^k : a_k in (X)^(N-k)}, which is an ideal because
         the cuts do not increase with k, so the operands may themselves be
         cut results.  The tags stay those of the operands: a cut result is
-        one exact representative of its class modulo J_N.  The slots are
-        multiplied by ``_mul_slots``, with the weaker tag folded into the
-        cuts, and wrapped once.
+        one exact representative of its class modulo J_N.  One flat
+        ``_mac`` under the bound max(cuts[k] + k) (N for J_N), then the
+        cuts, with the weaker tag folded in, as the product is split.
         """
         if (self.nvars, self.field, self.tlen) != (other.nvars, other.field, other.tlen):
             raise IncompatibleAmbient("TSeries operands disagree on ambient or t-length")
-        field = self.field
+        field, n = self.field, self.nvars
         prec = min_prec(self.precision, other.precision)
         if prec is not None:
             cuts = [prec] * len(self.coeffs) if cuts is None else [min_prec(prec, c) for c in cuts]
-        slots = _mul_slots([c.terms for c in self.coeffs], [c.terms for c in other.coeffs],
-                           cuts, self.nvars * B, field.add, field.mul)
-        return TSeries._of(self.nvars, field, slots, prec)
+        bound = None if cuts is None else max(c + k for k, c in enumerate(cuts))
+        acc: dict = {}
+        _mac(acc, to_flat(self), to_flat(other), bound, (n + 1) * B, field.add, field.mul)
+        return TSeries._of(n, field, acc, self.tlen, prec, cuts)
 
     def __eq__(self, other):
         if not isinstance(other, TSeries):
@@ -515,17 +533,24 @@ def substitute(f: Series, images) -> TSeries:
         if img.precision is not None:
             raise IncompatibleAmbient("substitution images must be exact polynomials")
     prec = None if f.precision is None else max(f.precision - tlen, 0)
-    slots = image_sum(f.terms, f.field, [[c.terms for c in img.coeffs] for img in images], {},
-                      range(tlen + 1), prec)
-    return TSeries._of(f.nvars, f.field, slots, prec)
+    flat = image_sum(f.terms, f.field, [to_flat(img) for img in images], tlen, {})
+    return TSeries._of(f.nvars, f.field, flat, tlen, prec)
 
 
 # -- the shared engine: products, monomial images, linear images ----------
 
 
+def to_flat(ts: TSeries) -> dict:
+    """The flat form of ``ts`` (see the module docstring)."""
+    top = (ts.nvars + 1) * B
+    return {(x << B) + (k << top | k): c
+            for k, s in enumerate(ts.coeffs) for x, c in s.terms.items()}
+
+
 def _mac(acc: dict, a: dict, b: dict, bound, shift: int, add, mul) -> None:
     """acc += a * b on key -> coefficient maps whose exponent fields take
-    ``shift`` = n * B bits, keeping only the products of total degree
+    ``shift`` bits (n * B, or (n + 1) * B for flat keys, whose total
+    degree is |beta| + k), keeping only the products of total degree
     below ``bound`` (None keeps every one).
 
     Under a bound of at most DEGREE_LIMIT no kept product can carry.
@@ -580,82 +605,69 @@ def dot(pairs, nvars: int, field: FieldSpec, precision: int | None = None) -> Se
     return Series._of(nvars, field, acc, prec)
 
 
-def _mul_slots(a: list, b: list, cuts, shift: int, add, mul) -> list:
-    """The product of two slot lists of one length L in A[t]/(t^L): slot k
-    is sum_{i+j=k} a[i] * b[j], kept below total degree cuts[k] (``cuts``
-    None keeps every product), in fresh dicts without zero coefficients.
-    Empty slots are skipped; ``shift`` as in ``_mac``."""
-    tlen = len(a) - 1
-    out: list[dict] = [{} for _ in a]
-    b_parts = [(tb, fb) for tb, fb in enumerate(b) if fb]
-    for ta, fa in enumerate(a):
-        if not fa:
-            continue
-        for tb, fb in b_parts:
-            k = ta + tb
-            if k > tlen:
-                break
-            _mac(out[k], fa, fb, None if cuts is None else cuts[k], shift, add, mul)
-    return [s if all(s.values()) else {e: c for e, c in s.items() if c} for s in out]
+def monomial_image(key: int, images: list, tlen: int, field: FieldSpec, cache: dict,
+                   bound=None) -> dict:
+    """The image of the monomial with X-key ``key`` under X_j -> images[j]
+    (flat, exact) in A[t]/(t^{tlen+1}), a flat dict without zeros,
+    memoized in ``cache`` under ``key``.
 
-
-def monomial_image(key: int, images: list, field: FieldSpec, cache: dict, cuts=None) -> list:
-    """The image of the monomial with packed ``key`` under X_j -> images[j],
-    as a slot list (one key -> coefficient dict per t-degree), memoized
-    in ``cache``.
-
-    ``images`` are the slot lists of exact images, all of one length.
     Built as image(X^(beta - e_j)) * images[j] with j the first nonzero
     exponent, the highest nonzero exponent field of the key: the loop
     walks down to the nearest cached monomial (or to 1) and multiplies
     back up, caching every intermediate image, so no exponent is too
-    large for it.  ``cuts`` as in ``_mul_slots``; the cache must only
-    ever see one value of it.  The result is a cache entry: read it,
-    never change it.
+    large for it.  Each step is one ``_mac``, cut modulo (X, t)^N under
+    a ``bound`` N (the cache must only ever see one value of it), and
+    the mask k <= tlen.  The result is a cache entry: read it, never
+    change it.
     """
     result = cache.get(key)
     if result is not None:
         return result
     n = len(images)
-    shift = n * B
-    exponent_bits = (1 << shift) - 1
+    exponent_bits = (1 << n * B) - 1
     chain = []
     while result is None:
         if not key:
-            result = [{0: field.one()}] + [{} for _ in images[0][1:]]
+            result = {0: field.one()}
             cache[0] = result
             break
         j = n - 1 - ((key & exponent_bits).bit_length() - 1) // B
         chain.append((key, j))
         key -= variable_key(n, j)
         result = cache.get(key)
-    add, mul = field.add, field.mul
+    shift, mask, add, mul = (n + 1) * B, _FIELD_MASK, field.add, field.mul
     for key, j in reversed(chain):
-        result = _mul_slots(result, images[j], cuts, shift, add, mul)
+        acc: dict = {}
+        _mac(acc, result, images[j], bound, shift, add, mul)
+        result = {e: c for e, c in acc.items() if c and e & mask <= tlen}
         cache[key] = result
     return result
 
 
-def image_sum(terms: dict, field: FieldSpec, images: list, cache: dict, slots, prec) -> list:
-    """[sum_e c_e * image(X^e)[s] for s in slots] over the ``terms``
-    c_e X^e of a polynomial over ``field``, as fresh key -> coefficient
-    dicts kept below total degree ``prec`` (None keeps all); they may hold
-    zero coefficients, which ``Series._of`` drops.  ``images`` and
-    ``cache`` as in ``monomial_image``."""
-    add, mul = field.add, field.mul
-    limit = None if prec is None else prec << len(images) * B
-    out = []
-    for s in slots:
-        acc: dict = {}
-        for key, coeff in terms.items():
-            mono = cache.get(key)
-            if mono is None:
-                mono = monomial_image(key, images, field, cache)
-            for e, v in mono[s].items():
-                if limit is not None and e >= limit:
+def image_sum(terms: dict, field: FieldSpec, images: list, tlen: int, cache: dict,
+              slot: int | None = None, prec: int | None = None) -> dict:
+    """sum_e c_e * image(X^e) over the ``terms`` c_e X^e of a polynomial
+    over ``field``, in a fresh dict that may hold zero coefficients
+    (``Series._of`` drops them).  ``images``, ``tlen`` and ``cache`` as
+    in ``monomial_image``.  Without a ``slot`` the sum is the flat
+    element, each image walked once for all t-degrees.  With a ``slot``
+    s it is the t^s coefficient, keyed by X-keys and kept below total
+    degree ``prec`` (None keeps all): the walk skips the other terms."""
+    add, mul, mask, n = field.add, field.mul, _FIELD_MASK, len(images)
+    # |beta| < prec at t^slot is |beta| + slot < prec + slot
+    limit = None if prec is None else (prec + slot) << (n + 1) * B
+    sub = None if slot is None else slot << n * B
+    acc: dict = {}
+    for key, coeff in terms.items():
+        mono = cache.get(key)
+        if mono is None:
+            mono = monomial_image(key, images, tlen, field, cache)
+        for e, v in mono.items():
+            if sub is not None:
+                if e & mask != slot or limit is not None and e >= limit:
                     continue
-                w = mul(coeff, v)
-                prev = acc.get(e)
-                acc[e] = w if prev is None else add(prev, w)
-        out.append(acc)
-    return out
+                e = (e >> B) - sub
+            w = mul(coeff, v)
+            prev = acc.get(e)
+            acc[e] = w if prev is None else add(prev, w)
+    return acc

@@ -1,26 +1,29 @@
-"""The shared product kernel and the slot-list monomial images against
-the brute-force versions and the TSeries chain in ``reference``, the
+"""The shared product kernel, the flat t-series products and the flat
+monomial images against the brute-force versions and the TSeries chain
+in ``reference``, the
 sum-of-products accumulator against a chain of products and sums, and
 the demand-driven table sums against the term-by-term sums.  The packed
 monomial keys against exponent tuples: round trip, graded-lex order,
-the kernel's bounds and its degree limit."""
+the kernel's bounds and its degree limit, on X-keys and on the flat
+keys of X^beta t^k."""
 
 import itertools
+import math
 
 import pytest
 
 from hasseschmidt import (
-    QQ, CoeffTable, Series, TSeries, apply_table, substitute, taylor_basis,
+    QQ, CoeffTable, HSDerivation, Series, TSeries, apply_table, substitute, taylor_basis,
 )
-from hasseschmidt.derivations import compose_multi, taylor_derivation
+from hasseschmidt.derivations import compose_multi, integrate, taylor_derivation
 from hasseschmidt.formula import table_sum
 from hasseschmidt.coefffield import component_matrix
 from hasseschmidt.errors import DegreeLimitExceeded
 from hasseschmidt.fields import EXPONENT_CAP
 from hasseschmidt.serialize import MONOMIAL_CAP, NVARS_CAP, monomials_below
 from hasseschmidt.series import (
-    B, DEGREE_LIMIT, _mac, _mul_slots, dot, grlex_sorted, image_sum, min_prec, monomial_image,
-    monomials_of_degree, pack, unpack, variable_key,
+    _FIELD_MASK, B, DEGREE_LIMIT, _mac, dot, grlex_sorted, image_sum, min_prec,
+    monomial_image, monomials_of_degree, pack, to_flat, unpack, variable_key,
 )
 
 import reference
@@ -120,15 +123,16 @@ def test_apply_and_components_match_reference(rng):
                         assert D.apply_component(i, f) == expected, (D, f, i)
 
 
-def slots_of(ts):
-    """The slot list of a TSeries: one terms dict per t-degree."""
-    return [c.terms for c in ts.coeffs]
+def flat_of(ts):
+    """The flat form of a TSeries, built from its exponent tuples:
+    X^beta t^k keyed by pack(beta + (k,))."""
+    return {pack(e + (k,)): c for k, s in enumerate(ts.coeffs) for e, c in s.tuple_terms().items()}
 
 
-def reduce_mod_J(slots, order, nvars):
-    """Slot k kept below total degree order - k: the reduction modulo J_N."""
-    return [{e: c for e, c in s.items() if sum(unpack(e, nvars)) < order - k}
-            for k, s in enumerate(slots)]
+def reduce_mod_J(flat, order, nvars):
+    """The terms of a flat element with |beta| + k below order: the
+    reduction modulo J_N = (X, t)^N."""
+    return {e: c for e, c in flat.items() if sum(unpack(e, nvars + 1)) < order}
 
 
 def test_monomial_images_strip_the_first_variable_and_cache_every_step(rng):
@@ -140,39 +144,41 @@ def test_monomial_images_strip_the_first_variable_and_cache_every_step(rng):
         (1, 2, 1), (0, 2, 1), (0, 1, 1), (0, 0, 1), (0, 0, 0)}
     for key, image in D._mono_cache.items():
         monomial = Series.monomial(3, QQ, unpack(key, 3))
-        assert image == slots_of(reference.substitute(monomial, D.images))
+        assert image == flat_of(reference.substitute(monomial, D.images))
     cut = D._image_of_monomial(pack((2, 0, 1)), 4)
     assert {unpack(k, 3) for k in D._cut_caches[4]} == {(2, 0, 1), (1, 0, 1), (0, 0, 1), (0, 0, 0)}
     exact = reference.substitute(Series.monomial(3, QQ, (2, 0, 1)), D.images)
-    assert len(cut) == 3
-    assert cut == reduce_mod_J(slots_of(exact), 4, 3)
+    assert {e & _FIELD_MASK for e in cut} <= {0, 1, 2}
+    assert cut == reduce_mod_J(flat_of(exact), 4, 3)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_slot_images_match_the_tseries_chain(field, rng):
-    """Cut and uncut slot images of every monomial up to degree 5 against
+    """Cut and uncut flat images of every monomial up to degree 5 against
     the TSeries chain in ``reference``, on random exact images whose t^0
     coefficients are arbitrary polynomials; the cut image at N is the
-    uncut one reduced modulo J_N, and no slot keeps a zero coefficient."""
+    uncut one reduced modulo J_N, and no image keeps a zero coefficient
+    or a term past t^tlen."""
     for nvars in (1, 2, 3):
         for tlen in (1, 2, 3):
             images = [random_tseries(rng, nvars, tlen, field) for _ in range(nvars)]
-            slots = [slots_of(img) for img in images]
+            flats = [flat_of(img) for img in images]
             cache, ref_cache = {}, {}
             cut_caches = {N: {} for N in (1, 2, 4, 6)}
             ref_cut_caches = {N: {} for N in cut_caches}
             for degree in range(6):
                 for exps in monomials_of_degree(nvars, degree):
-                    image = monomial_image(pack(exps), slots, field, cache)
-                    assert image == slots_of(reference.monomial_image(exps, images, ref_cache))
+                    image = monomial_image(pack(exps), flats, tlen, field, cache)
+                    assert image == flat_of(reference.monomial_image(exps, images, ref_cache))
                     for N, cut_cache in cut_caches.items():
                         cuts = range(N, N - tlen - 1, -1)
-                        cut = monomial_image(pack(exps), slots, field, cut_cache, cuts)
+                        cut = monomial_image(pack(exps), flats, tlen, field, cut_cache, N)
                         ref = reference.monomial_image(exps, images, ref_cut_caches[N], cuts)
-                        assert cut == slots_of(ref), (exps, N)
+                        assert cut == flat_of(ref), (exps, N)
                         assert cut == reduce_mod_J(image, N, nvars), (exps, N)
             for c in (cache, *cut_caches.values()):
-                assert all(v for image in c.values() for s in image for v in s.values())
+                assert all(v for image in c.values() for v in image.values())
+                assert all(e & _FIELD_MASK <= tlen for image in c.values() for e in image)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -200,7 +206,7 @@ def test_results_never_share_a_cached_dict(field, rng):
         fs = [Series.monomial(nvars, field, e) for e in monomials_of_degree(nvars, 2)]
         fs += [random_series(rng, nvars, field, max_degree=3, max_terms=4) for _ in range(4)]
         before = [(D.apply_component(2, f), D.apply(f), substitute(f, D.images)) for f in fs]
-        cached = {id(s) for image in D._mono_cache.values() for s in image}
+        cached = {id(image) for image in D._mono_cache.values()}
         for f, (component, full, sub) in zip(fs, before):
             for g in (component, *full.coeffs, *sub.coeffs):
                 assert id(g.terms) not in cached
@@ -211,7 +217,7 @@ def test_results_never_share_a_cached_dict(field, rng):
         for key, image in D._mono_cache.items():
             want = reference.substitute(Series.monomial(nvars, field, unpack(key, nvars)),
                                         D.images)
-            assert image == slots_of(want), key
+            assert image == flat_of(want), key
 
 
 @pytest.mark.parametrize("evaluate", ["apply_component", "apply", "substitute"])
@@ -452,43 +458,126 @@ def test_mac_skips_the_rows_past_the_bound():
         assert b.walks == rows, bound
 
 
+def padded(ts, tlen):
+    """ts with zero t-coefficients appended up to t^tlen."""
+    zero = Series.zero(ts.nvars, ts.field, ts.precision)
+    return TSeries(ts.coeffs + [zero] * (tlen - ts.tlen))
+
+
+def xt_degree(key, nvars):
+    """|beta| + k of the flat key of X^beta t^k, read off its exponents."""
+    return sum(unpack(key, nvars + 1))
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_mul_slots_matches_the_tuple_product(field, rng):
-    """Slot k of the product kept below cuts[k], for cuts one below, at
-    and one above each slot's degree and none, against
-    ``reference.tseries_product``."""
+def test_flat_tseries_products_match_the_tuple_product(field, rng):
+    """One ``_mac`` of two flat elements is ``reference.tseries_product``
+    of the operands with room for every t-degree; the mask k <= L leaves
+    the product in A[t]/(t^(L+1)); and ``mul_cut`` at the J_N cuts is
+    that product reduced modulo (X, t)^N + (t^(L+1)), for N one below, at
+    and one above the largest |beta| + k of the product and none, over
+    every field.  The boundaries are reached: terms at |beta| + k = N - 1
+    are kept and at N dropped, and terms at k = L + 1 are formed and
+    masked, k = L kept."""
+    reached = set()
     for nvars in (1, 2):
         for tlen in (1, 2, 3):
             for _ in range(5):
                 a, b = (random_tseries(rng, nvars, tlen, field) for _ in range(2))
-                full = reference.tseries_product(a, b).coeffs
-                for shift in (-1, 0, 1, None):
-                    cuts = None if shift is None else [c.degree() + shift for c in full]
-                    got = _mul_slots(slots_of(a), slots_of(b), cuts, nvars * B,
-                                     field.add, field.mul)
-                    want = [packed(below(c, None if cuts is None else cuts[k]))
-                            for k, c in enumerate(full)]
-                    assert got == want, (a, b, cuts)
+                assert to_flat(a) == flat_of(a)
+                assert TSeries._of(nvars, field, flat_of(a), tlen, None) == a
+                acc = {}
+                _mac(acc, flat_of(a), flat_of(b), None, (nvars + 1) * B, field.add, field.mul)
+                acc = {e: c for e, c in acc.items() if c}
+                assert acc == flat_of(reference.tseries_product(padded(a, 2 * tlen),
+                                                                padded(b, 2 * tlen)))
+                want = flat_of(reference.tseries_product(a, b))
+                assert {e: c for e, c in acc.items() if e & _FIELD_MASK <= tlen} == want
+                reached |= {(e & _FIELD_MASK) - tlen for e in acc} & {0, 1}
+                top = max((xt_degree(e, nvars) for e in want), default=0)
+                for N in (top - 1, top, top + 1, None):
+                    got = flat_of(a.mul_cut(b, None if N is None else range(N, N - tlen - 1, -1)))
+                    assert got == (want if N is None else reduce_mod_J(want, N, nvars)), (a, b, N)
+                    if N is not None:
+                        assert all(xt_degree(e, nvars) < N for e in got)
+                        reached |= {("N", xt_degree(e, nvars) - N) for e in want} & {
+                            ("N", -1), ("N", 0)}
+    assert reached == {0, 1, ("N", -1), ("N", 0)}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_flat_monomial_images_match_the_reference(field, rng):
+    """Flat images of X^beta under E(X_j) = X_j + t + random terms, cut
+    at N and not, against ``reference.monomial_image`` reduced modulo
+    (X, t)^N + (t^(L+1)); the powers of X_j + t reach t^L and would
+    reach t^(L+1), and the orders N = |beta| and |beta| + 1 put the
+    terms of E(X^beta) t^0 at |beta| + k = N and N - 1."""
+    for nvars in (1, 2):
+        for tlen in (1, 2, 3):
+            images = [TSeries([Series.variable(nvars, field, j), Series.one(nvars, field)]
+                              + [random_series(rng, nvars, field, max_degree=2, max_terms=2)
+                                 for _ in range(tlen - 1)]) for j in range(nvars)]
+            flats = [flat_of(img) for img in images]
+            for exps in (e for d in range(tlen, tlen + 3) for e in monomials_of_degree(nvars, d)):
+                d = sum(exps)
+                image = monomial_image(pack(exps), flats, tlen, field, {})
+                assert image == flat_of(reference.monomial_image(exps, images, {}))
+                assert all(e & _FIELD_MASK <= tlen and c for e, c in image.items())
+                for N in (d, d + 1):
+                    cuts = range(N, N - tlen - 1, -1)
+                    cut = monomial_image(pack(exps), flats, tlen, field, {}, N)
+                    assert cut == flat_of(reference.monomial_image(exps, images, {}, cuts))
+                    assert cut == reduce_mod_J(image, N, nvars)
+                    # X^beta t^0 has |beta| + 0 = d: dropped at N = d, kept at d + 1
+                    assert (pack(exps + (0,)) in cut) == (N > d)
+            # (X_1 + t)^(L+1) without its t^(L+1) term, the binomials that
+            # vanish in the field left out
+            taylor = [flat_of(TSeries([Series.variable(nvars, field, j), Series.one(nvars, field)]))
+                      for j in range(nvars)]
+            zeros = (0,) * (nvars - 1)
+            want = {pack((tlen + 1 - k,) + zeros + (k,)): field.coerce(math.comb(tlen + 1, k))
+                    for k in range(tlen + 1)}
+            image = monomial_image(pack((tlen + 1,) + zeros), taylor, tlen, field, {})
+            assert image == {e: c for e, c in want.items() if c}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_image_sum_matches_the_tuple_substitution(field, rng):
-    """Every slot of sum_e c_e image(X^e) below a bound one below, at and
-    one above the largest degree and none, against
-    ``reference.substitute`` on exponent tuples; zero coefficients the
-    sum may hold are dropped before comparing."""
+    """Each one-slot read of sum_e c_e image(X^e) below a bound one
+    below, at and one above the largest degree and none, and the
+    all-slot read, against ``reference.substitute`` on exponent tuples;
+    zero coefficients the sum may hold are dropped before comparing.  On
+    inputs with finite tags, the one-slot reads that ``apply_component``
+    makes and the all-slot read that ``apply`` splits are the reference
+    truncated as the tags say."""
     for nvars in (1, 2, 3):
         for tlen in (1, 2):
             images = [random_tseries(rng, nvars, tlen, field) for _ in range(nvars)]
-            slots = [slots_of(img) for img in images]
+            flats = [flat_of(img) for img in images]
             for _ in range(4):
                 f = random_series(rng, nvars, field, max_degree=4, max_terms=4)
-                full = reference.substitute(f, images).coeffs
-                deg = max(c.degree() for c in full)
+                full = reference.substitute(f, images)
+                got = image_sum(f.terms, field, flats, tlen, {})
+                assert {e: c for e, c in got.items() if c} == flat_of(full), f
+                deg = max(c.degree() for c in full.coeffs)
                 for prec in (deg - 1, deg, deg + 1, None):
-                    got = image_sum(f.terms, field, slots, {}, range(tlen + 1), prec)
-                    got = [{e: c for e, c in s.items() if c} for s in got]
-                    assert got == [packed(below(c, prec)) for c in full], (f, prec)
+                    for s, coeff in enumerate(full.coeffs):
+                        got = image_sum(f.terms, field, flats, tlen, {}, s, prec)
+                        got = {e: c for e, c in got.items() if c}
+                        assert got == packed(below(coeff, prec)), (f, s, prec)
+            D = HSDerivation([TSeries([Series.variable(nvars, field, j)] + img.coeffs[1:])
+                              for j, img in enumerate(images)])
+            for P in (1, 2, 3, 5):
+                f = random_series(rng, nvars, field, max_degree=4, max_terms=4, precision=P)
+                exact = reference.substitute(Series(nvars, field, f.tuple_terms()), D.images)
+                for s in range(tlen + 1):
+                    got = image_sum(f.terms, field, D._flat_images, tlen, {}, s, max(P - s, 0))
+                    want = exact.coeffs[s].truncate(max(P - s, 0))
+                    assert Series._of(nvars, field, got, max(P - s, 0)) == want, (f, s)
+                got = image_sum(f.terms, field, D._flat_images, tlen, {})
+                prec = max(P - tlen, 0)
+                assert TSeries._of(nvars, field, got, tlen, prec).coeffs == \
+                    [c.truncate(prec) for c in exact.coeffs], f
 
 
 @pytest.mark.parametrize("nvars, j", [(1, 0), (2, 0), (2, 1), (3, 2)])
@@ -521,6 +610,34 @@ def test_products_stop_below_the_degree_limit(nvars, j):
     assert cut.is_zero() and cut.precision == DEGREE_LIMIT
 
 
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_flat_products_stop_below_the_degree_limit(nvars):
+    """On the flat keys of X^beta t^k the guard reads |beta| + k: a
+    t-series product or a monomial image that forms X_1^(2^B - 1) t,
+    where |beta| + k reaches DEGREE_LIMIT although |beta| stays below
+    it, raises DegreeLimitExceeded; X_1^(2^B - 2) t, one below, does not.
+    ``Series`` products keep the X-degree bound of the test above."""
+    def power(e):
+        return Series.monomial(nvars, QQ, [e] + [0] * (nvars - 1))
+
+    top = DEGREE_LIMIT - 1
+    x, zero, one = Series.variable(nvars, QQ, 0), Series.zero(nvars, QQ), Series.one(nvars, QQ)
+    t = TSeries([zero, one])
+    below, at = power(top - 1), power(top)
+    assert TSeries([below, zero]) * t == TSeries([zero, below])
+    D = integrate([below] + [zero] * (nvars - 1), 1)
+    assert D.apply_component(1, x) == below
+    assert D.apply(x) == substitute(x, D.images) == TSeries([x, below])
+    with pytest.raises(DegreeLimitExceeded):
+        TSeries([at, zero]) * t
+    D = integrate([at] + [zero] * (nvars - 1), 1)
+    for evaluate in (lambda: D.apply_component(1, x), lambda: D.apply(x),
+                     lambda: substitute(x, D.images)):
+        with pytest.raises(DegreeLimitExceeded):
+            evaluate()
+    assert (at * one).degree() == top
+
+
 def test_the_cli_caps_stay_below_the_degree_limit():
     """No problem file the caps admit reaches the degree limit.
 
@@ -534,9 +651,12 @@ def test_the_cli_caps_stay_below_the_degree_limit():
     forms is [t^i] P_mu * D_mu(X_j), of degree at most
     m d0 + 1 + m (d0 - 1); a determinant of the degree-1 matrix, at most
     NVARS_CAP d0, and a Leibniz product E(f) E(g) of polynomials of
-    degree <= 3, at most 6 d0, stay below it."""
+    degree <= 3, at most 6 d0, stay below it.  The guard on a flat key of
+    X^beta t^k reads |beta| + k, and a flat product forms t-degrees up to
+    2m before the mask drops those past m: 2m more at most."""
     assert monomials_below(MONOMIAL_CAP + 1, 1, MONOMIAL_CAP) > MONOMIAL_CAP
     d0 = NVARS_CAP * EXPONENT_CAP
     m = MONOMIAL_CAP - 1
     worst = m * d0 + 1 + m * (d0 - 1)
-    assert max(NVARS_CAP * d0, 6 * d0) < worst < DEGREE_LIMIT
+    assert max(NVARS_CAP * d0, 6 * d0) < worst
+    assert worst + 2 * m < DEGREE_LIMIT
