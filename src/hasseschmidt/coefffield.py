@@ -11,7 +11,8 @@ weight-1 components leaves a strictly larger kernel in positive
 characteristic (the p-th powers survive), which is the phenomenon this
 module makes checkable.  The weights that kill them, 1, p, .., p^k,
 decide the kernel on their own (proved at ``coefficient_field``), so
-the other weights are never stacked.
+the other weights are never stacked.  The matrices of all weights of
+a member read one graded sweep of its monomial images modulo (X, t)^N.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient, NotABasis, PrecisionExhausted
 from .fields import FieldSpec
-from .series import _FIELD_MASK, B, Series, monomials_of_degree, pack
+from .series import _FIELD_MASK, B, Series, cut_images, monomials_of_degree, pack
 from .derivations import HSDerivation
 # bench/spans.py patches degree1_matrix in this namespace as well as in
 # decompose's
@@ -116,9 +117,11 @@ def component_matrix(D: HSDerivation, i: int, order: int,
 
     Column for the monomial X^beta holds the coordinates of D_i(X^beta)
     truncated below degree order - i: the t^i terms of the flat image
-    E(X^beta) modulo J_order, which the derivation computes once per
-    monomial and order and shares between all weights.  ``source``, the
-    order-N basis, may be passed in to share it between matrices.
+    E(X^beta) modulo J_order.  The first call for a (D, order) builds the
+    images of every source monomial in one graded sweep
+    (``series.cut_images``) into ``D._cut_caches[order]``, and every
+    weight reads its columns off them.  ``source``, the order-N basis,
+    may be passed in to share it between matrices.
     """
     if i > D.length or i < 0:
         raise ComponentOutOfRange(f"component {i} of a length-{D.length} derivation")
@@ -133,10 +136,14 @@ def component_matrix(D: HSDerivation, i: int, order: int,
     target = source.prefix(order - i)
     # a monomial has the same index in the target as in the source
     index = source.index
+    images = D._cut_caches.get(order)
+    if images is None:
+        images = D._cut_caches[order] = cut_images(index, D._flat_images, D.length, D.field, order)
     rows = [{} for _ in range(len(target))]
     mask, sub = _FIELD_MASK, i << D.nvars * B
-    for beta, c in index.items():
-        for e, v in D._image_of_monomial(beta, order).items():
+    # the images come in the order of the index, whose values are 0, 1, ..
+    for c, image in enumerate(images.values()):
+        for e, v in image.items():
             if e & mask == i:
                 rows[index[(e >> B) - sub]][c] = v
     label = f"{D.name or 'D'}_{i}"
@@ -230,7 +237,8 @@ def joint_kernel(mats, source: QuotientBasis | None = None, field: FieldSpec | N
                 raise IncompatibleAmbient("kernel matrices disagree on source basis or field")
     elif source is None or field is None:
         raise ValueError("an empty matrix list needs explicit source basis and field")
-    stacked = [row for mat in mats for row in mat.rows]
+    # the reduced form depends only on the row space; short rows first
+    stacked = sorted((row for mat in mats for row in mat.rows if row), key=len)
     vectors = nullspace(stacked, len(source), field)
     basis = [source.from_coords(v, field) for v in vectors]
     used = ", ".join(mat.label for mat in mats) if mats else "none"

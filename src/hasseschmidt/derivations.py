@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient
 from .series import (
-    _FIELD_MASK, B, Series, TSeries, _mac, image_sum, monomial_image,
-    monomials_of_degree, to_flat, variable_key,
+    _FIELD_MASK, B, Series, TSeries, _mac, image_sum, monomials_of_degree, to_flat,
+    variable_key,
 )
 
 
@@ -73,7 +73,7 @@ class HSDerivation:
         # the engine's view of the images: one flat dict each (see series)
         self._flat_images = [to_flat(img) for img in images]
         self._mono_cache: dict = {}
-        self._cut_caches: dict = {}  # order N -> {key: E(X^beta) mod J_N}
+        self._cut_caches: dict = {}  # order N -> {key: E(X^beta) mod J_N}, see component_matrix
 
     # -- constructors ------------------------------------------------
 
@@ -83,24 +83,21 @@ class HSDerivation:
 
     def truncated(self, w: int) -> "HSDerivation":
         """The derivation (D_0, .., D_w): the images cut to t^w, same name;
-        self when w is the length."""
+        self when w is the length.  Built from this one's validated
+        images and flat images, masked to k <= w, with empty caches."""
         if w == self.length:
             return self
         if not 1 <= w < self.length:
             raise ComponentOutOfRange(f"cannot truncate a length-{self.length} derivation to {w}")
-        return HSDerivation([TSeries(img.coeffs[: w + 1]) for img in self.images], name=self.name)
+        out = object.__new__(HSDerivation)
+        out.nvars, out.length, out.field, out.name = self.nvars, w, self.field, self.name
+        out.images = [TSeries(img.coeffs[: w + 1]) for img in self.images]
+        out._flat_images = [{e: c for e, c in flat.items() if e & _FIELD_MASK <= w}
+                            for flat in self._flat_images]
+        out._mono_cache, out._cut_caches = {}, {}
+        return out
 
     # -- the components ----------------------------------------------
-
-    def _image_of_monomial(self, key: int, order: int | None = None) -> dict:
-        """E(X^beta) for the packed key of beta as a flat dict (see the
-        series module), built as E(X^(beta - e_j)) * E(X_j) and memoized;
-        a read-only cache entry.  With an ``order`` N it is only computed
-        modulo J_N = (X, t)^N: its t^i terms are D_i(X^beta) below degree
-        N - i, all that a component matrix on the order-N quotient reads.
-        """
-        cache = self._mono_cache if order is None else self._cut_caches.setdefault(order, {})
-        return monomial_image(key, self._flat_images, self.length, self.field, cache, order)
 
     def apply_component(self, i: int, f: Series) -> Series:
         """D_i(f): the t^i coefficient of E(f).

@@ -36,9 +36,10 @@ at the API edge).  For a flat key e, k = e & _FIELD_MASK, beta has the X-key
 one ``_mac`` with shift (n + 1) * B: its bound N cuts modulo
 (X, t)^N = J_N = {sum_k a_k t^k : a_k in (X)^(N-k)}, its degree guard
 reads |beta| + k, and t^{L+1} = 0 is the mask k <= L of the pass that
-drops its zeros.  Monomial images (``monomial_image``) and their sums
-(``image_sum``) are flat dicts, wrapped once by their callers; dicts an
-engine cache holds are read-only.
+drops its zeros.  Monomial images modulo J_N (``cut_images``, one
+graded pass over a quotient basis) or uncut (``monomial_image``) and
+their sums (``image_sum``) are flat dicts, wrapped once by their
+callers; dicts an engine cache holds are read-only.
 """
 
 from __future__ import annotations
@@ -605,43 +606,47 @@ def dot(pairs, nvars: int, field: FieldSpec, precision: int | None = None) -> Se
     return Series._of(nvars, field, acc, prec)
 
 
-def monomial_image(key: int, images: list, tlen: int, field: FieldSpec, cache: dict,
-                   bound=None) -> dict:
+def monomial_image(key: int, images: list, tlen: int, field: FieldSpec, cache: dict) -> dict:
     """The image of the monomial with X-key ``key`` under X_j -> images[j]
-    (flat, exact) in A[t]/(t^{tlen+1}), a flat dict without zeros,
-    memoized in ``cache`` under ``key``.
-
-    Built as image(X^(beta - e_j)) * images[j] with j the first nonzero
-    exponent, the highest nonzero exponent field of the key: the loop
-    walks down to the nearest cached monomial (or to 1) and multiplies
-    back up, caching every intermediate image, so no exponent is too
-    large for it.  Each step is one ``_mac``, cut modulo (X, t)^N under
-    a ``bound`` N (the cache must only ever see one value of it), and
-    the mask k <= tlen.  The result is a cache entry: read it, never
-    change it.
-    """
-    result = cache.get(key)
-    if result is not None:
-        return result
-    n = len(images)
+    (flat, exact) in A[t]/(t^{tlen+1}), a flat dict without zeros and
+    past t^tlen, memoized in ``cache``: a walk down by the rule of
+    ``cut_images`` to the nearest cached monomial (or 1), then
+    ``cut_images`` back up, uncut, caching every step; nothing recurses,
+    so no exponent is too large.  The result is a cache entry: read it,
+    never change it."""
+    n, chain, below = len(images), [], key
     exponent_bits = (1 << n * B) - 1
-    chain = []
-    while result is None:
-        if not key:
-            result = {0: field.one()}
-            cache[0] = result
+    while below not in cache:
+        chain.append(below)
+        if not below:
             break
-        j = n - 1 - ((key & exponent_bits).bit_length() - 1) // B
-        chain.append((key, j))
-        key -= variable_key(n, j)
-        result = cache.get(key)
+        below -= variable_key(n, n - 1 - ((below & exponent_bits).bit_length() - 1) // B)
+    cut_images(reversed(chain), images, tlen, field, None, cache)
+    return cache[key]
+
+
+def cut_images(keys, images: list, tlen: int, field: FieldSpec, bound, out=None) -> dict:
+    """``out`` (a new dict by default) with the images of the monomials
+    with X-keys ``keys`` under X_j -> images[j] added: flat dicts without
+    zeros in A[t]/(t^{tlen+1}) modulo J_bound = (X, t)^bound (None cuts
+    nothing), built in one pass.  Each is one ``_mac`` of the image of
+    X^(beta - e_j), j the first nonzero exponent (the highest nonzero
+    field of the key), by images[j], so X^(beta - e_j) must be in ``out``
+    or earlier in ``keys``: graded order does that."""
+    n = len(images)
+    top, exponent_bits = 1 << n * B, (1 << n * B) - 1
     shift, mask, add, mul = (n + 1) * B, _FIELD_MASK, field.add, field.mul
-    for key, j in reversed(chain):
+    out = {} if out is None else out
+    for key in keys:
+        if not key:
+            out[0] = {0: field.one()}
+            continue
+        # X_j owns the highest nonzero exponent field f of the key: j = n - 1 - f
+        f = ((key & exponent_bits).bit_length() - 1) // B
         acc: dict = {}
-        _mac(acc, result, images[j], bound, shift, add, mul)
-        result = {e: c for e, c in acc.items() if c and e & mask <= tlen}
-        cache[key] = result
-    return result
+        _mac(acc, out[key - (top | 1 << f * B)], images[n - 1 - f], bound, shift, add, mul)
+        out[key] = {e: c for e, c in acc.items() if c and e & mask <= tlen}
+    return out
 
 
 def image_sum(terms: dict, field: FieldSpec, images: list, tlen: int, cache: dict,

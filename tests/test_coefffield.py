@@ -604,6 +604,28 @@ def test_nullspace_of_a_full_rank_stack_is_empty(field, rng):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["taylor", "random"])
+def test_kernel_basis_does_not_depend_on_the_row_order(field, kind, rng):
+    """The reduced row echelon form depends only on the row space, so the
+    stacked rows as given, shuffled and shortest first (as ``joint_kernel``
+    stacks them) give one basis, weight-1 kernels with their p-th powers
+    included."""
+    for n, N in ((1, 7), (2, 5), (3, 4)):
+        family = family_for(kind, rng, n, N - 1, field)
+        source = QuotientBasis(n, N)
+        for weights in ([1], range(1, N)):
+            mats = [component_matrix(D, i, N, source) for D in family for i in weights]
+            rows = [row for mat in mats for row in mat.rows]
+            shuffled = rng.sample(rows, len(rows))
+            basis = nullspace(rows, len(source), field)
+            assert nullspace(shuffled, len(source), field) == basis
+            assert nullspace(sorted(rows, key=len), len(source), field) == basis
+            want = [source.from_coords(v, field) for v in basis]
+            assert joint_kernel(mats).basis == want
+            assert joint_kernel(rng.sample(mats, len(mats))).basis == want
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
 @pytest.mark.parametrize("kind", ["taylor", "random", "scaled", "unit"])
 @pytest.mark.parametrize("degree1_only", [False, True])
 def test_coefficient_field_matches_the_references(field, kind, degree1_only, rng):

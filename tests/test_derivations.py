@@ -11,6 +11,7 @@ from hasseschmidt import (
     HSDerivation,
     Series,
     TSeries,
+    component_matrix,
     compose_multi,
     group_compose,
     group_inverse,
@@ -109,6 +110,27 @@ def test_truncated_keeps_the_low_components_and_the_name(rng):
     for w in (0, 5):
         with pytest.raises(ComponentOutOfRange):
             D.truncated(w)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_truncated_copies_equal_the_public_construction(field, rng):
+    """``truncated`` skips the validation and ``to_flat``; its copy equals
+    the derivation built from the cut images the public way, flat images
+    in the same order included, and shares no cache with its source."""
+    for nvars, length in ((1, 4), (2, 3), (3, 2)):
+        D = random_hsd(rng, nvars, length, field, max_degree=3, max_terms=3)
+        D.name = "D"
+        D.apply_component(1, random_series(rng, nvars, field))
+        component_matrix(D, 1, 3)
+        for w in range(1, length):
+            Dw = D.truncated(w)
+            want = HSDerivation([TSeries(img.coeffs[: w + 1]) for img in D.images], name="D")
+            assert Dw == want
+            assert (Dw.nvars, Dw.length, Dw.field, Dw.name) == (
+                want.nvars, want.length, want.field, want.name)
+            assert [list(f.items()) for f in Dw._flat_images] == [
+                list(f.items()) for f in want._flat_images]
+            assert (Dw._mono_cache, Dw._cut_caches) == ({}, {})
 
 
 def test_component_zero_is_identity(rng):

@@ -17,12 +17,13 @@ from hasseschmidt import (
 )
 from hasseschmidt.derivations import compose_multi, integrate, taylor_derivation
 from hasseschmidt.formula import table_sum
-from hasseschmidt.coefffield import component_matrix
+from hasseschmidt import series
+from hasseschmidt.coefffield import QuotientBasis, component_matrix
 from hasseschmidt.errors import DegreeLimitExceeded
 from hasseschmidt.fields import EXPONENT_CAP
 from hasseschmidt.serialize import MONOMIAL_CAP, NVARS_CAP, monomials_below
 from hasseschmidt.series import (
-    _FIELD_MASK, B, DEGREE_LIMIT, _mac, dot, grlex_sorted, image_sum, min_prec,
+    _FIELD_MASK, B, DEGREE_LIMIT, _mac, cut_images, dot, grlex_sorted, image_sum, min_prec,
     monomial_image, monomials_of_degree, pack, to_flat, unpack, variable_key,
 )
 
@@ -145,8 +146,10 @@ def test_monomial_images_strip_the_first_variable_and_cache_every_step(rng):
     for key, image in D._mono_cache.items():
         monomial = Series.monomial(3, QQ, unpack(key, 3))
         assert image == flat_of(reference.substitute(monomial, D.images))
-    cut = D._image_of_monomial(pack((2, 0, 1)), 4)
-    assert {unpack(k, 3) for k in D._cut_caches[4]} == {(2, 0, 1), (1, 0, 1), (0, 0, 1), (0, 0, 0)}
+    # a component matrix caches the cut image of every source monomial
+    component_matrix(D, 1, 4)
+    assert list(D._cut_caches[4]) == list(QuotientBasis(3, 4).index)
+    cut = D._cut_caches[4][pack((2, 0, 1))]
     exact = reference.substitute(Series.monomial(3, QQ, (2, 0, 1)), D.images)
     assert {e & _FIELD_MASK for e in cut} <= {0, 1, 2}
     assert cut == reduce_mod_J(flat_of(exact), 4, 3)
@@ -154,29 +157,32 @@ def test_monomial_images_strip_the_first_variable_and_cache_every_step(rng):
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_slot_images_match_the_tseries_chain(field, rng):
-    """Cut and uncut flat images of every monomial up to degree 5 against
-    the TSeries chain in ``reference``, on random exact images whose t^0
-    coefficients are arbitrary polynomials; the cut image at N is the
-    uncut one reduced modulo J_N, and no image keeps a zero coefficient
-    or a term past t^tlen."""
+    """Uncut flat images (``monomial_image``) and cut ones (``cut_images``
+    over every monomial up to degree 5) against the TSeries chain in
+    ``reference``, on random exact images whose t^0 coefficients are
+    arbitrary polynomials; the cut image at N is the uncut one reduced
+    modulo J_N, and no image keeps a zero coefficient or a term past
+    t^tlen."""
     for nvars in (1, 2, 3):
         for tlen in (1, 2, 3):
             images = [random_tseries(rng, nvars, tlen, field) for _ in range(nvars)]
             flats = [flat_of(img) for img in images]
+            keys = [pack(e) for d in range(6) for e in monomials_of_degree(nvars, d)]
             cache, ref_cache = {}, {}
-            cut_caches = {N: {} for N in (1, 2, 4, 6)}
-            ref_cut_caches = {N: {} for N in cut_caches}
+            cut_sets = {N: cut_images(keys, flats, tlen, field, N) for N in (1, 2, 4, 6)}
+            ref_cut_caches = {N: {} for N in cut_sets}
             for degree in range(6):
                 for exps in monomials_of_degree(nvars, degree):
                     image = monomial_image(pack(exps), flats, tlen, field, cache)
                     assert image == flat_of(reference.monomial_image(exps, images, ref_cache))
-                    for N, cut_cache in cut_caches.items():
+                    for N, cut_set in cut_sets.items():
                         cuts = range(N, N - tlen - 1, -1)
-                        cut = monomial_image(pack(exps), flats, tlen, field, cut_cache, N)
+                        cut = cut_set[pack(exps)]
                         ref = reference.monomial_image(exps, images, ref_cut_caches[N], cuts)
                         assert cut == flat_of(ref), (exps, N)
                         assert cut == reduce_mod_J(image, N, nvars), (exps, N)
-            for c in (cache, *cut_caches.values()):
+            assert all(list(cut_set) == keys for cut_set in cut_sets.values())
+            for c in (cache, *cut_sets.values()):
                 assert all(v for image in c.values() for v in image.values())
                 assert all(e & _FIELD_MASK <= tlen for image in c.values() for e in image)
 
@@ -194,6 +200,33 @@ def test_component_matrix_columns_are_truncated_components(field, rng):
                           if c in row}
                 want = D.apply_component(i, Series.monomial(nvars, field, beta))
                 assert column == want.truncate(order - i).tuple_terms(), (i, beta)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_component_matrices_build_each_cut_image_once(field, rng, monkeypatch):
+    """The first matrix of a (member, order) makes one ``_mac`` per
+    non-constant monomial of the source basis; every other weight, and
+    the same weight again, reads the cached images and makes none.  A
+    new order makes a new sweep."""
+    calls = []
+    mac = series._mac
+
+    def counted(*args):
+        calls.append(args)
+        mac(*args)
+
+    monkeypatch.setattr(series, "_mac", counted)
+    for nvars, length, order in ((1, 4, 5), (2, 3, 4), (3, 2, 3)):
+        D = random_hsd(rng, nvars, length, field, max_degree=3, max_terms=3)
+        source, smaller = QuotientBasis(nvars, order), QuotientBasis(nvars, order - 1)
+        del calls[:]
+        component_matrix(D, 1, order, source)
+        assert len(calls) == len(source) - 1
+        for i in range(min(length, order - 1) + 1):
+            component_matrix(D, i, order, source)
+        assert len(calls) == len(source) - 1
+        component_matrix(D, 1, order - 1, smaller)
+        assert len(calls) == len(source) - 1 + len(smaller) - 1
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -508,16 +541,19 @@ def test_flat_tseries_products_match_the_tuple_product(field, rng):
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_flat_monomial_images_match_the_reference(field, rng):
     """Flat images of X^beta under E(X_j) = X_j + t + random terms, cut
-    at N and not, against ``reference.monomial_image`` reduced modulo
-    (X, t)^N + (t^(L+1)); the powers of X_j + t reach t^L and would
-    reach t^(L+1), and the orders N = |beta| and |beta| + 1 put the
-    terms of E(X^beta) t^0 at |beta| + k = N and N - 1."""
+    at N (``cut_images``) and not (``monomial_image``), against
+    ``reference.monomial_image`` reduced modulo (X, t)^N + (t^(L+1));
+    the powers of X_j + t reach t^L and would reach t^(L+1), and the
+    orders N = |beta| and |beta| + 1 put the terms of E(X^beta) t^0 at
+    |beta| + k = N and N - 1."""
     for nvars in (1, 2):
         for tlen in (1, 2, 3):
             images = [TSeries([Series.variable(nvars, field, j), Series.one(nvars, field)]
                               + [random_series(rng, nvars, field, max_degree=2, max_terms=2)
                                  for _ in range(tlen - 1)]) for j in range(nvars)]
             flats = [flat_of(img) for img in images]
+            keys = [pack(e) for d in range(tlen + 3) for e in monomials_of_degree(nvars, d)]
+            cut_sets = {N: cut_images(keys, flats, tlen, field, N) for N in range(tlen, tlen + 4)}
             for exps in (e for d in range(tlen, tlen + 3) for e in monomials_of_degree(nvars, d)):
                 d = sum(exps)
                 image = monomial_image(pack(exps), flats, tlen, field, {})
@@ -525,7 +561,7 @@ def test_flat_monomial_images_match_the_reference(field, rng):
                 assert all(e & _FIELD_MASK <= tlen and c for e, c in image.items())
                 for N in (d, d + 1):
                     cuts = range(N, N - tlen - 1, -1)
-                    cut = monomial_image(pack(exps), flats, tlen, field, {}, N)
+                    cut = cut_sets[N][pack(exps)]
                     assert cut == flat_of(reference.monomial_image(exps, images, {}, cuts))
                     assert cut == reduce_mod_J(image, N, nvars)
                     # X^beta t^0 has |beta| + 0 = d: dropped at N = d, kept at d + 1
