@@ -27,7 +27,7 @@ from .series import _FIELD_MASK, B, Series, cut_images, monomials_of_degree, pac
 from .derivations import HSDerivation
 # bench/spans.py patches degree1_matrix in this namespace as well as in
 # decompose's
-from .decompose import _det, degree1_entries, degree1_matrix, degree1_values  # noqa: F401
+from .decompose import _det, degree1_matrix, degree1_values  # noqa: F401
 
 
 class QuotientBasis:
@@ -288,7 +288,7 @@ def coefficient_field(family, order: int, degree1_only: bool = False) -> KernelR
     k[X^(p^(k+1))], and N <= p^(k+1), so f is a constant.
     """
     family = list(family)
-    if not _unit_det(degree1_entries(family)):
+    if not _unit_det(degree1_values(family)):
         raise NotABasis("degree-1 values have non-unit determinant")
     max_weight = min(1, order - 1) if degree1_only else order - 1
     for D in family:

@@ -145,24 +145,21 @@ def _leading_members(family) -> list:
     return family[:n]
 
 
-def degree1_values(family, points) -> list:
+def degree1_values(family, points=None) -> list:
     """The entries D^d_1(a_j), row j and column d, of the first n members
-    at the points a_1..a_n, where there are n variables."""
+    at the points a_1..a_n, where there are n variables; by default the
+    variables, where D^d_1(X_j) is the t^1 coefficient of E^d(X_j)."""
     members = _leading_members(family)
+    if points is None:
+        n, field = members[0].nvars, members[0].field
+        points = [Series.variable(n, field, j) for j in range(n)]
     return [[D.apply_component(1, a) for D in members] for a in points]
 
 
-def degree1_entries(family) -> list:
-    """The entries D^d_1(X_j), row j and column d, of the first n members,
-    n the number of variables: each the t^1 coefficient of the stored
-    image E^d(X_j)."""
-    members = _leading_members(family)
-    return [[D.images[j].coeffs[1] for D in members] for j in range(len(members))]
-
-
 def degree1_matrix(family) -> Degree1Matrix:
-    """The degree-1 matrix of the first n members (see degree1_entries)."""
-    entries = degree1_entries(family)
+    """The degree-1 matrix of the first n members at the variables (see
+    degree1_values)."""
+    entries = degree1_values(family)
     return Degree1Matrix(entries, _det(entries))
 
 

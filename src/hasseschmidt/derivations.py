@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient
 from .series import (
-    _FIELD_MASK, B, Series, TSeries, _mac, image_sum, monomials_of_degree, to_flat,
-    variable_key,
+    _FIELD_MASK, B, Series, TSeries, _mac, image_sum, monomials_of_degree, variable_key,
 )
 
 
@@ -31,9 +30,11 @@ class HSDerivation:
     """A Hasse-Schmidt derivation, determined by the images E(X_j).
 
     images[j] is a TSeries whose t^0 coefficient is exactly X_j and whose
-    higher coefficients are exact polynomials.  Instances are immutable
-    apart from internal memo tables that only grow, so evaluating
-    components of the same derivation from several threads is safe.
+    higher coefficients are exact polynomials.  The engine reads each
+    image's one stored form: ``_flat_images[j]`` is ``images[j].flat``.
+    Instances are immutable apart from internal memo tables that only
+    grow, so evaluating components of the same derivation from several
+    threads is safe.
     """
 
     __slots__ = ("nvars", "length", "field", "images", "name", "_flat_images", "_mono_cache",
@@ -60,8 +61,10 @@ class HSDerivation:
                 raise IncompatibleAmbient("variable images disagree on length")
             if img.precision is not None:
                 raise IncompatibleAmbient("variable images must be exact polynomials")
-            # the t^0 coefficient is exactly X_j: tag None (checked above), terms {e_j: 1}
-            if img.coeffs[0].terms != {variable_key(nvars, j): one}:
+            # the t^0 coefficient is exactly X_j: tag None (checked above), and
+            # the k = 0 terms of the flat image, as X-keys, are {e_j: 1}
+            t0 = {e >> B: c for e, c in img.flat.items() if not e & _FIELD_MASK}
+            if t0 != {variable_key(nvars, j): one}:
                 raise IncompatibleAmbient(
                     f"t^0 coefficient of image {j} must be the variable X{j + 1}"
                 )
@@ -70,8 +73,7 @@ class HSDerivation:
         self.field = field
         self.images = images
         self.name = name
-        # the engine's view of the images: one flat dict each (see series)
-        self._flat_images = [to_flat(img) for img in images]
+        self._flat_images = [img.flat for img in images]
         self._mono_cache: dict = {}
         self._cut_caches: dict = {}  # order N -> {key: E(X^beta) mod J_N}, see component_matrix
 
@@ -84,16 +86,16 @@ class HSDerivation:
     def truncated(self, w: int) -> "HSDerivation":
         """The derivation (D_0, .., D_w): the images cut to t^w, same name;
         self when w is the length.  Built from this one's validated
-        images and flat images, masked to k <= w, with empty caches."""
+        images, their flat dicts masked to k <= w, with empty caches."""
         if w == self.length:
             return self
         if not 1 <= w < self.length:
             raise ComponentOutOfRange(f"cannot truncate a length-{self.length} derivation to {w}")
         out = object.__new__(HSDerivation)
         out.nvars, out.length, out.field, out.name = self.nvars, w, self.field, self.name
-        out.images = [TSeries(img.coeffs[: w + 1]) for img in self.images]
-        out._flat_images = [{e: c for e, c in flat.items() if e & _FIELD_MASK <= w}
-                            for flat in self._flat_images]
+        out.images = [TSeries._of(self.nvars, self.field, img.flat, w, None)
+                      for img in self.images]
+        out._flat_images = [img.flat for img in out.images]
         out._mono_cache, out._cut_caches = {}, {}
         return out
 
@@ -221,15 +223,15 @@ def group_compose(D: HSDerivation, Dp: HSDerivation) -> HSDerivation:
     """
     if (D.nvars, D.field, D.length) != (Dp.nvars, Dp.field, Dp.length):
         raise IncompatibleAmbient("group operands disagree on ambient, field or length")
-    field, top = D.field, (D.nvars + 1) * B
+    m = D.length
     images = []
     for img in Dp.images:
-        # sum_s t^s E_D(g_s) over the t-coefficients g_s of Dp's image, flat
-        acc: dict = {}
+        # the t^i coefficient sum_{r+s=i} D_r(g_s), g_s the t-coefficients of Dp's image
+        coeffs = [Series.zero(D.nvars, D.field)] * (m + 1)
         for s, g in enumerate(img.coeffs):
-            _mac(acc, {s << top | s: field.one()}, D._apply_flat(g.terms), None, top,
-                 field.add, field.mul)
-        images.append(TSeries._of(D.nvars, field, acc, D.length, None))
+            for r, c in enumerate(D.apply(g).coeffs[: m + 1 - s]):
+                coeffs[r + s] = coeffs[r + s] + c
+        images.append(TSeries(coeffs))
     return HSDerivation(images)
 
 

@@ -26,9 +26,10 @@ kernel works on k[X]/(X)^truncation, decompose keeps the table to that
 precision, and verify runs every weight up to the length.  A problem
 with more than NVARS_CAP variables, or with more than MONOMIAL_CAP
 monomials below its order, is refused before anything is built.  Each
-term of a series is checked once, in ``series_from_json``.  Every
-refusal is a ProblemFormatError whose message is one line, with input
-values shortened by ``reprlib``.
+term of a series or t-series is checked once, in ``_terms_from_json``,
+and a t-series is keyed straight into its one flat dict.  Every refusal
+is a ProblemFormatError whose message is one line, with input values
+shortened by ``reprlib``.
 """
 
 from __future__ import annotations
@@ -120,14 +121,12 @@ def series_to_json(f: Series) -> dict:
     return {"prec": "exact" if f.precision is None else f.precision, "terms": terms}
 
 
-def series_from_json(obj, nvars: int, field: FieldSpec) -> Series:
-    """The series of a JSON object, every term checked here and only here:
-    its length, its exponents (integers from 0 to EXPONENT_CAP), its
-    coefficient (``field.parse_scalar``) and that no exponent repeats,
-    also among the terms that are dropped.  Zero coefficients are
-    dropped by ``Series._of``, which wraps the packed terms without a
-    second check, and terms at or above the precision by
-    ``Series.truncate``, as ``Series(...)`` would have dropped them."""
+def _terms_from_json(obj, nvars: int, field: FieldSpec) -> tuple:
+    """The packed terms and the precision (None: exact) of a JSON series,
+    every term checked here and only here: its length, its exponents
+    (integers from 0 to EXPONENT_CAP), its coefficient
+    (``field.parse_scalar``) and that no exponent repeats, also among the
+    zeros and terms at or above the precision, which the caller drops."""
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise ProblemFormatError(
             f"series must be an object with a 'terms' array, got {reprlib.repr(obj)}")
@@ -157,9 +156,14 @@ def series_from_json(obj, nvars: int, field: FieldSpec) -> Series:
         if key in terms:
             raise ProblemFormatError(f"duplicate exponent {tuple(exps)} in series")
         terms[key] = value
-    f = Series._of(nvars, field, terms, None)
-    # only now: a duplicate above prec is still refused
-    return f if prec is None else f.truncate(prec)
+    return terms, prec
+
+
+def series_from_json(obj, nvars: int, field: FieldSpec) -> Series:
+    """The series of a JSON object: ``Series._of`` drops the zeros and
+    ``Series.truncate`` the terms at or above the precision."""
+    terms, prec = _terms_from_json(obj, nvars, field)
+    return Series._of(nvars, field, terms, None).truncate(prec)
 
 
 def tseries_to_json(ts: TSeries) -> list:
@@ -167,9 +171,12 @@ def tseries_to_json(ts: TSeries) -> list:
 
 
 def tseries_from_json(obj, nvars: int, field: FieldSpec) -> TSeries:
+    """The t-series of a JSON array of series: ``TSeries._of_terms`` keys
+    the terms of every t-coefficient into one flat dict, without a Series."""
     if not isinstance(obj, list) or not obj:
         raise ProblemFormatError("a t-series must be a nonempty array of series")
-    return TSeries([series_from_json(c, nvars, field) for c in obj])
+    slots, precisions = zip(*(_terms_from_json(c, nvars, field) for c in obj))
+    return TSeries._of_terms(nvars, field, slots, precisions)
 
 
 def derivation_to_json(D: HSDerivation) -> dict:

@@ -8,9 +8,11 @@ degree >= N, i.e. it lives in k[X]/(X)^N; stored monomials always satisfy
 deg < N (the bound is exclusive).  Combining two values keeps the weaker
 precision.
 
-A :class:`TSeries` is an element of A[t]/(t^{tlen+1}) stored as its list
-of t-coefficients.  It is the carrier for substitution homomorphisms
-X_j |-> image_j, which is how Hasse-Schmidt derivations act, at the API.
+A :class:`TSeries` is an element of A[t]/(t^{tlen+1}), stored in one
+form: the flat dict below.  Its list of t-coefficients (``coeffs``) is a
+view, split off on first read.  It is the carrier for substitution
+homomorphisms X_j |-> image_j, which is how Hasse-Schmidt derivations
+act.
 
 Every monomial is keyed by one int, its packed exponent vector
 (``pack``): the total degree in the top, unbounded field, then e_1 ..
@@ -30,16 +32,17 @@ monomials and stay tuples.
 
 The engine treats t as a last variable: c X^beta t^k in A[t]/(t^{L+1})
 is keyed by pack(beta + (k,)) in n + 1 variables, so an element is one
-flat key -> coefficient dict (``to_flat`` and ``TSeries._of`` convert
-at the API edge).  For a flat key e, k = e & _FIELD_MASK, beta has the X-key
-(e >> B) - (k << n * B), and the top field is |beta| + k.  A product is
-one ``_mac`` with shift (n + 1) * B: its bound N cuts modulo
-(X, t)^N = J_N = {sum_k a_k t^k : a_k in (X)^(N-k)}, its degree guard
-reads |beta| + k, and t^{L+1} = 0 is the mask k <= L of the pass that
-drops its zeros.  Monomial images modulo J_N (``cut_images``, one
-graded pass over a quotient basis) or uncut (``monomial_image``) and
+flat key -> coefficient dict, ``TSeries.flat``; only this module makes
+such a key from a t-degree.  For a flat key e, k = e & _FIELD_MASK,
+beta has the X-key (e >> B) - (k << n * B), and the top field is
+|beta| + k.  A product is one ``_mac`` with shift (n + 1) * B: its bound
+N cuts modulo (X, t)^N = J_N = {sum_k a_k t^k : a_k in (X)^(N-k)}, its
+degree guard reads |beta| + k, and t^{L+1} = 0 is the mask k <= L of the
+pass that drops its zeros.  Monomial images modulo J_N (``cut_images``,
+one graded pass over a quotient basis) or uncut (``monomial_image``) and
 their sums (``image_sum``) are flat dicts, wrapped once by their
-callers; dicts an engine cache holds are read-only.
+callers; dicts an engine cache holds, and the ``flat`` of a TSeries,
+are read-only.
 """
 
 from __future__ import annotations
@@ -407,12 +410,11 @@ class Series:
 
 
 class TSeries:
-    """An element of A[t]/(t^{tlen+1}): the list of its t-coefficients.
+    """An element of A[t]/(t^{tlen+1}) with one ambient and tag, stored as
+    ``flat``: X^beta t^k (k <= tlen, |beta| below the tag) -> nonzero
+    coefficient.  ``coeffs``, its t-coefficients as Series, is a view."""
 
-    All coefficients share the ambient ring and a common precision tag.
-    """
-
-    __slots__ = ("coeffs",)
+    __slots__ = ("nvars", "field", "tlen", "precision", "flat", "_coeffs")
 
     def __init__(self, coeffs):
         coeffs = list(coeffs)
@@ -422,45 +424,55 @@ class TSeries:
         for c in coeffs[1:]:
             if c.nvars != first.nvars or c.field != first.field:
                 raise IncompatibleAmbient("t-coefficients live in different ambient rings")
-            if c.precision != first.precision:
-                raise IncompatibleAmbient("t-coefficients carry different precisions")
-        self.coeffs = coeffs
+        self.flat = TSeries._of_terms(first.nvars, first.field, [c.terms for c in coeffs],
+                                      [c.precision for c in coeffs]).flat
+        self.nvars, self.field, self.precision = first.nvars, first.field, first.precision
+        self.tlen, self._coeffs = len(coeffs) - 1, coeffs
 
     @classmethod
-    def _of(cls, nvars, field, flat, tlen, precision, cuts=None):
-        """Internal constructor from a flat engine dict (see the module
-        docstring): its t^k terms through t^tlen, kept below total degree
-        cuts[k] (by default the tag), wrapped with one ambient and tag."""
-        if cuts is None:
-            cuts = [DEGREE_LIMIT if precision is None else precision] * (tlen + 1)
-        shift = nvars * B
-        limits = [c << shift for c in cuts]
-        slots: list[dict] = [{} for _ in range(tlen + 1)]
-        for e, c in flat.items():
-            k = e & _FIELD_MASK
-            if k <= tlen:
-                x = (e >> B) - (k << shift)
-                if x < limits[k]:
-                    slots[k][x] = c
+    def _of(cls, nvars, field, flat, tlen, precision):
+        """Internal constructor from a flat dict, which it only reads: a new
+        dict of its nonzero terms X^beta t^k with k <= tlen and |beta|
+        below the tag, with one ambient and tag."""
+        mask, top = _FIELD_MASK, (nvars + 1) * B
+        # the top field of a flat key is |beta| + k
+        limit = DEGREE_LIMIT if precision is None else precision
         self = object.__new__(cls)
-        self.coeffs = [Series._of(nvars, field, s, precision) for s in slots]
+        self.nvars, self.field, self.tlen, self.precision = nvars, field, tlen, precision
+        self.flat = {e: c for e, c in flat.items()
+                     if c and e & mask <= tlen and (e >> top) - (e & mask) < limit}
+        return self
+
+    @classmethod
+    def _of_terms(cls, nvars, field, slots, precisions):
+        """The t-series whose t^k coefficient has the terms slots[k] (X-key
+        -> coefficient; zeros and terms at or above the tag are dropped)
+        and the tag precisions[k]; IncompatibleAmbient unless they agree."""
+        prec = precisions[0]
+        if len(set(precisions)) > 1:
+            raise IncompatibleAmbient("t-coefficients carry different precisions")
+        top, limit = (nvars + 1) * B, (DEGREE_LIMIT if prec is None else prec) << nvars * B
+        self = object.__new__(cls)
+        self.nvars, self.field, self.tlen, self.precision = nvars, field, len(slots) - 1, prec
+        self.flat = {(x << B) + (k << top | k): c
+                     for k, s in enumerate(slots) for x, c in s.items() if c and x < limit}
         return self
 
     @property
-    def tlen(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def nvars(self) -> int:
-        return self.coeffs[0].nvars
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.coeffs[0].field
-
-    @property
-    def precision(self):
-        return self.coeffs[0].precision
+    def coeffs(self) -> list:
+        """The t-coefficients t^0 .. t^tlen as Series, split off ``flat``
+        on the first read."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            pass
+        shift = self.nvars * B
+        slots: list[dict] = [{} for _ in range(self.tlen + 1)]
+        for e, c in self.flat.items():
+            k = e & _FIELD_MASK
+            slots[k][(e >> B) - (k << shift)] = c
+        self._coeffs = [Series._of(self.nvars, self.field, s, self.precision) for s in slots]
+        return self._coeffs
 
     @classmethod
     def from_series(cls, f: Series, tlen: int):
@@ -469,38 +481,25 @@ class TSeries:
         return cls(out)
 
     def __mul__(self, other):
-        """Product in A[t]/(t^{tlen+1}); t-degrees beyond tlen are discarded."""
+        """Product in A[t]/(t^{tlen+1}); t-degrees beyond tlen are discarded.
+        With a TSeries it is one flat ``_mac`` under the bound tag + tlen,
+        which every kept term X^beta t^k (|beta| < tag, k <= tlen) is below."""
         if isinstance(other, Series):
             return TSeries([c * other for c in self.coeffs])
-        return self.mul_cut(other, None)
-
-    def mul_cut(self, other: "TSeries", cuts) -> "TSeries":
-        """The product with its t^k coefficient kept only below total degree
-        cuts[k]; ``cuts`` None cuts nothing (the product ``self * other``).
-
-        With cuts[k] = N - k this is the product modulo
-        J_N = {sum_k a_k t^k : a_k in (X)^(N-k)}, which is an ideal because
-        the cuts do not increase with k, so the operands may themselves be
-        cut results.  The tags stay those of the operands: a cut result is
-        one exact representative of its class modulo J_N.  One flat
-        ``_mac`` under the bound max(cuts[k] + k) (N for J_N), then the
-        cuts, with the weaker tag folded in, as the product is split.
-        """
         if (self.nvars, self.field, self.tlen) != (other.nvars, other.field, other.tlen):
             raise IncompatibleAmbient("TSeries operands disagree on ambient or t-length")
         field, n = self.field, self.nvars
         prec = min_prec(self.precision, other.precision)
-        if prec is not None:
-            cuts = [prec] * len(self.coeffs) if cuts is None else [min_prec(prec, c) for c in cuts]
-        bound = None if cuts is None else max(c + k for k, c in enumerate(cuts))
         acc: dict = {}
-        _mac(acc, to_flat(self), to_flat(other), bound, (n + 1) * B, field.add, field.mul)
-        return TSeries._of(n, field, acc, self.tlen, prec, cuts)
+        _mac(acc, self.flat, other.flat, None if prec is None else prec + self.tlen,
+             (n + 1) * B, field.add, field.mul)
+        return TSeries._of(n, field, acc, self.tlen, prec)
 
     def __eq__(self, other):
         if not isinstance(other, TSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return ((self.nvars, self.field, self.tlen, self.precision, self.flat)
+                == (other.nvars, other.field, other.tlen, other.precision, other.flat))
 
     def __str__(self):
         return " + ".join(
@@ -534,18 +533,11 @@ def substitute(f: Series, images) -> TSeries:
         if img.precision is not None:
             raise IncompatibleAmbient("substitution images must be exact polynomials")
     prec = None if f.precision is None else max(f.precision - tlen, 0)
-    flat = image_sum(f.terms, f.field, [to_flat(img) for img in images], tlen, {})
+    flat = image_sum(f.terms, f.field, [img.flat for img in images], tlen, {})
     return TSeries._of(f.nvars, f.field, flat, tlen, prec)
 
 
 # -- the shared engine: products, monomial images, linear images ----------
-
-
-def to_flat(ts: TSeries) -> dict:
-    """The flat form of ``ts`` (see the module docstring)."""
-    top = (ts.nvars + 1) * B
-    return {(x << B) + (k << top | k): c
-            for k, s in enumerate(ts.coeffs) for x, c in s.terms.items()}
 
 
 def _mac(acc: dict, a: dict, b: dict, bound, shift: int, add, mul) -> None:

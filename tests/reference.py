@@ -10,7 +10,9 @@ recursion and its own scaled sum; its image products, and the products
 and inverses here, are pair-by-pair brute force, so they share no loop
 with the library's product kernel.  Monomial images, cut modulo J_N or
 not, come from the chain of TSeries products the library walked before
-its engine moved to slot lists.  An ordinary derivation acts by the
+its engine moved to slot lists, and a flat element is split into its
+t-coefficients as the library split it before a TSeries was stored as
+its flat dict (``split_flat``).  An ordinary derivation acts by the
 Leibniz rule term by term, as it did before it became a length-1
 Hasse-Schmidt derivation.  The residual, table application, coordinate
 solve and decomposition are the versions from before a decomposition
@@ -43,7 +45,7 @@ from hasseschmidt.errors import (
     ComponentOutOfRange, HasseSchmidtError, LengthMismatch, PrecisionExhausted, ProblemFormatError,
 )
 from hasseschmidt.fields import EXPONENT_CAP
-from hasseschmidt.series import min_prec, monomials_of_degree
+from hasseschmidt.series import _FIELD_MASK, B, DEGREE_LIMIT, min_prec, monomials_of_degree
 
 
 def grlex_key(exponents):
@@ -89,6 +91,23 @@ def inverse(a, target_precision):
         power = product(power, minus_u)
         total = total + power
     return total.scale(c0_inv)
+
+
+def split_flat(nvars, field, flat, tlen, precision):
+    """The t-coefficients t^0 .. t^tlen of a flat element (X^beta t^k keyed
+    by pack(beta + (k,))) below the tag, as Series: the split the library
+    made on every TSeries it built from an engine dict while a TSeries
+    was stored as its list of t-coefficients."""
+    cut = DEGREE_LIMIT if precision is None else precision
+    shift = nvars * B
+    slots = [{} for _ in range(tlen + 1)]
+    for e, c in flat.items():
+        k = e & _FIELD_MASK
+        if k <= tlen:
+            x = (e >> B) - (k << shift)
+            if x < cut << shift:
+                slots[k][x] = c
+    return [Series._of(nvars, field, s, precision) for s in slots]
 
 
 def monomial_image(exps, images, cache, cuts=None):

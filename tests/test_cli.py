@@ -321,6 +321,64 @@ def test_kernel_answers_hostile_inputs_with_an_exit_code(tmp_path, capsys, name,
         assert json.loads(captured.out)["dimension"] >= 1
 
 
+def _coeff(terms, prec="exact"):
+    return {"prec": prec, "terms": terms}
+
+
+X1, ONE = [1, "1"], [0, "1"]
+
+# (id, the image E(X1) as raw JSON, exit code, stderr line); the loader
+# drops zero terms before the t^0 check, but refuses a duplicate even
+# where the tag drops it
+IMAGE_REFUSALS = [
+    ("not-a-list", 5, 1, "error: a t-series must be a nonempty array of series"),
+    ("empty", [], 1, "error: a t-series must be a nonempty array of series"),
+    ("coefficient-not-an-object", [_coeff([X1]), 3], 1,
+     "error: series must be an object with a 'terms' array, got 3"),
+    ("negative-precision", [_coeff([X1]), _coeff([ONE], -1)], 1, "error: bad precision -1"),
+    ("mixed-precisions", [_coeff([X1]), _coeff([ONE], 3)], 1,
+     "error: t-coefficients carry different precisions"),
+    ("all-at-precision-3", [_coeff([X1], 3), _coeff([ONE], 3)], 1,
+     "error: variable images must be exact polynomials"),
+    ("all-at-precision-1", [_coeff([X1], 1), _coeff([ONE], 1)], 1,
+     "error: variable images must be exact polynomials"),
+    ("one-coefficient", [_coeff([X1])], 1,
+     "error: image has 1 t-coefficients, expected length 1"),
+    ("t0-is-1", [_coeff([ONE]), _coeff([ONE])], 1,
+     "error: t^0 coefficient of image 0 must be the variable X1"),
+    ("t0-is-x-plus-1", [_coeff([X1, ONE]), _coeff([ONE])], 1,
+     "error: t^0 coefficient of image 0 must be the variable X1"),
+    ("t0-is-2x", [_coeff([[1, "2"]]), _coeff([ONE])], 1,
+     "error: t^0 coefficient of image 0 must be the variable X1"),
+    ("t0-with-a-zero-term", [_coeff([X1, [2, "0"]]), _coeff([ONE])], 1,
+     "error: derivation of length 1 has no component 2"),
+    ("duplicate", [_coeff([X1]), _coeff([ONE, [0, "2"]])], 1,
+     "error: duplicate exponent (0,) in series"),
+    ("duplicate-above-the-tag", [_coeff([X1]), _coeff([X1, [1, "2"]], 1)], 1,
+     "error: duplicate exponent (1,) in series"),
+    ("exponent-past-the-cap", [_coeff([X1]), _coeff([[5000, "1"]])], 1,
+     "error: exponent above the cap 4096 in term [5000]"),
+    ("x-at-t1", [_coeff([X1]), _coeff([X1])], 2,
+     "not a basis: degree-1 values have non-unit determinant"),
+]
+
+
+@pytest.mark.parametrize("image, code, line", [case[1:] for case in IMAGE_REFUSALS],
+                         ids=[case[0] for case in IMAGE_REFUSALS])
+def test_kernel_refuses_each_bad_derivation_image_with_one_line(tmp_path, capsys, image, code,
+                                                                line):
+    """A one-variable GF(5) problem of length 1 and truncation 3 whose only
+    image is ``image``: each refusal keeps its exit code and message."""
+    obj = {"field": "F5", "nvars": 1, "length": 1, "truncation": 3, "seed": 0,
+           "derivations": [{"name": "D1", "nvars": 1, "length": 1, "images": [image]}]}
+    path = tmp_path / "image.json"
+    path.write_text(json.dumps(obj))
+    assert main(["kernel", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
 # -- verify ----------------------------------------------------------------------
 
 def test_verify_valid_file_passes(tmp_path, capsys):

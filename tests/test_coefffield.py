@@ -339,12 +339,14 @@ def test_too_few_derivations_are_not_a_basis():
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @pytest.mark.parametrize("kind", ["taylor", "random", "scaled"])
 def test_degree1_matrix_reads_the_values_on_the_variables(kind, field, rng):
-    """The stored t^1 coefficients of the images are the degree-1 values
-    at the variables."""
+    """The degree-1 values at the variables, by default and given, are the
+    stored t^1 coefficients of the images."""
     for n, m in ((1, 2), (2, 3), (3, 2)):
         family = family_for(kind, rng, n, m, field)
         variables = [Series.variable(n, field, j) for j in range(n)]
-        assert degree1_matrix(family).entries == degree1_values(family, variables)
+        stored = [[D.images[j].coeffs[1] for D in family] for j in range(n)]
+        assert degree1_matrix(family).entries == stored
+        assert degree1_values(family, variables) == stored
 
 
 def test_mixed_families_are_incompatible():
@@ -668,3 +670,74 @@ def test_kernel_reports_are_byte_identical_with_the_references(tmp_path, monkeyp
     slow = reports("slow")
     assert fast == slow
     assert all(json.loads(r)["dimension"] >= 1 for r in fast)
+
+
+# -- independent oracles ---------------------------------------------------------
+
+
+def sympy_matrix(rows, ncols, field):
+    """The rows (lists of field elements) as a sympy DomainMatrix over QQ
+    or GF(p)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    if field.p is None:
+        K = sympy.QQ
+        return DomainMatrix([[K(x.numerator, x.denominator) for x in row] for row in rows],
+                            (len(rows), ncols), K)
+    K = sympy.GF(field.p)
+    return DomainMatrix([[K(x) for x in row] for row in rows], (len(rows), ncols), K)
+
+
+def admitted_or_random(kind, rng, n, m, field):
+    """``family_for``'s families, or n ``random_hsd`` members, which need
+    not be a basis."""
+    if kind == "hsd":
+        return [random_hsd(rng, n, m, field) for _ in range(n)]
+    return family_for(kind, rng, n, m, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["taylor", "random", "unit", "hsd"])
+def test_joint_kernels_span_sympy_s_nullspace(field, kind, rng):
+    """``joint_kernel`` of stacked component matrices spans the nullspace
+    sympy's ``DomainMatrix`` finds for the same dense stack: the reduced
+    row echelon forms of the two bases are equal.  Weight 1 only, the
+    deciding weights, every weight, and a random part of the matrices."""
+    pytest.importorskip("sympy")
+    for n, N in ((1, 6), (2, 4), (3, 3)) * 3:
+        family = admitted_or_random(kind, rng, n, N - 1, field)
+        source = QuotientBasis(n, N)
+        ncols, zero = len(source), field.zero()
+        every = [component_matrix(D, i, N, source) for D in family for i in range(1, N)]
+        deciding = coefffield._deciding_weights(field, N)
+        for mats in ([m for m in every if m.weight == 1], [m for m in every if m.weight in deciding],
+                     every, rng.sample(every, rng.randint(1, len(every)))):
+            dense = [[row.get(c, zero) for c in range(ncols)] for mat in mats for row in mat.rows]
+            theirs = sympy_matrix(dense, ncols, field).nullspace()
+            report = joint_kernel(mats)
+            ours = sympy_matrix([source.coords(b) for b in report.basis], ncols, field)
+            assert ours.shape == theirs.shape == (report.dimension, ncols)
+            assert ours.rref()[0] == theirs.rref()[0]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["taylor", "random", "scaled", "unit"])
+def test_kernels_are_the_closed_form(field, kind, rng):
+    """On admitted families the kernel at order N is the constants; with
+    only the weight-1 components over GF(p) it is the monomials
+    X^(p gamma) of degree < N, in graded order, and over Q the constants.
+    Up to NVARS_CAP variables, except for ``unit`` families, which draw
+    until the exact determinant is a unit."""
+    p = field.p
+    sizes = ((1, 8), (2, 5), (3, 4)) if kind == "unit" else (
+        (1, 8), (2, 5), (3, 4), (5, 3), (serialize.NVARS_CAP, 3))
+    for n, top in sizes:
+        source = QuotientBasis(n, top)
+        for N in range(1, top + 1):
+            family = family_for(kind, rng, n, max(N - 1, 1), field)
+            constants = [Series.one(n, field)]
+            powers = [Series.monomial(n, field, e) for e in source.prefix(N).monomials
+                      if all(x % p == 0 for x in e)] if p else constants
+            assert coefficient_field(family, N).basis == constants
+            assert coefficient_field(family, N, degree1_only=True).basis == powers

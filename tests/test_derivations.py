@@ -22,7 +22,6 @@ from hasseschmidt import (
     taylor_derivation,
 )
 from hasseschmidt.errors import ComponentOutOfRange, IncompatibleAmbient
-from hasseschmidt.series import to_flat
 
 import reference
 from conftest import FIELDS, random_hsd, random_series
@@ -114,9 +113,9 @@ def test_truncated_keeps_the_low_components_and_the_name(rng):
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_truncated_copies_equal_the_public_construction(field, rng):
-    """``truncated`` skips the validation and ``to_flat``; its copy equals
-    the derivation built from the cut images the public way, flat images
-    in the same order included, and shares no cache with its source."""
+    """``truncated`` skips the validation; its copy equals the derivation
+    built from the cut images the public way, flat images in the same
+    order included, and shares no cache with its source."""
     for nvars, length in ((1, 4), (2, 3), (3, 2)):
         D = random_hsd(rng, nvars, length, field, max_degree=3, max_terms=3)
         D.name = "D"
@@ -465,8 +464,7 @@ class Corrupted(HSDerivation):
     def _apply_flat(self, terms):
         image = TSeries._of(self.nvars, self.field, super()._apply_flat(terms), self.length, None)
         f = Series._of(self.nvars, self.field, terms, None)
-        return to_flat(TSeries([c + 1 if self.hit(i, f) else c
-                                for i, c in enumerate(image.coeffs)]))
+        return TSeries([c + 1 if self.hit(i, f) else c for i, c in enumerate(image.coeffs)]).flat
 
 
 def test_leibniz_flags_corrupted_component_table():

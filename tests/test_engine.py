@@ -24,7 +24,7 @@ from hasseschmidt.fields import EXPONENT_CAP
 from hasseschmidt.serialize import MONOMIAL_CAP, NVARS_CAP, monomials_below
 from hasseschmidt.series import (
     _FIELD_MASK, B, DEGREE_LIMIT, _mac, cut_images, dot, grlex_sorted, image_sum, min_prec,
-    monomial_image, monomials_of_degree, pack, to_flat, unpack, variable_key,
+    monomial_image, monomials_of_degree, pack, unpack, variable_key,
 )
 
 import reference
@@ -62,25 +62,6 @@ def test_tseries_mul_matches_brute_force(rng):
                 prec = rng.choice(PRECISIONS)
                 a, b = (random_tseries(rng, 2, tlen, field, prec) for _ in range(2))
                 assert a * b == reference.tseries_product(a, b), (a, b)
-
-
-def test_cut_tseries_mul_is_the_brute_force_product_reduced(rng):
-    """mul_cut keeps slot k of the product below cuts[k] and the weaker
-    tag, whichever is lower, and carries the weaker tag."""
-    for field in FIELDS:
-        for tlen in (1, 2, 3):
-            for _ in range(10):
-                prec = rng.choice(PRECISIONS)
-                a, b = (random_tseries(rng, 2, tlen, field, prec) for _ in range(2))
-                N = rng.randint(1, 6)
-                cuts = range(N, N - tlen - 1, -1)
-                full = reference.tseries_product(a, b)
-                want = [Series(2, field, {e: c for e, c in s.tuple_terms().items() if sum(e) < cut},
-                               prec)
-                        for s, cut in zip(full.coeffs, cuts)]
-                got = a.mul_cut(b, cuts)
-                assert got == TSeries(want), (a, b, N)
-                assert all(c.precision == prec for c in got.coeffs)
 
 
 def test_inverse_matches_brute_force(rng):
@@ -506,18 +487,18 @@ def xt_degree(key, nvars):
 def test_flat_tseries_products_match_the_tuple_product(field, rng):
     """One ``_mac`` of two flat elements is ``reference.tseries_product``
     of the operands with room for every t-degree; the mask k <= L leaves
-    the product in A[t]/(t^(L+1)); and ``mul_cut`` at the J_N cuts is
-    that product reduced modulo (X, t)^N + (t^(L+1)), for N one below, at
-    and one above the largest |beta| + k of the product and none, over
-    every field.  The boundaries are reached: terms at |beta| + k = N - 1
-    are kept and at N dropped, and terms at k = L + 1 are formed and
-    masked, k = L kept."""
+    the product in A[t]/(t^(L+1)); and one ``_mac`` under the bound N
+    with the same mask is that product reduced modulo
+    (X, t)^N + (t^(L+1)), for N one below, at and one above the largest
+    |beta| + k of the product and none, over every field.  The
+    boundaries are reached: terms at |beta| + k = N - 1 are kept and at N
+    dropped, and terms at k = L + 1 are formed and masked, k = L kept."""
     reached = set()
     for nvars in (1, 2):
         for tlen in (1, 2, 3):
             for _ in range(5):
                 a, b = (random_tseries(rng, nvars, tlen, field) for _ in range(2))
-                assert to_flat(a) == flat_of(a)
+                assert a.flat == flat_of(a)
                 assert TSeries._of(nvars, field, flat_of(a), tlen, None) == a
                 acc = {}
                 _mac(acc, flat_of(a), flat_of(b), None, (nvars + 1) * B, field.add, field.mul)
@@ -529,7 +510,9 @@ def test_flat_tseries_products_match_the_tuple_product(field, rng):
                 reached |= {(e & _FIELD_MASK) - tlen for e in acc} & {0, 1}
                 top = max((xt_degree(e, nvars) for e in want), default=0)
                 for N in (top - 1, top, top + 1, None):
-                    got = flat_of(a.mul_cut(b, None if N is None else range(N, N - tlen - 1, -1)))
+                    got = {}
+                    _mac(got, a.flat, b.flat, N, (nvars + 1) * B, field.add, field.mul)
+                    got = {e: c for e, c in got.items() if c and e & _FIELD_MASK <= tlen}
                     assert got == (want if N is None else reduce_mod_J(want, N, nvars)), (a, b, N)
                     if N is not None:
                         assert all(xt_degree(e, nvars) < N for e in got)

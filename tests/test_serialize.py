@@ -335,6 +335,32 @@ def test_series_from_json_agrees_with_the_validating_constructor(field, nvars, d
     assert serialize.series_from_json(obj, nvars, field) == expected  # terms and tag
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 3), st.data())
+def test_tseries_from_json_agrees_with_the_validating_constructors(field, nvars, data):
+    """Each t-coefficient read by ``reference.series_from_json``, then the
+    public TSeries constructor: the same t-series, or the same refusal.
+    In most draws every t-coefficient carries the first one's tag."""
+    from hasseschmidt.errors import HasseSchmidtError
+
+    objs = data.draw(st.lists(json_series(nvars), min_size=1, max_size=4))
+    if data.draw(st.integers(0, 3)):
+        for obj in objs[1:]:
+            obj.pop("prec", None)
+            if "prec" in objs[0]:
+                obj["prec"] = objs[0]["prec"]
+    try:
+        expected = TSeries([reference.series_from_json(obj, nvars, field) for obj in objs])
+    except HasseSchmidtError as exc:
+        with pytest.raises(type(exc)) as info:
+            serialize.tseries_from_json(objs, nvars, field)
+        assert str(info.value) == str(exc)
+        return
+    loaded = serialize.tseries_from_json(objs, nvars, field)
+    assert loaded == expected  # flat terms, t-length and tag
+    assert loaded.coeffs == expected.coeffs
+
+
 def test_series_from_json_drops_high_and_zero_terms_but_not_duplicates():
     obj = {"prec": 2, "terms": [[0, 0, "1"], [1, 1, "2"], [0, 3, "5"], [1, 0, "0/4"]]}
     loaded = serialize.series_from_json(obj, 2, QQ)
