@@ -27,7 +27,7 @@ from .series import _FIELD_MASK, B, Series, cut_images, monomials_of_degree, pac
 from .derivations import HSDerivation
 # bench/spans.py patches degree1_matrix in this namespace as well as in
 # decompose's
-from .decompose import _det, degree1_matrix, degree1_values  # noqa: F401
+from .decompose import _det, _leading_members, degree1_matrix, degree1_values  # noqa: F401
 
 
 class QuotientBasis:
@@ -164,18 +164,20 @@ def _eliminate(vec: dict, pivot: dict, factor, field: FieldSpec) -> None:
 def nullspace(rows, ncols: int, field: FieldSpec) -> list:
     """Basis of the right nullspace by sparse row reduction.
 
-    Each row is a {column: nonzero value} map.  A copy of it is reduced
-    against the pivot rows found so far, keyed by leading column and
-    scaled to a leading 1; what is left of it, if anything, becomes a new
-    pivot row.
-    Reduction stops once every column has a pivot.  Back substitution
+    ``rows`` is a list of {column: nonzero value} maps.  A copy of each
+    is reduced against the pivot rows found so far, keyed by leading
+    column and scaled to a leading 1; what is left of it, if anything,
+    becomes a new pivot row.  Reduction stops once every column that some
+    row touches has a pivot: a column no row touches never takes one, so
+    the rows left could only reduce to zero.  Back substitution
     then brings the pivot rows to reduced row echelon form, which depends
     only on the row space.  Returns the canonical vectors of that form:
     one per free column, with a 1 in that column.
     """
     pivots: dict = {}
+    touched = len(set().union(*rows))
     for row in rows:
-        if len(pivots) == ncols:
+        if len(pivots) == touched:
             break
         vec = dict(row)
         while vec:
@@ -288,7 +290,7 @@ def coefficient_field(family, order: int, degree1_only: bool = False) -> KernelR
     k[X^(p^(k+1))], and N <= p^(k+1), so f is a constant.
     """
     family = list(family)
-    if not _unit_det(degree1_values(family)):
+    if not _unit_det(_degree1_constants(family)):
         raise NotABasis("degree-1 values have non-unit determinant")
     max_weight = min(1, order - 1) if degree1_only else order - 1
     for D in family:
@@ -322,6 +324,18 @@ def nomura_unit_test(family, points) -> bool:
     if len(points) != n:
         raise IncompatibleAmbient(f"expected {n} points, got {len(points)}")
     return _unit_det(degree1_values(family, points))
+
+
+def _degree1_constants(family) -> list:
+    """The constant terms of the degree-1 entries D^d_1(X_j) (see
+    ``degree1_values``) as series at precision 1, read off the stored
+    images: the constant term of D^d_1(X_j) is the coefficient of X^0 t^1
+    in E^d(X_j)."""
+    members = _leading_members(family)
+    n, field = members[0].nvars, members[0].field
+    t1 = pack((0,) * n + (1,))
+    return [[Series._of(n, field, {0: D._flat_images[j].get(t1, 0)}, 1) for D in members]
+            for j in range(n)]
 
 
 def _unit_det(rows) -> bool:

@@ -15,11 +15,18 @@ Formats:
                 "coefficients": table or absent}
 
 Emission is canonical (sorted keys, graded-lex term order) so identical
-inputs produce byte-identical reports.  ``dumps`` is a small writer of
-its own for the values these forms hold (dicts with str keys, lists,
-str, int, bool and None); it gives the bytes of
-``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, at less
-than half the cost of the stdlib's pure-Python indenting encoder.
+inputs produce byte-identical reports.  The ``*_to_json`` builders put
+each series in as the ``Series`` itself, a leaf of the form, and
+``dumps`` is the one writer of its text: a small writer of its own for
+dicts with str keys, lists, str, int, bool, None and Series.  It gives
+the bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a
+newline, each Series written as its dict above, at less than half the
+cost of the stdlib's pure-Python indenting encoder.  A series is
+written in one pass over its sorted keys: each term is a head, the text
+of its exponents at that depth, plus its coefficient from
+``field.format_scalar``.  Heads are kept in a memo that belongs to one
+``dumps`` call, so no state outlives it.  The dict form of a series is
+kept only in ``tests/reference.py``, as the oracle of this writer.
 
 A problem's order is the larger of its truncation and length + 1: the
 kernel works on k[X]/(X)^truncation, decompose keeps the table to that
@@ -112,15 +119,6 @@ def _int_field(obj: dict, key: str, minimum: int | None = None) -> int:
     return value
 
 
-def series_to_json(f: Series) -> dict:
-    n = f.nvars
-    terms = [
-        list(unpack(e, n)) + [f.field.format_scalar(f.terms[e])]
-        for e in grlex_sorted(f.terms, n)
-    ]
-    return {"prec": "exact" if f.precision is None else f.precision, "terms": terms}
-
-
 def _terms_from_json(obj, nvars: int, field: FieldSpec) -> tuple:
     """The packed terms and the precision (None: exact) of a JSON series,
     every term checked here and only here: its length, its exponents
@@ -167,7 +165,7 @@ def series_from_json(obj, nvars: int, field: FieldSpec) -> Series:
 
 
 def tseries_to_json(ts: TSeries) -> list:
-    return [series_to_json(c) for c in ts.coeffs]
+    return list(ts.coeffs)
 
 
 def tseries_from_json(obj, nvars: int, field: FieldSpec) -> TSeries:
@@ -214,7 +212,7 @@ def table_to_json(table: CoeffTable) -> dict:
     return {
         "m": table.levels,
         "n": table.nvars,
-        "C": [[series_to_json(c) for c in row] for row in table.rows],
+        "C": [list(row) for row in table.rows],
     }
 
 
@@ -242,7 +240,7 @@ def kernel_report_to_json(report: KernelReport) -> dict:
     return {
         "N": report.order,
         "dimension": report.dimension,
-        "basis": [series_to_json(b) for b in report.basis],
+        "basis": list(report.basis),
     }
 
 
@@ -253,8 +251,8 @@ def decomposition_to_json(result: DecompositionResult, field: FieldSpec) -> dict
         witness = {
             "i": w.i,
             "beta": list(w.beta),
-            "lhs": series_to_json(w.lhs),
-            "rhs": series_to_json(w.rhs),
+            "lhs": w.lhs,
+            "rhs": w.rhs,
         }
     return {
         "C": table_to_json(result.table),
@@ -360,25 +358,57 @@ _SCALARS = {
 }
 
 
-def _text(value, newline: str) -> str:
+def _series_text(f: Series, newline: str, heads: dict) -> str:
+    """f as the indented JSON object {"prec": .., "terms": [[e1, .., en,
+    "coeff"], ..]}, terms in graded-lex order.  Each term is its head,
+    the text of its exponents up to the coefficient's opening quote, plus
+    the coefficient from ``field.format_scalar`` (CoefficientTooLarge past
+    the interpreter's digit limit), which needs no escaping.  Heads depend
+    on the key, nvars and the depth, and are kept in ``heads``, the memo
+    of one ``dumps`` call."""
+    inner = newline + "  "
+    prec = '"exact"' if f.precision is None else int.__repr__(f.precision)
+    terms = f.terms
+    if terms:
+        n, row = f.nvars, inner + "  "
+        memo = heads.get((n, row))
+        if memo is None:
+            memo = heads[n, row] = {}
+        cell = row + "  "
+        keys = grlex_sorted(terms, n)
+        for e in keys:
+            if e not in memo:
+                memo[e] = "[" + cell + "".join(
+                    [f"{x}," + cell for x in unpack(e, n)]) + '"'
+        fmt, tail = f.field.format_scalar, '"' + row + "]"
+        body = "[" + row + ("," + row).join(
+            [memo[e] + fmt(terms[e]) + tail for e in keys]) + inner + "]"
+    else:
+        body = "[]"
+    return "{" + inner + '"prec": ' + prec + "," + inner + '"terms": ' + body + newline + "}"
+
+
+def _text(value, newline: str, heads: dict) -> str:
     """value as indented JSON, its nested lines starting with newline."""
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
+    if type(value) is Series:
+        return _series_text(value, newline, heads)
     inner = newline + "  "
     if type(value) is list:
         if not value:
             return "[]"
-        try:  # a row of scalars, such as a term, in one pass
+        try:  # a row of scalars in one pass
             items = [_SCALARS[type(v)](v) for v in value]
         except KeyError:
-            items = [_text(v, inner) for v in value]
+            items = [_text(v, inner, heads) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if type(value) is dict:
         if not value:
             return "{}"
         # a key that is not a str fails in sorted() or in the escaper
-        items = [encode_basestring_ascii(k) + ": " + _text(value[k], inner)
+        items = [encode_basestring_ascii(k) + ": " + _text(value[k], inner, heads)
                  for k in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"cannot write a {type(value).__name__} as canonical JSON")
@@ -387,10 +417,12 @@ def _text(value, newline: str) -> str:
 def dumps(obj) -> str:
     """Canonical JSON emission: the bytes of
     ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, without
-    the stdlib's pure-Python indenting encoder.  obj is built from dicts
-    with str keys (written in sorted order), lists, str, int, bool and
-    None; any other type, a float or a tuple included, is a TypeError."""
-    return _text(obj, "\n") + "\n"
+    the stdlib's pure-Python indenting encoder, where each Series in obj
+    stands for its JSON form (see the module docstring).  obj is built
+    from dicts with str keys (written in sorted order), lists, str, int,
+    bool, None and Series; any other type, a float or a tuple included,
+    is a TypeError.  The memo of term heads lives for this call only."""
+    return _text(obj, "\n", {}) + "\n"
 
 
 def load_problem(path) -> Problem:

@@ -1,16 +1,25 @@
 """Shared generators and comparison helpers for the test suite."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from hasseschmidt import GF, QQ, CoeffTable, HSDerivation, Series, TSeries, integrate, taylor_basis
+from hasseschmidt import (
+    GF, QQ, CoeffTable, HSDerivation, Series, TSeries, integrate, serialize, taylor_basis,
+)
 from hasseschmidt.decompose import degree1_matrix
 from hasseschmidt.errors import NotABasis
 
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
+
+
+def as_json(form):
+    """The JSON value of an emitted form, whose Series leaves only
+    ``serialize.dumps`` writes: the value its canonical text parses to."""
+    return json.loads(serialize.dumps(form))
 
 
 def random_scalar(rng, field, nonzero=False):

@@ -27,7 +27,10 @@ before it was decided on the variables alone, and the per-weight
 Leibniz check the one from before it compared E(fg) with E(f) E(g).
 A JSON series is read as it was before each term was checked only once:
 the loader's checks, then the validating ``Series`` constructor, which
-checks every term again and drops those at or above the precision.
+checks every term again and drops those at or above the precision.  It
+is written as it was before a ``Series`` became a leaf of the emitted
+forms: a dict with one list per term, from exponent tuples sorted by
+``grlex_key``, which the stdlib encoder then writes.
 Graded-lex order is ``grlex_key`` on exponent tuples, the sort key the
 library used before its monomials became packed ints, and ``product``
 multiplies on exponent tuples.  They are slow on purpose and must not
@@ -592,3 +595,27 @@ def series_from_json(obj, nvars, field):
         return Series(nvars, field, terms, prec)
     except HasseSchmidtError as exc:
         raise ProblemFormatError(str(exc)) from exc
+
+
+# -- the JSON form of a series, as a dict --------------------------------------------
+
+
+def series_to_json(f):
+    """{"prec": N or "exact", "terms": [[e1, .., en, "coeff"], ..]}, terms
+    in graded-lex order."""
+    terms = f.tuple_terms()
+    rows = [list(e) + [f.field.format_scalar(terms[e])] for e in sorted(terms, key=grlex_key)]
+    return {"prec": "exact" if f.precision is None else f.precision, "terms": rows}
+
+
+def json_form(form):
+    """An emitted form with every Series leaf replaced by its dict, the
+    value whose ``json.dumps(.., indent=2, sort_keys=True)`` text
+    ``serialize.dumps(form)`` must be."""
+    if isinstance(form, Series):
+        return series_to_json(form)
+    if isinstance(form, list):
+        return [json_form(v) for v in form]
+    if isinstance(form, dict):
+        return {k: json_form(v) for k, v in form.items()}
+    return form

@@ -24,6 +24,8 @@ from hasseschmidt import cli, serialize, series
 from hasseschmidt.cli import main
 from hasseschmidt.derivations import taylor_derivation
 
+from conftest import as_json
+
 
 def worked_problem():
     field = QQ
@@ -97,7 +99,7 @@ def test_malformed_json_exits_1(tmp_path):
 
 def rewritten(tmp_path, name, problem, **changes):
     """A problem file with some top-level fields replaced by raw JSON values."""
-    obj = serialize.problem_to_json(problem)
+    obj = as_json(serialize.problem_to_json(problem))
     obj.update(changes)
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -126,7 +128,7 @@ def test_40_digit_prime_field_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("coeff", ["3_0", "1e3", " 2 ", "+1"])
 def test_loose_scalar_exits_1(tmp_path, capsys, coeff):
-    obj = serialize.problem_to_json(worked_problem())
+    obj = as_json(serialize.problem_to_json(worked_problem()))
     obj["target"]["images"][0][1]["terms"][0][-1] = coeff
     path = tmp_path / "loose.json"
     path.write_text(json.dumps(obj))
@@ -172,7 +174,7 @@ def test_a_huge_exponent_exits_1_quickly(tmp_path, capsys):
     problem = serialize.Problem(
         field=field, nvars=2, length=2, truncation=6, seed=0, derivations=[A, B], target=A,
     )
-    obj = serialize.problem_to_json(problem)
+    obj = as_json(serialize.problem_to_json(problem))
     obj["derivations"][1]["images"][1][1]["terms"].append([10 ** 7, 0, "1"])
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(obj))
@@ -189,7 +191,7 @@ def test_a_product_at_the_degree_limit_exits_1_with_one_line(tmp_path, capsys, m
     is lowered to 8 here: E(X^2) for E(X) = X + (1 + X^5) t has degree
     10 at t^2, and the Leibniz check stops there with one message."""
     monkeypatch.setattr(series, "DEGREE_LIMIT", 8)
-    obj = serialize.problem_to_json(char2_problem())
+    obj = as_json(serialize.problem_to_json(char2_problem()))
     obj["derivations"][0]["images"][0][1]["terms"] = [[0, "1"], [5, "1"]]
     path = tmp_path / "steep.json"
     path.write_text(json.dumps(obj))
@@ -638,14 +640,14 @@ def hostile_files(tmp_path):
         path.write_bytes(data)
         return str(path)
 
-    huge = serialize.problem_to_json(worked_problem())
+    huge = as_json(serialize.problem_to_json(worked_problem()))
     huge["derivations"][0]["images"][0][1]["terms"] = [[0, "1"], [1, "1"]]  # 1 + X
     huge["truncation"] = 10 ** 7
-    long_verify = serialize.problem_to_json(
+    long_verify = as_json(serialize.problem_to_json(
         serialize.Problem(field=GF(5), nvars=1, length=serialize.MONOMIAL_CAP, truncation=2,
                           seed=0, derivations=[taylor_derivation(1, serialize.MONOMIAL_CAP,
-                                                                 GF(5), 0)]))
-    named = serialize.problem_to_json(worked_problem())
+                                                                 GF(5), 0)])))
+    named = as_json(serialize.problem_to_json(worked_problem()))
     named["derivations"][0]["name"] = json.loads("[" * 900 + "]" * 900)
     return {
         "deep-nesting": (raw("deep.json", b"[" * 200_000), "too deeply"),
@@ -676,7 +678,7 @@ def test_hostile_files_exit_1_with_one_line(tmp_path, capsys, name):
 def test_a_coefficient_too_long_to_write_exits_1(tmp_path, capsys):
     """The table squares a 2500-digit coefficient; Python will not write
     the 5000-digit result, so decompose stops with a message."""
-    obj = serialize.problem_to_json(worked_problem())
+    obj = as_json(serialize.problem_to_json(worked_problem()))
     obj["derivations"][0]["images"][0][1]["terms"] = [[0, "1"], [1, "1"]]
     obj["derivations"][0]["images"][0][2]["terms"] = [[0, "1"], [1, "1"]]
     obj["target"]["images"][0][1]["terms"] = [[1, "1" * 2500]]

@@ -23,6 +23,8 @@ from hasseschmidt.cli import MAX_TRIALS, main
 from hasseschmidt.derivations import taylor_derivation
 from hasseschmidt.serialize import NVARS_CAP
 
+from conftest import as_json
+
 
 def seed_problems() -> list:
     """Small valid problems covering every command's paths."""
@@ -43,7 +45,7 @@ def seed_problems() -> list:
         field=f3, nvars=2, length=2, truncation=3, seed=1,
         derivations=taylor_basis(2, 2, f3), target=taylor_basis(2, 2, f3)[0],
     )
-    return [json.dumps(serialize.problem_to_json(p)) for p in (worked, char2, plane)]
+    return [json.dumps(as_json(serialize.problem_to_json(p))) for p in (worked, char2, plane)]
 
 
 SEEDS = seed_problems()

@@ -527,6 +527,31 @@ def test_coefficient_field_decides_the_basis_at_precision_one(field, kind, rng, 
     assert answers == {True, False}
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_the_basis_test_reads_the_stored_constants(field, rng):
+    """``coefficient_field`` decides NotABasis as ``_unit_det`` does on
+    ``degree1_values``, from the constant terms of the stored t^1
+    coefficients, and builds no uncut monomial image on the way: every
+    member's ``_mono_cache`` stays empty.  The t^1 coefficients have
+    degree <= 1 and two terms at most, so many lack a constant term, and
+    some families carry a member past the n that decide."""
+    answers = set()
+    for _ in range(40):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        family = [random_hsd(rng, n, m, field, max_degree=1)
+                  for _ in range(n + rng.randint(0, 1))]
+        order, degree1_only = rng.randint(1, m + 1), rng.random() < 0.5
+        try:
+            report = coefficient_field(family, order, degree1_only)
+        except NotABasis:
+            report = None
+        assert all(not D._mono_cache for D in family)
+        unit = coefffield._unit_det(degree1_values(family))
+        assert (report is not None) == unit
+        answers.add(unit)
+    assert answers == {True, False}
+
+
 # -- the fast paths against the dense references -------------------------------------
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -592,6 +617,30 @@ def test_nullspace_matches_the_reference(field, rng):
         if rng.random() < 0.3:
             rows.insert(rng.randint(0, len(rows)), [zero] * ncols)
         assert_nullspace_matches(rows, ncols, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_nullspace_with_columns_no_row_touches(field, rng):
+    """Reduction stops once every column some row touches has a pivot,
+    before the dependent rows after it; a column no row touches is free,
+    its basis vector the unit vector.  Against the dense reference and
+    sympy's ``DomainMatrix.nullspace``."""
+    pytest.importorskip("sympy")
+    zero, one = field.zero(), field.one()
+    for _ in range(40):
+        ncols = rng.randint(1, 8)
+        untouched = rng.sample(range(ncols), rng.randint(1, ncols))
+        rows = [[zero if c in untouched else x for c, x in enumerate(row)]
+                for row in random_rows(rng, field, rng.randint(0, 6), ncols, 0.5)]
+        rows += [combination(rng, field, rows, ncols) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(rows)
+        fast = assert_nullspace_matches(rows, ncols, field)
+        for c in untouched:
+            assert [one if k == c else zero for k in range(ncols)] in fast
+        theirs = sympy_matrix(rows, ncols, field).nullspace()
+        ours = sympy_matrix(fast, ncols, field)
+        assert ours.shape == theirs.shape
+        assert ours.rref()[0] == theirs.rref()[0]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

@@ -400,8 +400,8 @@ def report_bytes(report):
     witness = None if w is None else {
         "i": w.i,
         "beta": list(w.beta),
-        "lhs": serialize.series_to_json(w.lhs),
-        "rhs": serialize.series_to_json(w.rhs),
+        "lhs": w.lhs,
+        "rhs": w.rhs,
     }
     return serialize.dumps({
         "passed": report.passed,

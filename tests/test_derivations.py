@@ -478,6 +478,27 @@ def test_leibniz_flags_corrupted_component_table():
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+def test_leibniz_counts_the_mirrored_basis_pairs_it_skips(field, rng):
+    """A basis pair (g, f) below the diagonal is counted but not checked,
+    since its mirror (f, g) came first: the pair counts and the first
+    counterexample are those of the reference, which checks every pair.
+    A pair with the corrupted product as a factor still passes, since
+    both sides read its corrupted image; the others first fail on the
+    diagonal (X^4 = X^2 X^2, the last pair) or off it (XY = Y X,
+    X^2 Y = Y X^2, X^2 Y^2 = Y^2 X^2, before X Y . X Y on the
+    diagonal)."""
+    x, y = (Series.variable(2, field, j) for j in range(2))
+    D = random_hsd(rng, 2, 2, field)
+    for product, pairs in ((x ** 4, 36), (x * y, 10), (x * x * y, 12), (x * x * y * y, 18)):
+        bad = Corrupted(D, lambda i, f: i == 1 and f == product)
+        report = leibniz_check(bad, trials=3, seed=2)
+        assert not report.passed and report.checked_pairs == pairs
+        i, f, g, lhs, rhs = report.counterexample
+        assert f * g == product and f.degree() <= g.degree()
+        assert report == reference.leibniz_check(bad, trials=3, seed=2)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
 def test_leibniz_matches_the_per_weight_reference(field, rng):
     """E(fg) against E(f) E(g) gives the report of the per-weight product
     chain, field by field: on derivations that pass, and on component

@@ -1,5 +1,6 @@
 """JSON round trips and format validation."""
 
+import functools
 import json
 import math
 import sys
@@ -11,14 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hasseschmidt import GF, QQ, CoeffTable, HSDerivation, Series, TSeries, taylor_basis
-from hasseschmidt.coefffield import coefficient_field
-from hasseschmidt.decompose import DecompositionResult, decompose, verify_decomposition
-from hasseschmidt.errors import ProblemFormatError
+from hasseschmidt.coefffield import KernelReport, coefficient_field
+from hasseschmidt.decompose import DecompositionResult, Witness, decompose, verify_decomposition
+from hasseschmidt.errors import CoefficientTooLarge, ProblemFormatError
+from hasseschmidt.fields import EXPONENT_CAP
 from hasseschmidt import serialize
 from hasseschmidt.derivations import taylor_derivation
 
 import reference
-from conftest import FIELDS, random_hsd, random_series
+from conftest import FIELDS, as_json, random_hsd, random_series
 
 
 def test_field_strings():
@@ -36,14 +38,14 @@ def test_series_round_trip(rng):
     for field in (QQ, GF(3)):
         for prec in (None, 4):
             f = random_series(rng, 2, field, max_degree=3, max_terms=4, precision=prec)
-            obj = serialize.series_to_json(f)
+            obj = as_json(f)
             assert serialize.series_from_json(obj, 2, field) == f
 
 
 def test_series_json_shape():
     x = Series.variable(2, QQ, 0)
     f = (x * x + 1).truncate(5)
-    assert serialize.series_to_json(f) == {
+    assert as_json(f) == reference.series_to_json(f) == {
         "prec": 5,
         "terms": [[0, 0, "1"], [2, 0, "1"]],
     }
@@ -66,8 +68,6 @@ def test_series_json_rejects_garbage():
 
 
 def test_series_json_caps_exponents():
-    from hasseschmidt.fields import EXPONENT_CAP
-
     capped = serialize.series_from_json({"terms": [[EXPONENT_CAP, 0, "1"]]}, 2, QQ)
     assert capped == Series.monomial(2, QQ, (EXPONENT_CAP, 0))
     for exps in ([EXPONENT_CAP + 1, 0], [0, 10 ** 7]):
@@ -91,13 +91,13 @@ def test_series_json_rejects_loose_values(obj):
 
 def test_derivation_round_trip(rng):
     D = random_hsd(rng, 2, 3, GF(5))
-    obj = serialize.derivation_to_json(D)
+    obj = as_json(serialize.derivation_to_json(D))
     assert serialize.derivation_from_json(obj, GF(5)) == D
 
 
 def test_derivation_json_validates_identity_part():
     D = taylor_derivation(1, 2, QQ, 0)
-    obj = serialize.derivation_to_json(D)
+    obj = as_json(serialize.derivation_to_json(D))
     # corrupt the t^0 coefficient: no longer the variable itself
     obj["images"][0][0]["terms"] = [[0, "1"]]
     with pytest.raises(ProblemFormatError):
@@ -107,7 +107,7 @@ def test_derivation_json_validates_identity_part():
 def test_table_round_trip(rng):
     rows = [[random_series(rng, 2, QQ, 2, 2) for _ in range(2)] for _ in range(3)]
     table = CoeffTable(rows, nvars=2, field=QQ)
-    assert serialize.table_from_json(serialize.table_to_json(table), QQ) == table
+    assert serialize.table_from_json(as_json(serialize.table_to_json(table)), QQ) == table
 
 
 def test_problem_round_trip(tmp_path):
@@ -139,23 +139,26 @@ def test_problem_rejects_mismatched_derivation():
         "truncation": 5,
         "seed": 0,
         "derivations": [
-            {"name": "d1", **serialize.derivation_to_json(taylor_derivation(1, 2, QQ, 0))}
+            {"name": "d1", **as_json(serialize.derivation_to_json(taylor_derivation(1, 2, QQ, 0)))}
         ],
     }
     with pytest.raises(ProblemFormatError):
         serialize.problem_from_json(obj)
 
 
-def worked_problem_json():
+def worked_problem():
     field = QQ
     x = Series.variable(1, field, 0)
     target = HSDerivation([TSeries([x, x, Series.one(1, field)])])
-    problem = serialize.Problem(
+    return serialize.Problem(
         field=field, nvars=1, length=2, truncation=6, seed=42,
         derivations=[taylor_derivation(1, 2, field, 0)], target=target,
         coefficients=CoeffTable([[x], [Series.one(1, field)]]),
     )
-    return serialize.problem_to_json(problem)
+
+
+def worked_problem_json():
+    return as_json(serialize.problem_to_json(worked_problem()))
 
 
 @pytest.mark.parametrize("bad", [6.9, 2.0, True, "2"])
@@ -256,7 +259,7 @@ def emitted_forms(rng):
         serialize.decomposition_to_json(result, field),
         serialize.kernel_report_to_json(coefficient_field(kernel_family, 4)),
         serialize.kernel_report_to_json(coefficient_field(kernel_family, 4, degree1_only=True)),
-        worked_problem_json(),
+        serialize.problem_to_json(worked_problem()),
     ]
 
 
@@ -264,7 +267,152 @@ def test_dumps_writes_every_emitted_form_as_the_stdlib_encoder_does(rng):
     forms = emitted_forms(rng)
     assert forms[0]["witness"] is not None and "target" in forms[-1]
     for form in forms:
-        assert serialize.dumps(form) == stdlib_dumps(form)
+        assert serialize.dumps(form) == stdlib_dumps(reference.json_form(form))
+
+
+# -- Series leaves: every depth, field, tag and size ------------------------------
+
+Q_SCALARS = st.one_of(
+    st.fractions(max_denominator=12), st.integers(-10 ** 40, 10 ** 40),
+    st.builds(Fraction, st.integers(-10 ** 60, 10 ** 60), st.integers(1, 10 ** 60)))
+EXPONENTS = st.one_of(st.integers(0, 3), st.sampled_from([EXPONENT_CAP - 1, EXPONENT_CAP]),
+                      st.integers(0, EXPONENT_CAP))
+SERIES_FIELDS = st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(7)])
+
+
+@functools.cache
+def term_lists(p, nvars):
+    """Up to six (exponents, coefficient) pairs, built once per field and
+    nvars: building a strategy costs more than drawing from it."""
+    coeffs = Q_SCALARS if p is None else st.integers(-3 * p, 3 * p)
+    return st.lists(st.tuples(st.tuples(*[EXPONENTS] * nvars), coeffs), max_size=6)
+
+
+@functools.cache
+def series_tags(nvars):
+    return st.one_of(st.none(), st.just(0), st.integers(1, 4),
+                     st.integers(1, nvars * EXPONENT_CAP + 1))
+
+
+@st.composite
+def series_leaves(draw, field, nvars, exact=False):
+    """A series with up to six terms, possibly none: tag exact, 0 or a
+    finite N; exponents up to EXPONENT_CAP, and over Q negative and large
+    fractions."""
+    terms = dict(draw(term_lists(field.p, nvars)))
+    prec = None if exact else draw(series_tags(nvars))
+    return Series(nvars, field, {e: field.coerce(c) for e, c in terms.items()}, prec)
+
+
+@st.composite
+def emitted_series_forms(draw):
+    """A decomposition report with a witness, a kernel report and a problem
+    file, sharing one field and nvars, with drawn series as table entries,
+    witness sides, kernel basis members and derivation images."""
+    field = draw(SERIES_FIELDS)
+    nvars = draw(st.integers(1, serialize.NVARS_CAP))
+    leaf = series_leaves(field, nvars)
+    levels = draw(st.integers(1, 2))
+    table = CoeffTable([[draw(leaf) for _ in range(nvars)] for _ in range(levels)],
+                       nvars=nvars, field=field)
+    witness = draw(st.one_of(st.none(), st.builds(
+        Witness, st.integers(1, levels), st.tuples(*[st.integers(0, 4)] * nvars), leaf, leaf)))
+    decomposition = DecompositionResult(table, draw(st.integers(-1, 6)), list(range(nvars)),
+                                        witness)
+    basis = draw(st.lists(leaf, max_size=3))
+    kernel = KernelReport(len(basis), basis, "drawn", draw(st.integers(0, 9)))
+    images = [
+        TSeries([Series.variable(nvars, field, j)]
+                + [draw(series_leaves(field, nvars, exact=True)) for _ in range(levels)])
+        for j in range(nvars)
+    ]
+    problem = serialize.Problem(
+        field=field, nvars=nvars, length=levels, truncation=draw(st.integers(1, 9)), seed=0,
+        derivations=[HSDerivation(images, name=draw(JSON_STRINGS))],
+        target=draw(st.one_of(st.none(), st.just(HSDerivation(images)))),
+        coefficients=draw(st.one_of(st.none(), st.just(table))),
+    )
+    return [
+        serialize.decomposition_to_json(decomposition, field),
+        serialize.kernel_report_to_json(kernel),
+        serialize.problem_to_json(problem),
+        draw(leaf),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(emitted_series_forms())
+def test_dumps_writes_series_leaves_as_the_stdlib_encoder_writes_their_dicts(forms):
+    """Each Series leaf is written as the stdlib encoder writes the dict
+    form of ``reference.series_to_json``, at every depth a series takes
+    in a report or a problem file, and on its own."""
+    for form in forms:
+        assert serialize.dumps(form) == stdlib_dumps(reference.json_form(form))
+    assert serialize.dumps(forms) == stdlib_dumps(reference.json_form(forms))
+
+
+def test_dumps_writes_series_of_several_ambients_in_one_call():
+    """A term head depends on nvars as well as on the key: the constant 1
+    has key 0 in every ambient."""
+    mixed = [[Series.one(n, GF(3)), Series.variable(n, GF(3), 0) + 2] for n in (1, 3, 2, 1)]
+    assert serialize.dumps(mixed) == stdlib_dumps(reference.json_form(mixed))
+
+
+def test_a_coefficient_past_the_digit_limit_raises_from_every_depth():
+    """``format_scalar`` writes every coefficient, so a number longer than
+    the interpreter's digit limit raises CoefficientTooLarge wherever its
+    series sits; the limit is lowered for the test and then restored."""
+    big = Series.constant(1, QQ, Fraction(10 ** 700 + 1, 3))
+    x = Series.variable(1, QQ, 0)
+    forms = [
+        big,
+        serialize.table_to_json(CoeffTable([[x], [big]])),
+        serialize.kernel_report_to_json(KernelReport(2, [x, big], "", 3)),
+        serialize.decomposition_to_json(DecompositionResult(
+            CoeffTable([[x]]), 0, [0], Witness(1, (1,), x, big)), QQ),
+        serialize.derivation_to_json(HSDerivation([TSeries([x, x, big])])),
+    ]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for form in forms:
+            with pytest.raises(CoefficientTooLarge, match="640 digits"):
+                serialize.dumps(form)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert all(serialize.dumps(form) == stdlib_dumps(reference.json_form(form))
+               for form in forms)
+
+
+def test_dumps_keeps_no_state_between_calls(rng):
+    """The memo of term heads lives for one call: no container of the
+    module grows, and writing 20,000 distinct terms leaves well under the
+    1 MB or more that a memo kept across calls would hold (the margin
+    is for the interpreter's free lists)."""
+    import tracemalloc
+
+    def containers():
+        return {name: len(value) for name, value in vars(serialize).items()
+                if isinstance(value, (dict, list, set))}
+
+    before = containers()
+    for form in emitted_forms(rng):
+        serialize.dumps(form)
+    rounds = [Series(3, GF(5), {(a, b, r): 1 for a in range(100) for b in range(50)})
+              for r in range(4)]
+    tracemalloc.start()
+    try:
+        first = tracemalloc.take_snapshot()
+        for f in rounds:
+            serialize.dumps(f)
+        second = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    only = [tracemalloc.Filter(True, serialize.__file__)]
+    grown = sum(stat.size_diff for stat in
+                second.filter_traces(only).compare_to(first.filter_traces(only), "filename"))
+    assert grown < 100_000
+    assert containers() == before
 
 
 @pytest.mark.parametrize("value", [
@@ -390,7 +538,7 @@ def taylor_problem_json(nvars, length, truncation):
         field=GF(3), nvars=nvars, length=length, truncation=truncation, seed=0,
         derivations=[taylor_derivation(nvars, length, GF(3), j) for j in range(nvars)],
     )
-    return serialize.problem_to_json(problem)
+    return as_json(serialize.problem_to_json(problem))
 
 
 def test_the_monomial_cap_bounds_truncation_and_length():

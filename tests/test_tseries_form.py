@@ -5,8 +5,6 @@ made while a TSeries was stored as its list of t-coefficients; the
 values against the tuple-keyed products and substitution of
 ``reference``."""
 
-import json
-
 import pytest
 
 from hasseschmidt import GF, QQ, Series, TSeries, integrate, substitute
@@ -15,7 +13,7 @@ from hasseschmidt.derivations import taylor_derivation
 from hasseschmidt.series import pack
 
 import reference
-from conftest import FIELDS, random_hsd, random_series
+from conftest import FIELDS, as_json, random_hsd, random_series
 
 TAGS = (None, 1, 3)
 
@@ -102,8 +100,7 @@ def test_equal_ints_in_another_field_length_or_tag_are_unequal():
 
 
 def loaded(field, D):
-    obj = serialize.derivation_to_json(D)
-    return serialize.derivation_from_json(json.loads(json.dumps(obj)), field, name="D")
+    return serialize.derivation_from_json(as_json(serialize.derivation_to_json(D)), field, name="D")
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -125,7 +122,7 @@ def test_loading_a_derivation_builds_no_series(monkeypatch, rng):
     Series is made until ``coeffs`` is read."""
     field = GF(5)
     D = random_hsd(rng, 2, 3, field)
-    obj = json.loads(json.dumps(serialize.derivation_to_json(D)))
+    obj = as_json(serialize.derivation_to_json(D))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Series was built")
