@@ -7,9 +7,8 @@ same length is reproduced by a unique coefficient table, computed level
 by level: at level N the target component minus the already-determined
 composite terms is again an ordinary derivation (the residual), and its
 coordinates in the degree-1 basis fill row N of the table.  The matrix
-is the same at every level, so its cofactors and the inverse of its
-determinant are computed once, and each level is a matrix-vector
-product.
+is the same at every level, so its inverse is computed once, and each
+level is a matrix-vector product.
 """
 
 from __future__ import annotations
@@ -29,61 +28,49 @@ from .formula import CoeffTable, apply_table, table_sum, weighted_terms  # noqa:
 class Degree1Matrix:
     """The values D^d_1(X_j) as a matrix: entries[j][d], with determinant,
     a unit (NotABasis otherwise: the degree-1 parts are then no basis);
-    its cofactors and the inverse of the determinant are cached."""
+    its inverse is cached."""
 
     entries: list  # entries[j][d] : Series
     det: Series
     _inverses: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
-    _cofactors: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.det.constant_term():
             raise NotABasis("degree-1 values have non-unit determinant")
 
-    def det_inverse(self, precision: int) -> Series:
-        """1/det: exact when det is a nonzero constant, otherwise modulo
-        (X)^precision; computed once per precision."""
-        inv = self._inverses.get(precision)
+    def inverse(self, precision: int) -> list:
+        """inv[d][j] = cof[j][d] / det, cof[j][d] being (-1)^(j+d) times
+        the determinant of the entries without row j and column d; so
+        sum_j inv[d][j] * entries[j][e] is 1 when d == e and 0 otherwise.
+
+        Exact when det is a nonzero constant, and then built once; an
+        entry is an exact zero exactly where its cofactor is.  Otherwise
+        built from the entries and 1/det modulo (X)^precision, once per
+        precision, and from exact entries every inv[d][j] is tagged
+        precision: 1/det is only known to that precision, so nothing
+        above it is ever read."""
+        det = self.det
+        key = None if det.degree() <= 0 else precision
+        inv = self._inverses.get(key)
         if inv is None:
-            det = self.det
-            if det.degree() <= 0:
-                inv = Series.constant(det.nvars, det.field, det.field.inv(det.constant_term()))
-            else:
-                inv = det.inverse(precision)
-            self._inverses[precision] = inv
-        return inv
-
-    def cofactors(self, precision: int) -> list:
-        """cof[j][d] = (-1)^(j+d) times the determinant of the entries
-        without row j and column d, so sum_j cof[j][d] * entries[j][e] is
-        det when d == e and 0 otherwise.
-
-        Exact when det is a nonzero constant, and then computed once.
-        Otherwise built from the entries modulo (X)^precision, once per
-        precision: a coordinate is multiplied by 1/det, which is only
-        known to that precision, so nothing above it is ever read."""
-        key = None if self.det.degree() <= 0 else precision
-        cof = self._cofactors.get(key)
-        if cof is None:
             rows = self.entries
-            if key is not None:
+            if key is None:
+                det_inv = Series.constant(det.nvars, det.field, det.field.inv(det.constant_term()))
+            else:
                 rows = [[entry.truncate(precision) for entry in row] for row in rows]
+                det_inv = det.inverse(precision)
             n = len(rows)
             if n == 1:
-                first = rows[0][0]
-                cof = [[Series.one(first.nvars, first.field)]]
+                inv = [[det_inv]]
             else:
-                def minor(j, d):
-                    return [[r[c] for c in range(n) if c != d]
-                            for k, r in enumerate(rows) if k != j]
+                def cofactor(j, d):
+                    minor = _det([[r[c] for c in range(n) if c != d]
+                                  for k, r in enumerate(rows) if k != j])
+                    return minor if (j + d) % 2 == 0 else -minor
 
-                cof = [
-                    [_det(minor(j, d)) if (j + d) % 2 == 0 else -_det(minor(j, d))
-                     for d in range(n)]
-                    for j in range(n)
-                ]
-            self._cofactors[key] = cof
-        return cof
+                inv = [[cofactor(j, d) * det_inv for j in range(n)] for d in range(n)]
+            self._inverses[key] = inv
+        return inv
 
 
 def _det(rows) -> Series:
@@ -184,32 +171,27 @@ def residual(target: HSDerivation, family, table: CoeffTable, level: int, f: Ser
 def solve_derivation_coords(values, matrix: Degree1Matrix, out_precision: int) -> list:
     """Coordinates (C_d) with values[j] = sum_d C_d * entries[j][d].
 
-    C_d = (sum_j cof[j][d] * values[j]) / det, from the matrix's cached
-    cofactors and inverse determinant (see Degree1Matrix), so a solve is
-    n^2 + n products.  When the determinant is a nonzero constant the
-    answer is exact; otherwise the determinant is inverted as a series
-    and the coordinates are trusted to out_precision at most.
+    C_d = sum_j inv[d][j] * values[j], one ``dot`` with the matrix's
+    cached inverse (see Degree1Matrix), so a solve is n^2 products.
+    When the determinant is a nonzero constant the answer is exact;
+    otherwise the determinant is inverted as a series and the
+    coordinates are trusted to out_precision at most.
 
     C_d carries the weakest tag among the values it reads, a value
-    without terms included: every values[j] whose cofactor cof[j][d] is
+    without terms included: every values[j] whose entry inv[d][j] is
     not an exact zero.
     """
     n = len(matrix.entries)
     values = list(values)
     if len(values) != n:
         raise ValueError(f"expected {n} values, got {len(values)}")
-    cof = matrix.cofactors(out_precision)
-    det_inv = matrix.det_inverse(out_precision)
-    nvars, field = det_inv.nvars, det_inv.field
-    coords = []
-    for d in range(n):
-        pairs = [
-            (cof[j][d], values[j])
-            for j in range(n)
-            if cof[j][d].terms or cof[j][d].precision is not None
-        ]
-        coords.append(dot(pairs, nvars, field) * det_inv)
-    return coords
+    inv = matrix.inverse(out_precision)
+    nvars, field = matrix.det.nvars, matrix.det.field
+    return [
+        dot([(a, v) for a, v in zip(row, values) if a.terms or a.precision is not None],
+            nvars, field)
+        for row in inv
+    ]
 
 
 @dataclass

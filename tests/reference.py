@@ -25,6 +25,8 @@ D_mu is applied, where the library reads each mu's sum off
 prod_d c_d(t)^mu_d.  The monomial sweep is the reconstruction check from
 before it was decided on the variables alone, and the per-weight
 Leibniz check the one from before it compared E(fg) with E(f) E(g).
+The cofactors of a degree-1 matrix are built as the matrix cached them
+before it kept its inverse, each minor by the same plain expansion.
 A JSON series is read as it was before each term was checked only once:
 the loader's checks, then the validating ``Series`` constructor, which
 checks every term again and drops those at or above the precision.  It
@@ -430,6 +432,30 @@ def laplace_det(rows):
         cofactor = entry * laplace_det(minor)
         out = out + (cofactor if col % 2 == 0 else -cofactor)
     return out
+
+
+def cofactors(entries, precision):
+    """cof[j][d] = (-1)^(j+d) times the determinant of the entries without
+    row j and column d, each by ``laplace_det``: the cofactors the
+    degree-1 matrix cached before it kept its inverse.  Exact when
+    precision is None, otherwise built from the entries modulo
+    (X)^precision; a 1x1 matrix has the cofactor 1."""
+    rows = entries
+    if precision is not None:
+        rows = [[entry.truncate(precision) for entry in row] for row in rows]
+    n = len(rows)
+    if n == 1:
+        first = rows[0][0]
+        return [[Series.one(first.nvars, first.field)]]
+
+    def minor(j, d):
+        return [[r[c] for c in range(n) if c != d] for k, r in enumerate(rows) if k != j]
+
+    return [
+        [laplace_det(minor(j, d)) if (j + d) % 2 == 0 else -laplace_det(minor(j, d))
+         for d in range(n)]
+        for j in range(n)
+    ]
 
 
 def solve_derivation_coords(values, matrix, out_precision):

@@ -184,11 +184,11 @@ def test_a_non_constant_determinant_is_inverted_once_per_matrix(field, rng, monk
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_the_cofactors_are_built_once_per_matrix(field, rng, monkeypatch):
-    """A solve reads the matrix's cached cofactors: after the first solve,
+def test_the_inverse_is_built_once_per_matrix(field, rng, monkeypatch):
+    """A solve reads the matrix's cached inverse: after the first solve,
     solves at the same precision make no determinant call.  A new
-    precision builds them once more when the determinant is not
-    constant, and not at all when it is (they are exact)."""
+    precision builds it once more when the determinant is not constant,
+    and not at all when it is (the inverse is exact)."""
     calls = []
     det = decompose_module._det
 
@@ -211,23 +211,25 @@ def test_the_cofactors_are_built_once_per_matrix(field, rng, monkeypatch):
                 first = solve_derivation_coords(values, matrix, precision)
                 built = len(calls)
                 if precision == out_precision:
-                    for_cofactors = built
-                if n > 1:  # a 1x1 matrix has the cofactor 1
+                    for_inverse = built
+                if n > 1:  # a 1x1 matrix has the inverse 1/det, without minors
                     assert (built == 0) == (constant and precision != out_precision)
                 for _ in range(2):
                     assert solve_derivation_coords(values, matrix, precision) == first
                 assert len(calls) == built
                 assert first == reference.solve_derivation_coords(values, matrix, precision)
-                cofactors = [entry for row in matrix.cofactors(precision) for entry in row]
+                inverse = matrix.inverse(precision)
+                assert matrix.inverse(precision) is inverse
+                entries = [entry for row in inverse for entry in row]
                 if constant:
-                    assert all(entry.precision is None for entry in cofactors)
+                    assert all(entry.precision is None for entry in entries)
                 else:
-                    assert all(sum(e) < precision for entry in cofactors
+                    assert all(sum(e) < precision for entry in entries
                                for e in entry.tuple_terms())
-            # a decomposition builds the determinant and one set of cofactors
+            # a decomposition builds the determinant and one inverse
             del calls[:]
             assert decompose(random_hsd(rng, n, m, field), family, out_precision, 2).passed
-            assert len(calls) == for_det + for_cofactors
+            assert len(calls) == for_det + for_inverse
 
 
 def test_extended_carries_every_cache(rng):

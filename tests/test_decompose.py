@@ -26,8 +26,8 @@ from hasseschmidt.series import min_prec
 
 import reference
 from conftest import (
-    assert_agree_to_trusted, random_family, random_hsd, random_series, random_table,
-    scaled_taylor,
+    assert_agree_to_trusted, random_family, random_hsd, random_scalar, random_series,
+    random_table, scaled_taylor,
 )
 
 
@@ -87,6 +87,51 @@ def test_det_keeps_the_tag_of_a_zero_entry_wherever_it_sits(field):
     for rows in ([[zero, one], [one, x]], [[x, one], [one, zero]]):
         for det in (_det(rows), reference.laplace_det(rows)):
             assert (det, det.precision) == (want, 1), rows
+
+
+def sympy_polynomials(nvars, field):
+    """The map from exact Series to sympy's K[x1..xn], K = QQ or GF(p),
+    and sympy's determinant of square rows of exact Series."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    K = sympy.QQ if field.p is None else sympy.GF(field.p)
+    ring = K[sympy.symbols(f"x1:{nvars + 1}")]
+
+    def coeff(c):
+        return K(c.numerator, c.denominator) if field.p is None else K(c)
+
+    def poly(f):
+        return ring.ring.from_dict({e: coeff(c) for e, c in f.tuple_terms().items()})
+
+    def det(rows):
+        return DomainMatrix([[poly(f) for f in row] for row in rows], (len(rows),) * 2, ring).det()
+
+    return poly, det
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=repr)
+def test_det_matches_sympy(field, rng):
+    """``_det`` and ``degree1_matrix(..).det`` on exact polynomial
+    matrices of degree <= 2 give sympy's determinant over K[x1..xn]."""
+    bases = 0
+    for n in (1, 2, 3, 4):
+        poly, sympy_det = sympy_polynomials(n, field)
+        for _ in range(6):
+            rows = [[random_series(rng, n, field, max_degree=2, max_terms=rng.choice((0, 2, 3)))
+                     for _ in range(n)] for _ in range(n)]
+            expect = sympy_det(rows)
+            assert poly(_det(rows)) == expect
+            try:
+                M = degree1_matrix([integrate([rows[j][d] for j in range(n)], 2)
+                                    for d in range(n)])
+            except NotABasis:
+                assert not _det(rows).constant_term()
+                continue
+            assert M.entries == rows
+            assert poly(M.det) == expect
+            bases += 1
+    assert bases
 
 
 # -- residuals ----------------------------------------------------------------
@@ -242,6 +287,75 @@ def test_solve_tags_are_those_of_the_values_read(field, rng):
             common = {v.precision for v in values}
             if len(common) == 1 and (all(v.terms for v in values) or common == {None}):
                 assert coords == reference.solve_derivation_coords(values, M, P)
+
+
+def triangular_family(rng, n, m, field):
+    """Members whose degree-1 matrix is lower triangular with nonzero
+    constants on the diagonal: a constant determinant, entries that are
+    not."""
+    def value(j, d):
+        if j == d:
+            return Series.constant(n, field, random_scalar(rng, field, nonzero=True))
+        if j > d:
+            return random_series(rng, n, field, max_degree=2, max_terms=2)
+        return Series.zero(n, field)
+
+    return [integrate([value(j, d) for j in range(n)], m) for d in range(n)]
+
+
+def inverse_families(rng, n, field):
+    """(kind, family): Taylor and triangular families have a constant
+    determinant, scaled Taylor ones a non-constant one, and random ones
+    either."""
+    yield "taylor", taylor_basis(n, 2, field)
+    yield "triangular", triangular_family(rng, n, 2, field)
+    yield "scaled", scaled_taylor(n, 2, field)
+    yield "random", random_family(rng, n, 2, field)
+
+
+def is_exact_zero(f):
+    return not f.terms and f.precision is None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=repr)
+def test_inverse_against_the_reference_cofactors(field, rng):
+    """inv[d][j] is cof[j][d] / det from the plain cofactors: exact when
+    det is constant, else modulo (X)^P with every entry tagged P; its
+    exact zeros are the exact-zero cofactors; it inverts the entries;
+    and the one-``dot`` solve gives Cramer's coordinates."""
+    for n in (1, 2, 3, 4):
+        for kind, family in inverse_families(rng, n, field):
+            M = degree1_matrix(family)
+            constant = M.det.degree() <= 0
+            if kind != "random":
+                assert constant == (kind in ("taylor", "triangular"))
+            one, zero = Series.one(n, field), Series.zero(n, field)
+            for P in range(1, 7):
+                inv = M.inverse(P)
+                tag = None if constant else P
+                cof = reference.cofactors(M.entries, tag)
+                if constant:
+                    det_inv = Series.constant(n, field, field.inv(M.det.constant_term()))
+                else:
+                    det_inv = reference.inverse(M.det, P)
+                for d in range(n):
+                    for j in range(n):
+                        entry = inv[d][j]
+                        assert entry.precision == tag
+                        assert is_exact_zero(entry) == is_exact_zero(cof[j][d])
+                        assert entry == reference.product(cof[j][d], det_inv)
+                    for e in range(n):
+                        total = zero
+                        for j in range(n):
+                            total = total + reference.product(inv[d][j], M.entries[j][e])
+                        assert total == (one if d == e else zero).truncate(tag)
+                exact = [random_series(rng, n, field, max_degree=3, max_terms=rng.choice((0, 2, 3)))
+                         for _ in range(n)]
+                shared = rng.choice((None, 2, 4))
+                for values in (exact, [v.truncate(shared) for v in exact]):
+                    if values is exact or all(v.terms for v in values):
+                        assert (solve_derivation_coords(values, M, P)
+                                == reference.solve_derivation_coords(values, M, P))
 
 
 # -- decompose -----------------------------------------------------------------------
