@@ -330,11 +330,10 @@ def _degree1_constants(family) -> list:
     """The constant terms of the degree-1 entries D^d_1(X_j) (see
     ``degree1_values``) as series at precision 1, read off the stored
     images: the constant term of D^d_1(X_j) is the coefficient of X^0 t^1
-    in E^d(X_j)."""
+    in E^d(X_j), one ``TSeries.term`` lookup."""
     members = _leading_members(family)
     n, field = members[0].nvars, members[0].field
-    t1 = pack((0,) * n + (1,))
-    return [[Series._of(n, field, {0: D._flat_images[j].get(t1, 0)}, 1) for D in members]
+    return [[Series._of(n, field, {0: D.images[j].term(0, 1)}, 1) for D in members]
             for j in range(n)]
 
 

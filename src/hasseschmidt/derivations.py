@@ -170,8 +170,9 @@ def taylor_delta_table(f: Series, alpha_max) -> dict:
     Returns {alpha: coefficient of T^alpha}, for every alpha <= alpha_max
     componentwise, in lexicographic order of alpha.  The coefficient of
     T^alpha is Delta^alpha f, the composite of the divided-power (Taylor)
-    components of weights alpha_1..alpha_n; tests cross-check it against
-    an explicit two-block shift and against partial derivatives.
+    components of weights alpha_1..alpha_n, all read through one memo of
+    ``_composite``; tests cross-check it against an explicit two-block
+    shift and against partial derivatives.
     """
     if f.precision is not None:
         raise IncompatibleAmbient("the shift table is only defined for exact polynomials")
@@ -183,7 +184,8 @@ def taylor_delta_table(f: Series, alpha_max) -> dict:
     alphas = [()]
     for bound in alpha_max:
         alphas = [a + (e,) for a in alphas for e in range(bound + 1)]
-    return {alpha: compose_multi(family, alpha, f) for alpha in alphas}
+    images = {(0,) * f.nvars: f}
+    return {alpha: _composite(family, images, alpha) for alpha in alphas}
 
 
 # -- images X_j + delta(X_j) t: ordinary derivations and their lifts ------
@@ -261,22 +263,34 @@ def compose_multi(family, mu, f: Series) -> Series:
     The rightmost factor acts first: the component of family[n-1] is
     applied to f, then family[n-2]'s, and so on.  The result depends on
     the order of the family, so that order is part of the contract.
+    ``_composite``, the one evaluator of D_mu, does the work.
     """
     family = list(family)
     mu = tuple(mu)
     if len(mu) != len(family):
         raise IncompatibleAmbient(f"got {len(family)} derivations but a weight vector of length {len(mu)}")
-    for d, w in enumerate(mu):
-        if w > family[d].length:
-            raise ComponentOutOfRange(
-                f"weight {w} exceeds length {family[d].length} of derivation {d}"
-            )
-    out = f
-    for d in range(len(family) - 1, -1, -1):
-        if mu[d] == 0:
-            continue
-        out = family[d].apply_component(mu[d], out)
-    return out
+    return _composite(family, {(0,) * len(mu): f}, mu)
+
+
+def _composite(family, images: dict, mu) -> Series:
+    """D_mu(f), memoized in ``images`` (f under the zero vector):
+    D_mu(f) = D^d_{mu_d}(D_mu'(f)), d the first nonzero slot of mu and
+    mu' = mu with slots 0..d zeroed, so every suffix is applied once and
+    the rightmost factor first.  Every slot of a miss is checked against
+    its member's length before any factor acts.  An exact zero is its
+    own image, so it is applied only where ``apply_component`` refuses
+    it (a negative weight, another ambient ring)."""
+    g = images.get(mu)
+    if g is None:
+        d = next(k for k, e in enumerate(mu) if e)
+        D, w = family[d], mu[d]
+        if w > D.length:
+            raise ComponentOutOfRange(f"weight {w} exceeds length {D.length} of derivation {d}")
+        g = _composite(family, images, (0,) * (d + 1) + mu[d + 1:])
+        if g.terms or g.precision is not None or w < 0 or (g.nvars, g.field) != (D.nvars, D.field):
+            g = D.apply_component(w, g)
+        images[mu] = g
+    return g
 
 
 # -- the Leibniz oracle ----------------------------------------------------

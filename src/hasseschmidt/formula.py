@@ -11,24 +11,28 @@ where D_mu = D^1_{mu_1} o .. o D^n_{mu_n}.  Decomposition of a target
 derivation through a family (module ``decompose``) produces such tables
 and this evaluation reconstructs the target's components.
 
-The sums are demand-driven: D_mu(f) is evaluated first, once per
-(family, f, mu), and the coefficient [t^i] P_mu is built only when
-D_mu(f) has terms or a finite tag.  No coefficient is built for its tag
-alone, because the tags of all of them are known in advance: a product
-that vanishes keeps the least tag of its factors (see ``dot``), so
-[t^i] P_mu with |mu| >= 2 carries the least tag of the entries it
-multiplies.  The coefficient of mu = 2 e_d, sum over r of
-C[r][d] C[i-r][d], reads every level 1..i-1 of slot d, and every other
-one reads only some of those levels.  So the least tag over all of them
-is the least tag of the entries at levels below i.
+D_mu(f) has one evaluator, the memoized suffix recursion
+``derivations._composite``, and its memo for f lives on the table:
+every weight, the single-factor terms of ``apply_table`` included,
+reads it, so each D_mu(f) is evaluated once per (family, f, mu).  The
+sums are demand-driven: D_mu(f) is evaluated first, and the coefficient
+[t^i] P_mu is built only when D_mu(f) has terms or a finite tag.  No
+coefficient is built for its tag alone, because the tags of all of them
+are known in advance: a product that vanishes keeps the least tag of its
+factors (see ``dot``), so [t^i] P_mu with |mu| >= 2 carries the least
+tag of the entries it multiplies.  The coefficient of mu = 2 e_d, sum
+over r of C[r][d] C[i-r][d], reads every level 1..i-1 of slot d, and
+every other one reads only some of those levels.  So the least tag over
+all of them is the least tag of the entries at levels below i.
 """
 
 from __future__ import annotations
 
-from .errors import ComponentOutOfRange, IncompatibleAmbient
+from .errors import IncompatibleAmbient
 from .fields import FieldSpec
 from .series import Series, dot, min_prec, monomials_of_degree
-from .derivations import compose_multi
+# bench/spans.py patches compose_multi in this namespace; nothing here calls it
+from .derivations import _composite, compose_multi  # noqa: F401
 
 
 class CoeffTable:
@@ -167,30 +171,11 @@ def weighted_terms(table: CoeffTable, i: int, min_parts: int = 1) -> list:
     return terms
 
 
-def _image(family, images: dict, mu) -> Series:
-    """D_mu(f), memoized in ``images`` (which holds f under the zero
-    vector): D_mu(f) = D^d_{mu_d}(D_mu'(f)), d the first nonzero slot of
-    mu and mu' = mu with slots 0..d zeroed, so every suffix is evaluated
-    once.  The rightmost factor acts first, as in ``compose_multi``.  An
-    exact zero stays one, so it is not applied further."""
-    g = images.get(mu)
-    if g is None:
-        d = next(k for k, e in enumerate(mu) if e)
-        D = family[d]
-        if mu[d] > D.length:
-            raise ComponentOutOfRange(
-                f"weight {mu[d]} exceeds length {D.length} of derivation {d}"
-            )
-        g = _image(family, images, (0,) * (d + 1) + mu[d + 1:])
-        if g.terms or g.precision is not None:
-            g = D.apply_component(mu[d], g)
-        images[mu] = g
-    return g
-
-
 def table_sum(table: CoeffTable, family, i: int, f: Series) -> Series:
     """sum of [t^i] P_mu * D_mu(f) over mu with 2 <= |mu| <= i, memoized
-    on the table for one family at a time; f is compared by value.
+    on the table for one family at a time; f is compared by value.  Each
+    D_mu(f) is read through ``_composite`` from ``table._images[f]``, the
+    memo that ``apply_table`` reads too.
 
     The coefficient of D_mu is built only when g = D_mu(f) has terms or a
     finite tag, and summed with g only when it has terms: a vanished
@@ -218,7 +203,7 @@ def table_sum(table: CoeffTable, family, i: int, f: Series) -> Series:
         pairs = []
         for m in range(2, i + 1):
             for mu in monomials_of_degree(n, m):
-                g = _image(family, images, mu)
+                g = _composite(family, images, mu)
                 if g.terms or g.precision is not None:
                     coeff = table.product_coeff(mu, i)
                     if coeff.terms:
@@ -232,15 +217,17 @@ def apply_table(table: CoeffTable, family, i: int, f: Series) -> Series:
     """Apply the weight-i operator built from the family through the table:
     the memoized sum of the terms with at least two factors, which the
     level-i residual of a decomposition has already built, plus the
-    single-factor terms C[i][d] * D^d_1(f) read off the table.  An entry
-    that truncates to zero bounds the tag alone, like every other entry
-    at level i."""
+    single-factor terms C[i][d] * D^d_1(f).  Their values D^d_1(f) are
+    read through the same memo of ``table_sum``, so each is applied once
+    per f and family, whatever the weight.  An entry that truncates to
+    zero bounds the tag alone, like every other entry at level i."""
     family = tuple(family)
     out = table_sum(table, family, i, f)
+    images = table._images[f]
     singles = []
     for d, mu in enumerate(monomials_of_degree(table.nvars, 1)):
         coeff = table.at(i, d)
         if coeff.terms:
-            singles.append((coeff, compose_multi(family, mu, f)))
+            singles.append((coeff, _composite(family, images, mu)))
     prec = min_prec(f.precision, table._level_tags[i - 1])
     return out + dot(singles, f.nvars, f.field, prec)

@@ -267,14 +267,7 @@ class Series:
         if not isinstance(other, Series):
             return self.scale(other)
         self._check_ambient(other)
-        field = self.field
-        prec = min_prec(self.precision, other.precision)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        acc: dict = {}
-        _mac(acc, a, b, prec, self.nvars * B, field.add, field.mul)
-        return Series._of(self.nvars, field, acc, prec)
+        return dot([(self, other)], self.nvars, self.field)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -473,6 +466,10 @@ class TSeries:
             slots[k][(e >> B) - (k << shift)] = c
         self._coeffs = [Series._of(self.nvars, self.field, s, self.precision) for s in slots]
         return self._coeffs
+
+    def term(self, key: int, k: int):
+        """The coefficient of X^key t^k, key an X-key; zero when absent."""
+        return self.flat.get((key << B) + (k << (self.nvars + 1) * B | k), self.field.zero())
 
     @classmethod
     def from_series(cls, f: Series, tlen: int):

@@ -22,7 +22,9 @@ is inverted on every solve.  Their composite weights come pair by pair: one
 coefficient per pair (lambda, mu) with lambda refining mu, built from
 sums over ordered compositions with ``product`` and summed per mu before
 D_mu is applied, where the library reads each mu's sum off
-prod_d c_d(t)^mu_d.  The monomial sweep is the reconstruction check from
+prod_d c_d(t)^mu_d, and D_mu by the loop from before one memoized
+recursion evaluated it: every factor anew, the rightmost first, with no
+memo between calls.  The monomial sweep is the reconstruction check from
 before it was decided on the variables alone, and the per-weight
 Leibniz check the one from before it compared E(fg) with E(f) E(g).
 The cofactors of a degree-1 matrix are built as the matrix cached them
@@ -45,9 +47,10 @@ import reprlib
 from hasseschmidt import CoeffTable, HSDerivation, Series, TSeries
 from hasseschmidt.coefffield import ComponentMatrix, KernelReport, QuotientBasis
 from hasseschmidt.decompose import VerificationReport, Witness, _agree_to_trusted, degree1_matrix
-from hasseschmidt.derivations import LeibnizReport, _random_polynomial, compose_multi
+from hasseschmidt.derivations import LeibnizReport, _random_polynomial
 from hasseschmidt.errors import (
-    ComponentOutOfRange, HasseSchmidtError, LengthMismatch, PrecisionExhausted, ProblemFormatError,
+    ComponentOutOfRange, HasseSchmidtError, IncompatibleAmbient, LengthMismatch, PrecisionExhausted,
+    ProblemFormatError,
 )
 from hasseschmidt.fields import EXPONENT_CAP
 from hasseschmidt.series import _FIELD_MASK, B, DEGREE_LIMIT, min_prec, monomials_of_degree
@@ -388,6 +391,27 @@ def mu_terms(table, i, min_parts=1):
 
 
 # -- decomposition without shared sums ------------------------------------------
+
+
+def compose_multi(family, mu, f):
+    """D^1_{mu_1} o .. o D^n_{mu_n} applied to f, the rightmost factor
+    first; every weight is checked against its member's length first."""
+    family = list(family)
+    mu = tuple(mu)
+    if len(mu) != len(family):
+        raise IncompatibleAmbient(
+            f"got {len(family)} derivations but a weight vector of length {len(mu)}")
+    for d, w in enumerate(mu):
+        if w > family[d].length:
+            raise ComponentOutOfRange(
+                f"weight {w} exceeds length {family[d].length} of derivation {d}"
+            )
+    out = f
+    for d in range(len(family) - 1, -1, -1):
+        if mu[d] == 0:
+            continue
+        out = family[d].apply_component(mu[d], out)
+    return out
 
 
 def table_sum(table, family, i, f, min_parts=1):

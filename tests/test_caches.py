@@ -19,7 +19,7 @@ from hasseschmidt import (
     taylor_basis,
     verify_decomposition,
 )
-from hasseschmidt import formula
+from hasseschmidt import derivations, formula
 from hasseschmidt.formula import table_sum
 
 import reference
@@ -274,34 +274,38 @@ def test_extended_carries_every_cache(rng):
 @pytest.mark.parametrize("kind", ["taylor", "random", "scaled"])
 def test_decompose_applies_each_term_once_per_variable(kind, rng, monkeypatch):
     """A decomposition evaluates each D_mu on each variable at most once,
-    through the values its tables share; the check on the variables
-    applies only the single-factor terms anew.  A Taylor family moves no
+    through the memo its tables share, and applies nothing anew: the
+    check on the variables reads its single-factor terms off the same
+    memo, so ``compose_multi`` is not called.  A Taylor family moves no
     variable by a D_mu with |mu| >= 2, so no such coefficient is built."""
     evaluated, composed = [], []
-    image, compose = formula._image, formula.compose_multi
+    composite = derivations._composite
 
-    def counted_image(family, images, mu):
+    def counted_composite(family, images, mu):
         if mu not in images:
             evaluated.append((images[(0,) * len(mu)], mu))
-        return image(family, images, mu)
+        return composite(family, images, mu)
 
     def counted_compose(family, mu, f):
         composed.append(mu)
-        return compose(family, mu, f)
+        return reference.compose_multi(family, mu, f)
 
-    monkeypatch.setattr(formula, "_image", counted_image)
-    monkeypatch.setattr(formula, "compose_multi", counted_compose)
+    # the recursion looks itself up in derivations, formula holds its own name
+    for owner in (derivations, formula):
+        monkeypatch.setattr(owner, "_composite", counted_composite)
+    for owner in (derivations, formula, decompose_module):
+        monkeypatch.setattr(owner, "compose_multi", counted_compose)
     field = GF(5)
     for n, m in ((1, 4), (2, 3), (3, 2)):
         family = family_for(kind, rng, n, m, field)
         target = random_hsd(rng, n, m, field)
-        del evaluated[:], composed[:]
+        del evaluated[:]
         table = decompose(target, family, m + 2, verify_degree=3).table
         variables = {Series.variable(n, field, j) for j in range(n)}
         assert evaluated and len(set(evaluated)) == len(evaluated)
         assert {f for f, _ in evaluated} == variables
-        assert all(sum(mu) == 1 for mu in composed)
+        assert not composed
         for f, mu in evaluated:
-            assert table._images[f][mu] == compose(family, mu, f)
+            assert table._images[f][mu] == reference.compose_multi(family, mu, f)
         if kind == "taylor":
             assert not [mu for mu, _ in table._products if sum(mu) >= 2]

@@ -13,13 +13,15 @@ import math
 import pytest
 
 from hasseschmidt import (
-    QQ, CoeffTable, HSDerivation, Series, TSeries, apply_table, substitute, taylor_basis,
+    GF, QQ, CoeffTable, HSDerivation, Series, TSeries, apply_table, substitute, taylor_basis,
 )
-from hasseschmidt.derivations import compose_multi, integrate, taylor_derivation
+from hasseschmidt.derivations import (
+    compose_multi, integrate, taylor_delta_table, taylor_derivation,
+)
 from hasseschmidt.formula import table_sum
 from hasseschmidt import series
 from hasseschmidt.coefffield import QuotientBasis, component_matrix
-from hasseschmidt.errors import DegreeLimitExceeded
+from hasseschmidt.errors import DegreeLimitExceeded, HasseSchmidtError, IncompatibleAmbient
 from hasseschmidt.fields import EXPONENT_CAP
 from hasseschmidt.serialize import MONOMIAL_CAP, NVARS_CAP, monomials_below
 from hasseschmidt.series import (
@@ -322,7 +324,7 @@ def test_demand_driven_sums_match_the_reference(field, kind, rng):
     tag equal the sum over every term, on exact variables and degree-2
     monomials, on inputs whose D_mu(f) is zero with a finite tag, and on
     tables whose entries truncate to zero with a finite tag.  Each
-    memoized D_mu(f) is ``compose_multi``'s."""
+    memoized D_mu(f) is the reference loop's."""
     for n in (1, 2, 3):
         m = rng.randint(2, 4)
         family = family_for(kind, rng, n, m, field)
@@ -341,7 +343,58 @@ def test_demand_driven_sums_match_the_reference(field, kind, rng):
         for f, images in table._images.items():
             assert len(images) > 1
             for mu, g in images.items():
-                assert g == compose_multi(family, mu, f), (f, mu)
+                assert g == reference.compose_multi(family, mu, f), (f, mu)
+
+
+def outcome(call):
+    """The value and tag of call(), or the type and text of its refusal."""
+    try:
+        g = call()
+    except HasseSchmidtError as exc:
+        return type(exc), str(exc)
+    return g, g.precision
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["taylor", "random", "scaled"])
+def test_composites_match_the_reference_loop(field, kind, rng):
+    """``compose_multi``, one call of the memoized recursion, against the
+    loop that applies every factor anew: value and tag on exact, tagged,
+    tagged-zero and exact-zero inputs, for every mu with weights from -1
+    to one past the members' lengths; the type and text of each refusal,
+    on those weights, on a weight vector of the wrong length and on
+    inputs (exact zeros among them) of another ambient ring."""
+    other = GF(7) if field == QQ else QQ
+    for n in (1, 2, 3):
+        m = rng.randint(1, 3)
+        family = family_for(kind, rng, n, m, field)
+        fs = [random_series(rng, n, field), random_series(rng, n, field, precision=4),
+              Series.zero(n, field)] + vanishing_inputs(n, field)
+        fs += [Series.zero(n + 1, field), Series.variable(n + 1, field, 0), Series.zero(n, other)]
+        mus = list(itertools.product(range(-1, m + 2), repeat=n)) + [(0,) * (n + 1), (1,) * (n - 1)]
+        for f in fs:
+            for mu in mus:
+                got = outcome(lambda: compose_multi(family, mu, f))
+                assert got == outcome(lambda: reference.compose_multi(family, mu, f)), (f, mu)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_the_shift_table_matches_the_reference_loop(field, rng):
+    """``taylor_delta_table`` reads its whole box through one memo: every
+    coefficient, in lexicographic order of alpha, is the reference loop's
+    on the Taylor family, exact zeros included; a tagged input, zero or
+    not, is refused with the same text."""
+    for n in (1, 2, 3):
+        for f in (random_series(rng, n, field, max_degree=4, max_terms=4), Series.zero(n, field)):
+            alpha_max = tuple(rng.randint(0, 3) for _ in range(n))
+            family = taylor_basis(n, max(1, *alpha_max), field)
+            box = itertools.product(*(range(b + 1) for b in alpha_max))
+            want = [(alpha, reference.compose_multi(family, alpha, f)) for alpha in box]
+            assert list(taylor_delta_table(f, alpha_max).items()) == want
+        for f in (random_series(rng, n, field, precision=3), Series.zero(n, field, 2)):
+            with pytest.raises(IncompatibleAmbient) as exc:
+                taylor_delta_table(f, (1,) * n)
+            assert str(exc.value) == "the shift table is only defined for exact polynomials"
 
 
 def mixed_tag_table(rng, n, m, field):
