@@ -12,7 +12,10 @@ characteristic (the p-th powers survive), which is the phenomenon this
 module makes checkable.  The weights that kill them, 1, p, .., p^k,
 decide the kernel on their own (proved at ``coefficient_field``), so
 the other weights are never stacked.  The matrices of all weights of
-a member read one graded sweep of its monomial images modulo (X, t)^N.
+a member come from one graded sweep of its monomial images modulo
+(X, t)^N and one walk over each image, which fills the rows of every
+weight at once; the nullspace takes a one-entry row as a pivot, or
+drops it, without elimination wherever that is what elimination gives.
 """
 
 from __future__ import annotations
@@ -119,9 +122,13 @@ def component_matrix(D: HSDerivation, i: int, order: int,
     truncated below degree order - i: the t^i terms of the flat image
     E(X^beta) modulo J_order.  The first call for a (D, order) builds the
     images of every source monomial in one graded sweep
-    (``series.cut_images``) into ``D._cut_caches[order]``, and every
-    weight reads its columns off them.  ``source``, the order-N basis,
-    may be passed in to share it between matrices.
+    (``series.cut_images``), walks each of them once, and keeps the rows
+    of every weight 1..min(D.length, order - 1) in
+    ``D._cut_caches[order]``; every later call reads its rows there.
+    Each call hands out its own copy of the cached rows, so a caller may
+    change them; weight 0, the identity, is built on each call.
+    ``source``, the order-N basis, may be passed in to share it between
+    matrices.
     """
     if i > D.length or i < 0:
         raise ComponentOutOfRange(f"component {i} of a length-{D.length} derivation")
@@ -134,20 +141,39 @@ def component_matrix(D: HSDerivation, i: int, order: int,
             f"source basis is not the order-{order} basis in {D.nvars} variables"
         )
     target = source.prefix(order - i)
-    # a monomial has the same index in the target as in the source
-    index = source.index
-    images = D._cut_caches.get(order)
-    if images is None:
-        images = D._cut_caches[order] = cut_images(index, D._flat_images, D.length, D.field, order)
-    rows = [{} for _ in range(len(target))]
-    mask, sub = _FIELD_MASK, i << D.nvars * B
+    if i:
+        by_weight = D._cut_caches.get(order)
+        if by_weight is None:
+            by_weight = D._cut_caches[order] = _rows_by_weight(D, source)
+        # a copy: the cached rows serve every later matrix of (D, order, i)
+        rows = list(map(dict, by_weight[i]))
+    else:
+        one = D.field.one()
+        rows = [{r: one} for r in range(len(target))]
+    label = f"{D.name or 'D'}_{i}"
+    return ComponentMatrix(rows, source, target, i, D.field, label)
+
+
+def _rows_by_weight(D: HSDerivation, source: QuotientBasis) -> list:
+    """[None, rows of D_1, .., rows of D_w], w = min(D.length, N - 1) and
+    N the order of ``source``, from one walk over each image modulo J_N.
+    A term X^beta t^k of the image of column c has |beta| < N - k, so it
+    is the entry (row of X^beta, c) of the weight-k matrix."""
+    n, order, index = D.nvars, source.order, source.index
+    top = min(D.length, order - 1)
+    # the weight-i target holds the comb(N - i - 1 + n, n) monomials of degree < N - i
+    by_weight = [None] + [[{} for _ in range(math.comb(order - i - 1 + n, n))]
+                          for i in range(1, top + 1)]
+    mask, shift = _FIELD_MASK, n * B
+    images = cut_images(index, D._flat_images, top, D.field, order)
     # the images come in the order of the index, whose values are 0, 1, ..
     for c, image in enumerate(images.values()):
         for e, v in image.items():
-            if e & mask == i:
-                rows[index[(e >> B) - sub]][c] = v
-    label = f"{D.name or 'D'}_{i}"
-    return ComponentMatrix(rows, source, target, i, D.field, label)
+            k = e & mask
+            if k:
+                # a monomial has the same index in the target as in the source
+                by_weight[k][index[(e >> B) - (k << shift)]][c] = v
+    return by_weight
 
 
 def _eliminate(vec: dict, pivot: dict, factor, field: FieldSpec) -> None:
@@ -164,21 +190,35 @@ def _eliminate(vec: dict, pivot: dict, factor, field: FieldSpec) -> None:
 def nullspace(rows, ncols: int, field: FieldSpec) -> list:
     """Basis of the right nullspace by sparse row reduction.
 
-    ``rows`` is a list of {column: nonzero value} maps.  A copy of each
-    is reduced against the pivot rows found so far, keyed by leading
-    column and scaled to a leading 1; what is left of it, if anything,
-    becomes a new pivot row.  Reduction stops once every column that some
-    row touches has a pivot: a column no row touches never takes one, so
-    the rows left could only reduce to zero.  Back substitution
-    then brings the pivot rows to reduced row echelon form, which depends
-    only on the row space.  Returns the canonical vectors of that form:
-    one per free column, with a 1 in that column.
+    ``rows`` is a list of {column: nonzero value} maps, which it only
+    reads.  A copy of each is reduced against the pivot rows found so
+    far, keyed by leading column and scaled to a leading 1; what is left
+    of it, if anything, becomes a new pivot row.  A one-entry row {c: x}
+    needs no copy: it is the pivot e_c when c has none, and reduces to
+    zero when the pivot at c is e_c already, which is what the reduction
+    would give; only against a longer pivot is it reduced.  Reduction
+    stops once every column that some row touches has a pivot: a column
+    no row touches never takes one, so the rows left could only reduce to
+    zero.  Back substitution then brings the pivot rows to reduced row
+    echelon form, which depends only on the row space.  Returns the
+    canonical vectors of that form: one per free column, with a 1 in
+    that column.
     """
     pivots: dict = {}
     touched = len(set().union(*rows))
+    one = field.one()
     for row in rows:
         if len(pivots) == touched:
             break
+        if len(row) == 1:
+            [(c, x)] = row.items()
+            pivot = pivots.get(c)
+            # a zero x goes on to the reduction, which refuses it as before
+            if pivot is None and x:
+                pivots[c] = {c: one}
+                continue
+            if pivot is not None and len(pivot) == 1:
+                continue
         vec = dict(row)
         while vec:
             lead = min(vec)
@@ -194,7 +234,7 @@ def nullspace(rows, ncols: int, field: FieldSpec) -> list:
         vec = pivots[lead]
         for c in [c for c in vec if c != lead and c in pivots]:
             _eliminate(vec, pivots[c], vec[c], field)
-    zero, one = field.zero(), field.one()
+    zero = field.zero()
     basis = []
     for fc in range(ncols):
         if fc in pivots:

@@ -75,7 +75,7 @@ class HSDerivation:
         self.name = name
         self._flat_images = [img.flat for img in images]
         self._mono_cache: dict = {}
-        self._cut_caches: dict = {}  # order N -> {key: E(X^beta) mod J_N}, see component_matrix
+        self._cut_caches: dict = {}  # order N -> the rows of each weight, see component_matrix
 
     # -- constructors ------------------------------------------------
 
@@ -179,7 +179,7 @@ def taylor_delta_table(f: Series, alpha_max) -> dict:
     alpha_max = tuple(alpha_max)
     if len(alpha_max) != f.nvars:
         raise IncompatibleAmbient(f"alpha_max has length {len(alpha_max)}, expected {f.nvars}")
-    family = taylor_basis(f.nvars, max(1, *alpha_max), f.field)
+    family = taylor_basis(f.nvars, max((1, *alpha_max)), f.field)
     # iterate over the box 0 <= alpha <= alpha_max
     alphas = [()]
     for bound in alpha_max:

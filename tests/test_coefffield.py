@@ -1,5 +1,6 @@
 """Component matrices on truncated quotients and joint-kernel extraction."""
 
+import copy
 import itertools
 import json
 import math
@@ -26,7 +27,7 @@ from hasseschmidt import cli, coefffield, serialize
 from hasseschmidt.cli import main
 from hasseschmidt.coefffield import nullspace
 from hasseschmidt.decompose import degree1_matrix, degree1_values
-from hasseschmidt.series import _FIELD_MASK, monomials_of_degree
+from hasseschmidt.series import _FIELD_MASK, cut_images, monomials_of_degree
 from hasseschmidt.errors import (
     ComponentOutOfRange,
     IncompatibleAmbient,
@@ -264,9 +265,13 @@ def test_degree1_only_kernels_cut_their_images_to_two_slots(monkeypatch):
     family = taylor_basis(2, 4, GF(2))
     coefficient_field(family, 5, degree1_only=True)
     assert [D.length for D in seen] == [1, 1]
-    # the flat cut images hold t-degrees 0 and 1 only (see the series module)
-    assert {e & _FIELD_MASK for D in seen for img in D._cut_caches[5].values()
+    # the flat cut images hold t-degrees 0 and 1 only (see the series module),
+    # so the members cache the rows of weight 1 alone
+    source = QuotientBasis(2, 5)
+    assert {e & _FIELD_MASK for D in seen
+            for img in cut_images(source.index, D._flat_images, D.length, D.field, 5).values()
             for e in img} == {0, 1}
+    assert [len(D._cut_caches[5]) for D in seen] == [2, 2]
     del seen[:]
     coefficient_field(family, 5)
     assert {id(D) for D in seen} == {id(D) for D in family}  # length 4 = N - 1: no copies
@@ -575,6 +580,51 @@ def test_component_matrix_matches_the_reference_at_any_length(field, rng):
             assert dense_view(component_matrix(D, i, N)) == dense_component_matrix(D, i, N)
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_component_matrices_in_any_order_match_the_reference(field, rng):
+    """The first matrix of a (D, N) fills the rows of every weight; every
+    weight 0..min(length, N - 1), called in shuffled order and each twice,
+    gives the reference."""
+    for n, m, N in ((1, 6, 7), (1, 2, 6), (1, 5, 3), (2, 4, 3), (2, 3, 5), (3, 2, 4)):
+        D = random_hsd(rng, n, m, field, max_degree=3, max_terms=3)
+        weights = [*range(min(m, N - 1) + 1)] * 2
+        rng.shuffle(weights)
+        for i in weights:
+            assert dense_view(component_matrix(D, i, N)) == dense_component_matrix(D, i, N)
+
+
+def test_component_matrices_hand_out_copies_of_the_cached_rows(rng):
+    """Every matrix of a weight i > 0 gets its own rows, equal to the
+    cached ones: a caller that edits them changes no later matrix, kernel
+    or cache entry of the derivation.  Stacking them (``joint_kernel``,
+    ``coefficient_field`` with and without ``degree1_only``) leaves the
+    cache as it was."""
+    family = family_for("random", rng, 2, 4, GF(2))
+    source = QuotientBasis(2, 5)
+    expected = coefficient_field(family, 5)
+    mats = [component_matrix(D, i, 5, source) for D in family for i in range(5)]
+    before = copy.deepcopy([D._cut_caches for D in family])
+    for D in family:
+        for i in range(5):
+            first, second = component_matrix(D, i, 5), component_matrix(D, i, 5)
+            assert first.rows == second.rows
+            assert first.rows is not second.rows
+            assert not {id(r) for r in first.rows} & {id(r) for r in second.rows}
+            if i:
+                assert first.rows == D._cut_caches[5][i]
+                assert not {id(r) for r in first.rows} & {id(r) for r in D._cut_caches[5][i]}
+            for row in first.rows:
+                row.clear()
+                row[0] = GF(2).one()
+            first.rows.append({1: GF(2).one()})
+    joint_kernel(mats)
+    assert [D._cut_caches for D in family] == before
+    assert coefficient_field(family, 5) == expected
+    coefficient_field(family, 5, degree1_only=True)
+    assert [D._cut_caches for D in family] == before
+    assert [component_matrix(D, i, 5, source) for D in family for i in range(5)] == mats
+
+
 def random_rows(rng, field, nrows, ncols, density):
     return [
         [random_scalar(rng, field, nonzero=True) if rng.random() < density else field.zero()
@@ -641,6 +691,53 @@ def test_nullspace_with_columns_no_row_touches(field, rng):
         ours = sympy_matrix(fast, ncols, field)
         assert ours.shape == theirs.shape
         assert ours.rref()[0] == theirs.rref()[0]
+
+
+def unit_row(rng, field, ncols, c):
+    """The row x e_c, x a random nonzero scalar."""
+    row = [field.zero()] * ncols
+    row[c] = random_scalar(rng, field, nonzero=True)
+    return row
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_nullspace_of_stacks_with_one_entry_rows(field, rng):
+    """One-entry rows {c: x} skip the reduction when c has no pivot (they
+    become e_c) or its pivot is e_c (they vanish), and are reduced against
+    a longer pivot.  Shuffled stacks of them, repeated, with a row of two
+    or more entries leading at some c and a one-entry row at c after it,
+    against the dense reference and sympy's ``DomainMatrix.nullspace``."""
+    pytest.importorskip("sympy")
+    zero, one = field.zero(), field.one()
+    # x e_0 after the pivot e_0 + e_1: reduced to -x e_1, so nothing is free but e_2
+    assert nullspace([{0: one, 1: one}, {0: one}], 3, field) == [[zero, zero, one]]
+    for _ in range(40):
+        ncols = rng.randint(2, 8)
+        c = rng.randrange(ncols - 1)
+        lead = unit_row(rng, field, ncols, c)
+        for d in rng.sample(range(c + 1, ncols), rng.randint(1, ncols - 1 - c)):
+            lead[d] = random_scalar(rng, field, nonzero=True)
+        units = [unit_row(rng, field, ncols, rng.randrange(ncols)) for _ in range(rng.randint(1, 6))]
+        rows = random_rows(rng, field, rng.randint(0, 4), ncols, 0.4) + units
+        rows += [list(row) for row in rng.choices(units, k=rng.randint(1, 4))]
+        rng.shuffle(rows)
+        for stack in ([lead, *rows, unit_row(rng, field, ncols, c)],
+                      rng.sample(rows + [lead, unit_row(rng, field, ncols, c)], len(rows) + 2)):
+            fast = assert_nullspace_matches(stack, ncols, field)
+            theirs = sympy_matrix(stack, ncols, field).nullspace()
+            ours = sympy_matrix(fast, ncols, field)
+            assert ours.shape == theirs.shape
+            assert ours.rref()[0] == theirs.rref()[0]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_nullspace_refuses_a_zero_entry_it_would_pivot_on(field):
+    """A row holding a zero breaks the contract; where the reduction would
+    take it as a pivot, it fails as the inverse of zero does."""
+    zero, one = field.zero(), field.one()
+    for rows in ([{0: zero}], [{1: one}, {0: zero}], [{0: zero, 1: one}]):
+        with pytest.raises(ZeroDivisionError):
+            nullspace(rows, 2, field)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

@@ -199,6 +199,14 @@ def test_delta_table_examples():
     assert table[(2, 1)] == Series.one(2, QQ)
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_delta_table_in_no_variables_is_the_series_itself(field):
+    """alpha_max = () has the one alpha (); D_() is the identity, as
+    ``compose_multi`` of the empty family says."""
+    for f in (Series.one(0, field), Series.constant(0, field, 3), Series.zero(0, field)):
+        assert taylor_delta_table(f, ()) == {(): f} == {(): compose_multi([], (), f)}
+
+
 def test_delta_table_matches_explicit_shift(rng):
     for field in (QQ, GF(2), GF(5)):
         for _ in range(6):

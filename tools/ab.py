@@ -1,6 +1,7 @@
 """In-process A/B timing of two source trees of ``hasseschmidt``.
 
     python3 tools/ab.py PARENT_SRC CHANGE_SRC --workload decompose-dense --pairs 21
+    python3 tools/ab.py PARENT_SRC CHANGE_SRC --workload kernel-verify --match :kernel
 
 PARENT_SRC and CHANGE_SRC are directories that hold a ``hasseschmidt``
 package, such as the ``src/`` of two checkouts.  Each package is copied
@@ -16,6 +17,10 @@ passes over the corpus on the wall clock, the side that runs first
 alternating from pair to pair.  Within a pair the two passes follow each
 other, so a drift of the host's speed over minutes cancels in their
 ratio, where alternating rounds of separate processes do not cancel it.
+With ``--match TEXT`` a pass holds only the ops whose id contains TEXT
+(``--match :kernel`` keeps the kernel ops, not the verify ops), so a
+change to one layer can be sized on the ops that run it; every op's
+output is still checked first.
 
 The speed ratio of a pair is the parent's pass time over the change's,
 so a ratio above 1 means the change is faster.  The script prints the
@@ -85,6 +90,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=21)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--match", default="", metavar="TEXT",
+                        help="time only the ops whose id contains TEXT")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -92,6 +99,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="hs-ab-") as tmp:
         tmp = Path(tmp)
         ops = load_corpus(args.workload, args.seed, tmp / "corpus")
+        timed = [op for op in ops if args.match in op["id"]]
+        if not timed:
+            print(f"no op id of {args.workload} contains {args.match!r}", file=sys.stderr)
+            return 1
         sys.path.insert(0, str(tmp))
         clis = dict(zip(SIDES, (load_side(src, f"ab_{side}", tmp)
                                 for src, side in zip((args.parent_src, args.change_src), SIDES))))
@@ -104,17 +115,17 @@ def main(argv=None) -> int:
         ratios = []
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            times = {side: timed_pass(clis[side], ops, tmp / "corpus") for side in order}
+            times = {side: timed_pass(clis[side], timed, tmp / "corpus") for side in order}
             ratios.append(times["parent"] / times["change"])
 
     q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
                       if len(ratios) > 1 else ratios * 3)
     wins = sum(r > 1 for r in ratios)
-    print(f"{args.workload}: {len(ops)} ops, {args.pairs} pairs; speed ratio parent/change "
+    print(f"{args.workload}: {len(timed)} ops, {args.pairs} pairs; speed ratio parent/change "
           f"median {median:.3f} [q1 {q1:.3f}, q3 {q3:.3f}], change faster in {wins}/{args.pairs}")
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "ops": len(ops),
-                      "pairs": args.pairs, "median": median, "q1": q1, "q3": q3, "wins": wins,
-                      "ratios": ratios}))
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "match": args.match,
+                      "ops": len(timed), "pairs": args.pairs, "median": median, "q1": q1,
+                      "q3": q3, "wins": wins, "ratios": ratios}))
     return 0
 
 
