@@ -11,11 +11,11 @@ weight-1 components leaves a strictly larger kernel in positive
 characteristic (the p-th powers survive), which is the phenomenon this
 module makes checkable.  The weights that kill them, 1, p, .., p^k,
 decide the kernel on their own (proved at ``coefficient_field``), so
-the other weights are never stacked.  The matrices of all weights of
-a member come from one graded sweep of its monomial images modulo
-(X, t)^N and one walk over each image, which fills the rows of every
-weight at once; the nullspace takes a one-entry row as a pivot, or
-drops it, without elimination wherever that is what elimination gives.
+the other weights are never stacked.  A member's weight-1 matrix follows
+the derivation rule from the t^1 terms of its images; over GF(p)
+Frobenius cuts the blocks of weights p, .., p^k out of it, so no monomial
+image is formed.  The nullspace takes a one-entry row as a pivot, or drops
+it, without elimination wherever that is what elimination gives.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient, NotABasis, PrecisionExhausted
 from .fields import FieldSpec
-from .series import _FIELD_MASK, B, Series, cut_images, monomials_of_degree, pack
+from .series import _FIELD_MASK, B, Series, cut_images, monomials_of_degree, pack, variable_key
 from .derivations import HSDerivation
 # bench/spans.py patches degree1_matrix in this namespace as well as in
 # decompose's
@@ -90,8 +90,8 @@ class QuotientBasis:
 @dataclass
 class ComponentMatrix:
     """Matrix of a weight-i component from the order-N quotient to the
-    order-(N-i) quotient over the shared field.  Row r, for the r-th
-    target monomial, is a {column: value} map of its nonzero entries."""
+    order-(N-i) quotient (or less, ``_frobenius_blocks``).  Row r, for the
+    r-th target monomial, is a {column: value} map of its nonzero entries."""
 
     rows: list
     source: QuotientBasis
@@ -120,15 +120,14 @@ def component_matrix(D: HSDerivation, i: int, order: int,
 
     Column for the monomial X^beta holds the coordinates of D_i(X^beta)
     truncated below degree order - i: the t^i terms of the flat image
-    E(X^beta) modulo J_order.  The first call for a (D, order) builds the
-    images of every source monomial in one graded sweep
-    (``series.cut_images``), walks each of them once, and keeps the rows
-    of every weight 1..min(D.length, order - 1) in
-    ``D._cut_caches[order]``; every later call reads its rows there.
-    Each call hands out its own copy of the cached rows, so a caller may
-    change them; weight 0, the identity, is built on each call.
-    ``source``, the order-N basis, may be passed in to share it between
-    matrices.
+    E(X^beta) modulo J_order.  Weight 1 follows the derivation rule
+    D_1(X^beta) = sum_j beta_j X^(beta - e_j) D_1(X_j), with D_1(X_j) the
+    t^1 terms of the stored image and beta_j taken in the field, so a
+    Lucas zero adds nothing; it forms no image, and drops the entries
+    that cancel.  A weight i >= 2 sweeps the images of every source
+    monomial under ``D.truncated(i)`` once (``series.cut_images``);
+    weight 0 is the identity.  Each call builds new rows.  ``source``,
+    the order-N basis, may be passed in to share it between matrices.
     """
     if i > D.length or i < 0:
         raise ComponentOutOfRange(f"component {i} of a length-{D.length} derivation")
@@ -141,39 +140,50 @@ def component_matrix(D: HSDerivation, i: int, order: int,
             f"source basis is not the order-{order} basis in {D.nvars} variables"
         )
     target = source.prefix(order - i)
-    if i:
-        by_weight = D._cut_caches.get(order)
-        if by_weight is None:
-            by_weight = D._cut_caches[order] = _rows_by_weight(D, source)
-        # a copy: the cached rows serve every later matrix of (D, order, i)
-        rows = list(map(dict, by_weight[i]))
+    rows: list = [{} for _ in range(len(target))]
+    index, field = source.index, D.field
+    if i == 1:
+        # looked up once per matrix: each beta_j in the field, and the key of X_j
+        add, mul, limit = field.add, field.mul, (order - 1) << D.nvars * B
+        exponents = [field.coerce(e) for e in range(order)]
+        terms = [(variable_key(D.nvars, j), image) for j, image in enumerate(D._degree1_images())]
+        for c, (beta, key) in enumerate(zip(source.monomials, index)):
+            for e, (x, image) in zip(beta, terms):
+                b = exponents[e]
+                if b:
+                    for m, v in image.items():
+                        if (k := key - x + m) < limit:
+                            row, w = rows[index[k]], mul(b, v)
+                            prev = row.get(c)
+                            row[c] = w if prev is None else add(prev, w)
+        rows = [row if all(row.values()) else {c: v for c, v in row.items() if v} for row in rows]
+    elif i:
+        sub = i << D.nvars * B
+        images = cut_images(index, D.truncated(i)._flat_images, i, field, order)
+        # the images come in the order of the index, whose values are 0, 1, ..
+        for c, image in enumerate(images.values()):
+            for e, v in image.items():
+                if e & _FIELD_MASK == i:
+                    rows[index[(e >> B) - sub]][c] = v
     else:
-        one = D.field.one()
-        rows = [{r: one} for r in range(len(target))]
+        rows = [{r: field.one()} for r in range(len(target))]
     label = f"{D.name or 'D'}_{i}"
-    return ComponentMatrix(rows, source, target, i, D.field, label)
+    return ComponentMatrix(rows, source, target, i, field, label)
 
 
-def _rows_by_weight(D: HSDerivation, source: QuotientBasis) -> list:
-    """[None, rows of D_1, .., rows of D_w], w = min(D.length, N - 1) and
-    N the order of ``source``, from one walk over each image modulo J_N.
-    A term X^beta t^k of the image of column c has |beta| < N - k, so it
-    is the entry (row of X^beta, c) of the weight-k matrix."""
-    n, order, index = D.nvars, source.order, source.index
-    top = min(D.length, order - 1)
-    # the weight-i target holds the comb(N - i - 1 + n, n) monomials of degree < N - i
-    by_weight = [None] + [[{} for _ in range(math.comb(order - i - 1 + n, n))]
-                          for i in range(1, top + 1)]
-    mask, shift = _FIELD_MASK, n * B
-    images = cut_images(index, D._flat_images, top, D.field, order)
-    # the images come in the order of the index, whose values are 0, 1, ..
-    for c, image in enumerate(images.values()):
-        for e, v in image.items():
-            k = e & mask
-            if k:
-                # a monomial has the same index in the target as in the source
-                by_weight[k][index[(e >> B) - (k << shift)]][c] = v
-    return by_weight
+def _frobenius_blocks(mats: list, q: int) -> list:
+    """Per weight-1 matrix over GF(p), its block of weight q = p^j on the
+    columns X^(q gamma) (``coefficient_field``): its first rows and columns,
+    the matrix at order ceil(N/q), with X^gamma's column moved to X^(q gamma)'s."""
+    source = mats[0].source
+    n, index, m = source.nvars, source.index, -(-source.order // q)
+    target, ncols = source.prefix(m - 1), math.comb(m - 1 + n, n)
+    # the key of X^(q gamma) is q times the key of X^gamma
+    relabel = [index[q * key] for key in itertools.islice(index, ncols)]
+    return [ComponentMatrix([{relabel[c]: v for c, v in row.items() if c < ncols}
+                             for row in mat.rows[: len(target)]],
+                            source, target, q, mat.field, f"{mat.label}^{q}")
+            for mat in mats]
 
 
 def _eliminate(vec: dict, pivot: dict, factor, field: FieldSpec) -> None:
@@ -308,12 +318,11 @@ def coefficient_field(family, order: int, degree1_only: bool = False) -> KernelR
     is decided as in ``nomura_unit_test``.
 
     Only the deciding weights are stacked: 1 over Q, and 1, p, .., p^k
-    <= N-1 over GF(p), from monomial images built through the largest of
-    them.  Their kernel is already the constants, and every kernel holds
-    the constants (E(1) = 1), so all weights 1..N-1 give the same one.
-    Proof: take f of degree < N killed by the deciding weights, and let
-    M = (D^d_1(X_j)) be the degree-1 matrix of the first n members, a
-    unit.
+    <= N-1 over GF(p).  Their kernel is already the constants, and every
+    kernel holds the constants (E(1) = 1), so all weights 1..N-1 give the
+    same one.  Proof: take f of degree < N killed by the deciding
+    weights, and let M = (D^d_1(X_j)) be the degree-1 matrix of the
+    first n members, a unit.
 
     Over Q, D^d_1 f = sum_j D^d_1(X_j) df/dX_j lies in (X)^(N-1) for
     every d, so each partial of f does too; of degree < N-1, it is 0,
@@ -328,6 +337,15 @@ def coefficient_field(family, order: int, degree1_only: bool = False) -> KernelR
     < N-q, it is 0.  So every exponent of g is divisible by p, and f is
     in k[X^(pq)].  By induction the weights 1, p, .., p^k leave f in
     k[X^(p^(k+1))], and N <= p^(k+1), so f is a constant.
+
+    So only weight-1 matrices are built: as Frobenius fixes GF(p),
+    E(g(X^q)) = Phi_q(E(g)) with Phi_q(c X^beta t^i) = c X^(q beta) t^(q i),
+    and q|beta| < N - q exactly when |beta| < ceil(N/q) - 1, so on the
+    columns X^(q gamma) D_q is the weight-1 matrix at order ceil(N/q),
+    relabelled (``_frobenius_blocks``).  The step at q reads D_q on k[X^q]
+    alone, so with these blocks the stack still kills the constants only:
+    it spans the row space of every weight's stack, which is all that
+    ``nullspace``'s canonical form depends on.
     """
     family = list(family)
     if not _unit_det(_degree1_constants(family)):
@@ -342,11 +360,9 @@ def coefficient_field(family, order: int, degree1_only: bool = False) -> KernelR
     if not max_weight:  # order 1: no weight acts, and the kernel is the whole quotient
         report = joint_kernel([], source, family[0].field)
     else:
-        weights = [1] if degree1_only else _deciding_weights(family[0].field, order)
-        members = [D.truncated(weights[-1]) for D in family]
-        report = joint_kernel(
-            [component_matrix(D, i, order, source) for D in members for i in weights]
-        )
+        mats = [component_matrix(D, 1, order, source) for D in family]
+        weights = [] if degree1_only else _deciding_weights(family[0].field, order)[1:]
+        report = joint_kernel(mats + [b for q in weights for b in _frobenius_blocks(mats, q)])
     which = "weight-1 components only" if degree1_only else f"all weights 1..{max_weight}"
     report.operators_used = f"{which} of {len(family)} derivation(s)"
     return report

@@ -116,7 +116,10 @@ def _det(rows) -> Series:
             tags[cols] = out
         return tags[cols]
 
-    return minor(tuple(range(n)))
+    try:
+        return minor(tuple(range(n)))
+    finally:  # the helpers call each other: cleared, they leave no cycle
+        minor = tag = None
 
 
 def _leading_members(family) -> list:
@@ -139,7 +142,8 @@ def degree1_values(family, points=None) -> list:
     members = _leading_members(family)
     if points is None:
         n, field = members[0].nvars, members[0].field
-        points = [Series.variable(n, field, j) for j in range(n)]
+        columns = [D._degree1_images() for D in members]
+        return [[Series._of(n, field, column[j], None) for column in columns] for j in range(n)]
     return [[D.apply_component(1, a) for D in members] for a in points]
 
 

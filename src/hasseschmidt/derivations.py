@@ -37,8 +37,7 @@ class HSDerivation:
     threads is safe.
     """
 
-    __slots__ = ("nvars", "length", "field", "images", "name", "_flat_images", "_mono_cache",
-                 "_cut_caches")
+    __slots__ = ("nvars", "length", "field", "images", "name", "_flat_images", "_mono_cache")
 
     def __init__(self, images, name: str | None = None):
         images = list(images)
@@ -75,7 +74,6 @@ class HSDerivation:
         self.name = name
         self._flat_images = [img.flat for img in images]
         self._mono_cache: dict = {}
-        self._cut_caches: dict = {}  # order N -> the rows of each weight, see component_matrix
 
     # -- constructors ------------------------------------------------
 
@@ -86,7 +84,7 @@ class HSDerivation:
     def truncated(self, w: int) -> "HSDerivation":
         """The derivation (D_0, .., D_w): the images cut to t^w, same name;
         self when w is the length.  Built from this one's validated
-        images, their flat dicts masked to k <= w, with empty caches."""
+        images, their flat dicts masked to k <= w, with an empty cache."""
         if w == self.length:
             return self
         if not 1 <= w < self.length:
@@ -96,7 +94,7 @@ class HSDerivation:
         out.images = [TSeries._of(self.nvars, self.field, img.flat, w, None)
                       for img in self.images]
         out._flat_images = [img.flat for img in out.images]
-        out._mono_cache, out._cut_caches = {}, {}
+        out._mono_cache = {}
         return out
 
     # -- the components ----------------------------------------------
@@ -117,6 +115,12 @@ class HSDerivation:
         prec = None if f.precision is None else max(f.precision - i, 0)
         acc = image_sum(f.terms, f.field, self._flat_images, self.length, self._mono_cache, i, prec)
         return Series._of(f.nvars, f.field, acc, prec)
+
+    def _degree1_images(self) -> list:
+        """D_1(X_j) for each j: the t^1 terms of E(X_j), X-key -> coefficient."""
+        shift, mask = self.nvars * B, _FIELD_MASK
+        return [{(e >> B) - (1 << shift): c for e, c in flat.items() if e & mask == 1}
+                for flat in self._flat_images]
 
     def apply(self, f: Series) -> TSeries:
         """E(f), the full image in A[t]/(t^{length+1}); every slot is

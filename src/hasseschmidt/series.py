@@ -37,9 +37,8 @@ such a key from a t-degree.  For a flat key e, k = e & _FIELD_MASK,
 beta has the X-key (e >> B) - (k << n * B), and the top field is
 |beta| + k.  A product is one ``_mac`` with shift (n + 1) * B: its bound
 N cuts modulo (X, t)^N = J_N = {sum_k a_k t^k : a_k in (X)^(N-k)}, its
-degree guard reads |beta| + k, and t^{L+1} = 0 is its t-length L under
-a bound (no pair past t^L is multiplied), or else the mask k <= L of the
-pass that drops its zeros.  Monomial images modulo J_N (``cut_images``,
+degree guard reads |beta| + k, and t^{L+1} = 0 is the mask k <= L of
+the pass that drops its zeros.  Monomial images modulo J_N (``cut_images``,
 one graded pass over a quotient basis) or uncut (``monomial_image``) and
 their sums (``image_sum``) are flat dicts, wrapped once by their
 callers; dicts an engine cache holds, and the ``flat`` of a TSeries,
@@ -538,19 +537,17 @@ def substitute(f: Series, images) -> TSeries:
 # -- the shared engine: products, monomial images, linear images ----------
 
 
-def _mac(acc: dict, a: dict, b: dict, bound, shift: int, add, mul, tlen=None) -> None:
+def _mac(acc: dict, a: dict, b: dict, bound, shift: int, add, mul) -> None:
     """acc += a * b on key -> coefficient maps whose exponent fields take
     ``shift`` bits (n * B, or (n + 1) * B for flat keys, whose total
     degree is |beta| + k), keeping only the products of total degree
     below ``bound`` (None keeps every one).
 
-    Under a bound of at most DEGREE_LIMIT no kept product can carry, and
-    a ``tlen`` L (flat keys only) also skips each pair X^a t^k1, X^b t^k2
-    with k1 + k2 > L before multiplying: acc then gains no term past
-    t^L.  Without a bound (or above it) ``tlen`` is ignored, and a
-    product key at or past DEGREE_LIMIT << shift, which is a product of
-    total degree DEGREE_LIMIT or more, carried or not, raises
-    DegreeLimitExceeded before it is stored."""
+    Under a bound of at most DEGREE_LIMIT no kept product can carry.
+    Without a bound (or above it) a product key at or past
+    DEGREE_LIMIT << shift, which is a product of total degree
+    DEGREE_LIMIT or more, carried or not, raises DegreeLimitExceeded
+    before it is stored."""
     if bound is None or bound > DEGREE_LIMIT:
         top = DEGREE_LIMIT << shift
         for e1, c1 in a.items():
@@ -564,28 +561,12 @@ def _mac(acc: dict, a: dict, b: dict, bound, shift: int, add, mul, tlen=None) ->
                 acc[e] = v if prev is None else add(prev, v)
         return
     limit = bound << shift
-    # apart from the t-length loop, whose check per pair would slow every
-    # other bounded product
-    if tlen is None:
-        for e1, c1 in a.items():
-            room = limit - e1
-            if room <= 0:
-                continue
-            for e2, c2 in b.items():
-                if e2 >= room:
-                    continue
-                e = e1 + e2
-                v = mul(c1, c2)
-                prev = acc.get(e)
-                acc[e] = v if prev is None else add(prev, v)
-        return
-    mask = _FIELD_MASK
     for e1, c1 in a.items():
-        room, t_room = limit - e1, tlen - (e1 & mask)
-        if room <= 0 or t_room < 0:
+        room = limit - e1
+        if room <= 0:
             continue
         for e2, c2 in b.items():
-            if e2 >= room or e2 & mask > t_room:
+            if e2 >= room:
                 continue
             e = e1 + e2
             v = mul(c1, c2)
@@ -640,15 +621,11 @@ def cut_images(keys, images: list, tlen: int, field: FieldSpec, bound, out=None)
     nothing), built in one pass.  Each is one ``_mac`` of the image of
     X^(beta - e_j), j the first nonzero exponent (the highest nonzero
     field of the key), by images[j], so X^(beta - e_j) must be in ``out``
-    or earlier in ``keys``: graded order does that.  Under a bound the
-    ``_mac`` forms no product past t^tlen, and its dict is the image
-    unless a coefficient cancelled; uncut, one pass drops the terms past
-    t^tlen and the zeros."""
+    or earlier in ``keys``: graded order does that.  One pass over the
+    product drops the terms past t^tlen and the zeros."""
     n = len(images)
     top, exponent_bits = 1 << n * B, (1 << n * B) - 1
     shift, mask, add, mul = (n + 1) * B, _FIELD_MASK, field.add, field.mul
-    # the bounds under which _mac skips the products past t^tlen itself
-    cut = bound is not None and bound <= DEGREE_LIMIT
     out = {} if out is None else out
     for key in keys:
         if not key:
@@ -657,9 +634,8 @@ def cut_images(keys, images: list, tlen: int, field: FieldSpec, bound, out=None)
         # X_j owns the highest nonzero exponent field f of the key: j = n - 1 - f
         f = ((key & exponent_bits).bit_length() - 1) // B
         acc: dict = {}
-        _mac(acc, out[key - (top | 1 << f * B)], images[n - 1 - f], bound, shift, add, mul, tlen)
-        out[key] = (acc if cut and all(acc.values())
-                    else {e: c for e, c in acc.items() if c and e & mask <= tlen})
+        _mac(acc, out[key - (top | 1 << f * B)], images[n - 1 - f], bound, shift, add, mul)
+        out[key] = {e: c for e, c in acc.items() if c and e & mask <= tlen}
     return out
 
 

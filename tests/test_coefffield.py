@@ -27,7 +27,7 @@ from hasseschmidt import cli, coefffield, serialize
 from hasseschmidt.cli import main
 from hasseschmidt.coefffield import nullspace
 from hasseschmidt.decompose import degree1_matrix, degree1_values
-from hasseschmidt.series import _FIELD_MASK, cut_images, monomials_of_degree
+from hasseschmidt.series import monomials_of_degree
 from hasseschmidt.errors import (
     ComponentOutOfRange,
     IncompatibleAmbient,
@@ -254,27 +254,32 @@ def test_truncated_derivations_give_the_same_component_matrices(field, kind, rng
 
 
 def test_degree1_only_kernels_cut_their_images_to_two_slots(monkeypatch):
+    """A kernel reads the images of the members only through t^1, as if
+    they were cut to two slots: with and without ``degree1_only`` it asks
+    each member itself, not a truncated copy, for its weight-1 matrix,
+    and forms no monomial image, cut (``cut_images``) or uncut
+    (``_mono_cache``).  The members cut to length 1 give the same
+    degree-1 kernel."""
     seen = []
     build = coefffield.component_matrix
 
     def spy(D, *args):
-        seen.append(D)
+        seen.append((D, args[0]))
         return build(D, *args)
 
+    def no_sweep(*args):
+        raise AssertionError("a kernel swept monomial images")
+
     monkeypatch.setattr(coefffield, "component_matrix", spy)
+    monkeypatch.setattr(coefffield, "cut_images", no_sweep)
     family = taylor_basis(2, 4, GF(2))
-    coefficient_field(family, 5, degree1_only=True)
-    assert [D.length for D in seen] == [1, 1]
-    # the flat cut images hold t-degrees 0 and 1 only (see the series module),
-    # so the members cache the rows of weight 1 alone
-    source = QuotientBasis(2, 5)
-    assert {e & _FIELD_MASK for D in seen
-            for img in cut_images(source.index, D._flat_images, D.length, D.field, 5).values()
-            for e in img} == {0, 1}
-    assert [len(D._cut_caches[5]) for D in seen] == [2, 2]
-    del seen[:]
-    coefficient_field(family, 5)
-    assert {id(D) for D in seen} == {id(D) for D in family}  # length 4 = N - 1: no copies
+    for degree1_only in (True, False):
+        del seen[:]
+        coefficient_field(family, 5, degree1_only)
+        assert [(id(D), i) for D, i in seen] == [(id(D), 1) for D in family]
+    assert all(not D._mono_cache for D in family)
+    cut = [D.truncated(1) for D in family]
+    assert coefficient_field(cut, 5, True) == coefficient_field(family, 5, True)
 
 
 def test_deciding_weights_are_the_powers_of_p():
@@ -303,7 +308,9 @@ def spy_on(monkeypatch, name):
 @pytest.mark.parametrize("field, weights", [(QQ, [1]), (GF(2), [1, 2, 4]), (GF(3), [1, 3])])
 def test_full_kernels_stop_at_the_deciding_weights(field, weights, monkeypatch, rng):
     """Taylor members, and members that are not iterative: one stacking
-    of the deciding weights gives the constants."""
+    of the deciding weights gives the constants.  Each member gives one
+    weight-1 ``component_matrix``, and the stack holds it and, over
+    GF(p), its Frobenius block of each deciding weight p, .., p^k."""
     matrices = spy_on(monkeypatch, "component_matrix")
     kernels = spy_on(monkeypatch, "joint_kernel")
     for kind in ("taylor", "random", "unit"):
@@ -313,9 +320,10 @@ def test_full_kernels_stop_at_the_deciding_weights(field, weights, monkeypatch, 
         assert report.basis == [Series.one(2, field)], kind
         assert report.operators_used == "all weights 1..7 of 2 derivation(s)"
         assert len(kernels) == 1, kind
-        assert [args[1] for args, _ in matrices] == weights * 2
-        # the images are built only through the largest deciding weight
-        assert {args[0].length for args, _ in matrices} == {weights[-1]}
+        assert [(id(args[0]), args[1]) for args, _ in matrices] == [(id(D), 1) for D in family]
+        stacked = kernels[0][0][0]
+        assert [mat.weight for mat in stacked] == [w for w in weights for _ in family]
+        assert stacked[: len(family)] == [mat for _, mat in matrices]
 
 
 @pytest.mark.parametrize("degree1_only", [False, True])
@@ -351,6 +359,8 @@ def test_degree1_matrix_reads_the_values_on_the_variables(kind, field, rng):
         variables = [Series.variable(n, field, j) for j in range(n)]
         stored = [[D.images[j].coeffs[1] for D in family] for j in range(n)]
         assert degree1_matrix(family).entries == stored
+        # the default reads the stored images: no apply_component fills the memo
+        assert all(not D._mono_cache for D in family)
         assert degree1_values(family, variables) == stored
 
 
@@ -582,9 +592,9 @@ def test_component_matrix_matches_the_reference_at_any_length(field, rng):
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_component_matrices_in_any_order_match_the_reference(field, rng):
-    """The first matrix of a (D, N) fills the rows of every weight; every
-    weight 0..min(length, N - 1), called in shuffled order and each twice,
-    gives the reference."""
+    """Every weight 0..min(length, N - 1), called in shuffled order and
+    each twice, gives the reference: weight 1 by the derivation rule, the
+    others by a sweep of the images each."""
     for n, m, N in ((1, 6, 7), (1, 2, 6), (1, 5, 3), (2, 4, 3), (2, 3, 5), (3, 2, 4)):
         D = random_hsd(rng, n, m, field, max_degree=3, max_terms=3)
         weights = [*range(min(m, N - 1) + 1)] * 2
@@ -593,35 +603,131 @@ def test_component_matrices_in_any_order_match_the_reference(field, rng):
             assert dense_view(component_matrix(D, i, N)) == dense_component_matrix(D, i, N)
 
 
-def test_component_matrices_hand_out_copies_of_the_cached_rows(rng):
-    """Every matrix of a weight i > 0 gets its own rows, equal to the
-    cached ones: a caller that edits them changes no later matrix, kernel
-    or cache entry of the derivation.  Stacking them (``joint_kernel``,
-    ``coefficient_field`` with and without ``degree1_only``) leaves the
-    cache as it was."""
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_the_weight1_rule_matches_the_reference_past_the_characteristic(field, rng):
+    """The weight-1 matrix, by the derivation rule, against
+    ``dense_component_matrix`` at orders whose monomials carry exponents
+    of p and more, so that beta_j = 0 in the field (a Lucas zero) drops a
+    term: in one variable the column of X^beta, p | beta, is empty.  On
+    E(X_1) = X_1 + X_1 t, E(X_2) = X_2 - X_2 t, where
+    D_1(X_1^a X_2^b) = (a - b) X_1^a X_2^b, the two terms of the rule
+    cancel on a = b mod p, and no zero entry is kept."""
+    p = field.p
+    for n, N in ((1, 12), (2, 8), (3, 6)):
+        for _ in range(3):
+            D = random_hsd(rng, n, rng.randint(1, 3), field, max_degree=3, max_terms=3)
+            mat = component_matrix(D, 1, N)
+            assert dense_view(mat) == dense_component_matrix(D, 1, N)
+            assert all(v for row in mat.rows for v in row.values())
+            if n == 1 and p:
+                assert not {c for row in mat.rows for c in row if c % p == 0}
+    x1, x2 = (Series.variable(2, field, j) for j in range(2))
+    D = integrate([x1, -x2], 1)
+    mat = component_matrix(D, 1, 9)
+    assert dense_view(mat) == dense_component_matrix(D, 1, 9)
+    assert all(v for row in mat.rows for v in row.values())
+    kept = {c for row in mat.rows for c in row}
+    assert kept == {c for c, (a, b) in enumerate(mat.source.monomials[: len(mat.target)])
+                    if field.coerce(a - b)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("kind", ["taylor", "random", "unit"])
+def test_frobenius_blocks_are_the_weight_q_blocks_on_the_q_th_powers(p, kind, rng):
+    """Over GF(p), for q = p and p^2: the block ``_frobenius_blocks`` cuts
+    out of the weight-1 matrix is the full weight-q matrix on the columns
+    X^(q gamma), its row of X^delta the row of X^(q delta) there; the
+    full matrix has no other entry in those columns."""
+    field = GF(p)
+    sizes = {2: ((1, 9), (2, 6), (3, 5)), 3: ((1, 10), (2, 10), (3, 4)), 5: ((1, 26), (2, 7))}[p]
+    reached = set()
+    for n, N in sizes:
+        source = QuotientBasis(n, N)
+        for D in family_for(kind, rng, n, N - 1, field):
+            weight1 = component_matrix(D, 1, N, source)
+            for q in (p, p * p):
+                if q >= N:
+                    continue
+                [block] = coefffield._frobenius_blocks([weight1], q)
+                full = component_matrix(D, q, N, source)
+                assert (block.source, block.weight) == (source, q)
+                powers = {source.monomials.index(tuple(q * g for g in gamma))
+                          for gamma in source.monomials if q * sum(gamma) < N}
+                want = {(full.target.monomials[r], c): v for r, row in enumerate(full.rows)
+                        for c, v in row.items() if c in powers}
+                got = {(tuple(q * d for d in block.target.monomials[r]), c): v
+                       for r, row in enumerate(block.rows) for c, v in row.items()}
+                assert got == want, (n, N, q)
+                reached |= {q} if got else set()
+    assert reached == {p, p * p}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("kind", ["taylor", "random", "unit"])
+def test_coefficient_field_matches_every_weight_at_powers_of_p(p, kind, rng):
+    """``coefficient_field`` against ``all_weights_kernel``, every weight
+    1..N-1 stacked densely, at N = p^k and p^k + 1 and for 1 to
+    NVARS_CAP variables, where the quotient has at most 56 monomials."""
+    field = GF(p)
+    orders = sorted({p ** k + e for k in range(1, 5) for e in (0, 1)})
+    for n in range(1, serialize.NVARS_CAP + 1):
+        for N in (N for N in orders if math.comb(N - 1 + n, n) <= 56):
+            family = family_for(kind, rng, n, N - 1, field)
+            for degree1_only in (False, True):
+                fast = coefficient_field(family, N, degree1_only)
+                slow = all_weights_kernel(family, N, degree1_only)
+                assert (fast.dimension, fast.basis, fast.operators_used) == (
+                    slow.dimension, slow.basis, slow.operators_used), (n, N)
+
+
+def test_the_dense_char2_tail_kernel_pins_its_work(monkeypatch):
+    """One GF(2) member in one variable, every t-coefficient of E(X) past
+    t^0 equal to 1 + X + X^2, length 499, at order 500: the kernel is the
+    constants.  It takes 1,728 ``FieldSpec.mul`` calls; the bound leaves
+    a margin of 50%."""
+    from hasseschmidt import HSDerivation, TSeries
+    from hasseschmidt.fields import FieldSpec
+
+    F, length = GF(2), 499
+    x, c = Series.variable(1, F, 0), Series(1, F, {(0,): 1, (1,): 1, (2,): 1})
+    D = HSDerivation([TSeries([x] + [c] * length)])
+    calls = []
+    mul = FieldSpec.mul
+
+    def counted(self, a, b):
+        calls.append(None)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "mul", counted)
+    report = coefficient_field([D], length + 1)
+    assert (report.dimension, report.basis) == (1, [Series.one(1, F)])
+    assert len(calls) <= 2592
+
+
+def test_component_matrices_hand_out_fresh_rows(rng):
+    """Every matrix gets rows of its own: a caller that edits them changes
+    no later matrix or kernel, nor the images of the derivation.
+    Stacking them (``joint_kernel``, ``coefficient_field`` with and
+    without ``degree1_only``, whose Frobenius blocks are cut out of the
+    weight-1 rows) changes none of them either."""
     family = family_for("random", rng, 2, 4, GF(2))
     source = QuotientBasis(2, 5)
-    expected = coefficient_field(family, 5)
+    expected = [coefficient_field(family, 5, d1) for d1 in (False, True)]
     mats = [component_matrix(D, i, 5, source) for D in family for i in range(5)]
-    before = copy.deepcopy([D._cut_caches for D in family])
+    before = copy.deepcopy((mats, [D._flat_images for D in family]))
     for D in family:
         for i in range(5):
             first, second = component_matrix(D, i, 5), component_matrix(D, i, 5)
             assert first.rows == second.rows
             assert first.rows is not second.rows
             assert not {id(r) for r in first.rows} & {id(r) for r in second.rows}
-            if i:
-                assert first.rows == D._cut_caches[5][i]
-                assert not {id(r) for r in first.rows} & {id(r) for r in D._cut_caches[5][i]}
             for row in first.rows:
                 row.clear()
                 row[0] = GF(2).one()
             first.rows.append({1: GF(2).one()})
     joint_kernel(mats)
-    assert [D._cut_caches for D in family] == before
-    assert coefficient_field(family, 5) == expected
-    coefficient_field(family, 5, degree1_only=True)
-    assert [D._cut_caches for D in family] == before
+    assert [coefficient_field(family, 5, d1) for d1 in (False, True)] == expected
+    assert (mats, [D._flat_images for D in family]) == before
     assert [component_matrix(D, i, 5, source) for D in family for i in range(5)] == mats
 
 

@@ -129,8 +129,9 @@ def test_monomial_images_strip_the_first_variable_and_cache_every_step(rng):
     for key, image in D._mono_cache.items():
         monomial = Series.monomial(3, QQ, unpack(key, 3))
         assert image == flat_of(reference.substitute(monomial, D.images))
-    # the sweep of a component matrix cuts the image of every source monomial
-    # modulo J_4, and the matrix caches the rows of each weight read off them
+    # a sweep cuts the image of every source monomial modulo J_4; the
+    # weight-2 matrix reads its t^2 terms, and the weight-1 matrix, from
+    # the derivation rule, holds its t^1 terms
     source = QuotientBasis(3, 4)
     cuts = cut_images(source.index, D._flat_images, D.length, QQ, 4)
     assert list(cuts) == list(source.index)
@@ -142,9 +143,7 @@ def test_monomial_images_strip_the_first_variable_and_cache_every_step(rng):
         for e, v in cut.items():
             k = e & _FIELD_MASK
             entries[k, source.index[(e >> B) - (k << 3 * B)], c] = v
-    component_matrix(D, 1, 4)
-    rows = D._cut_caches[4]
-    assert rows[0] is None and len(rows) == 3
+    rows = {i: component_matrix(D, i, 4, source).rows for i in (1, 2)}
     assert {(i, r, c): v for i in (1, 2) for r, row in enumerate(rows[i])
             for c, v in row.items()} == {key: v for key, v in entries.items() if key[0]}
 
@@ -198,10 +197,10 @@ def test_component_matrix_columns_are_truncated_components(field, rng):
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_component_matrices_build_each_cut_image_once(field, rng, monkeypatch):
-    """The first matrix of a (member, order) makes one ``_mac`` per
-    non-constant monomial of the source basis; every other weight, and
-    the same weight again, reads the cached images and makes none.  A
-    new order makes a new sweep."""
+    """Weights 0 and 1 make no ``_mac``: weight 1 follows the derivation
+    rule.  Each matrix of a weight i >= 2 sweeps the images once, one
+    ``_mac`` under the order per non-constant monomial of the source
+    basis, and the same weight again sweeps again."""
     calls = []
     mac = series._mac
 
@@ -212,15 +211,16 @@ def test_component_matrices_build_each_cut_image_once(field, rng, monkeypatch):
     monkeypatch.setattr(series, "_mac", counted)
     for nvars, length, order in ((1, 4, 5), (2, 3, 4), (3, 2, 3)):
         D = random_hsd(rng, nvars, length, field, max_degree=3, max_terms=3)
-        source, smaller = QuotientBasis(nvars, order), QuotientBasis(nvars, order - 1)
+        source = QuotientBasis(nvars, order)
         del calls[:]
+        component_matrix(D, 0, order, source)
         component_matrix(D, 1, order, source)
-        assert len(calls) == len(source) - 1
-        for i in range(min(length, order - 1) + 1):
+        assert not calls
+        for i in [*range(2, min(length, order - 1) + 1)] * 2:
+            del calls[:]
             component_matrix(D, i, order, source)
-        assert len(calls) == len(source) - 1
-        component_matrix(D, 1, order - 1, smaller)
-        assert len(calls) == len(source) - 1 + len(smaller) - 1
+            assert len(calls) == len(source) - 1
+            assert {args[3] for args in calls} == {order}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -534,39 +534,6 @@ def test_mac_skips_the_rows_past_the_bound():
         b.walks = 0
         _mac({}, a.terms, b, bound, 2 * B, QQ.add, QQ.mul)
         assert b.walks == rows, bound
-
-
-def random_flat(rng, nvars, field, max_k):
-    """A random flat dict: X^beta t^k, |beta| <= 3 and k <= max_k, keyed
-    by pack(beta + (k,)), to nonzero coefficients."""
-    return {pack(beta + (rng.randint(0, max_k),)): random_scalar(rng, field, nonzero=True)
-            for beta in (tuple(rng.randint(0, 3 // nvars) for _ in range(nvars))
-                         for _ in range(rng.randint(0, 6)))}
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_mac_with_a_t_length_is_the_masked_product(field, rng):
-    """``_mac`` with a t-length L is ``_mac`` without it followed by the
-    mask k <= L, term for term and zeros included, into an accumulator
-    that holds terms up to t^L; over operands with t-degrees up to L + 2,
-    for L = 0..3 and bounds from 0 to past the largest |beta| + k of the
-    product.  Without a bound the t-length is ignored."""
-    mask = _FIELD_MASK
-    for nvars in (1, 2, 3):
-        shift = (nvars + 1) * B
-        for tlen in range(4):
-            for _ in range(8):
-                a, b = (random_flat(rng, nvars, field, tlen + 2) for _ in range(2))
-                start = random_flat(rng, nvars, field, tlen)
-                top = max((xt_degree(e1 + e2, nvars) for e1 in a for e2 in b), default=0)
-                for bound in (*range(top + 3), None):
-                    plain, cut = dict(start), dict(start)
-                    _mac(plain, a, b, bound, shift, field.add, field.mul)
-                    _mac(cut, a, b, bound, shift, field.add, field.mul, tlen)
-                    if bound is None:
-                        assert cut == plain
-                    else:
-                        assert cut == {e: c for e, c in plain.items() if e & mask <= tlen}, bound
 
 
 def padded(ts, tlen):
