@@ -87,7 +87,7 @@ def cmd_decompose(args) -> int:
         out_precision=problem.truncation,
         verify_degree=args.max_degree,
     )
-    report = serialize.decomposition_to_json(result, problem.field)
+    report = serialize.decomposition_to_json(result)
     _write_or_print(serialize.dumps(report), args.out)
     if result.witness is not None:
         sys.stderr.write("reconstruction failed; see witness in report\n")
@@ -235,9 +235,6 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         return args.func(args)
-    except ProblemFormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except NotABasis as exc:
         sys.stderr.write(f"not a basis: {exc}\n")
         return 2

@@ -187,10 +187,11 @@ def _frobenius_blocks(mats: list, q: int) -> list:
 
 
 def _eliminate(vec: dict, pivot: dict, factor, field: FieldSpec) -> None:
-    """vec -= factor * pivot on sparse rows, in place, dropping zeros."""
-    sub, mul, zero = field.sub, field.mul, field.zero()
+    """vec -= factor * pivot on sparse rows, in place, dropping zeros: one
+    negation of factor, then an add per entry."""
+    add, mul, zero, factor = field.add, field.mul, field.zero(), field.neg(factor)
     for c, v in pivot.items():
-        x = sub(vec.get(c, zero), mul(factor, v))
+        x = add(vec.get(c, zero), mul(factor, v))
         if x:
             vec[c] = x
         else:

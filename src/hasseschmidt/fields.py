@@ -112,8 +112,8 @@ class FieldSpec:
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into {self!r}")
 
-    # The rational branches below follow Fraction._add, _sub and _mul: the
-    # same gcd steps, then the coprime result stored without normalising.
+    # The rational branches below follow Fraction._add and _mul: the same
+    # gcd steps, then the coprime result stored without normalising.
 
     def add(self, a, b):
         if self.p is not None:
@@ -137,25 +137,7 @@ class FieldSpec:
         return r
 
     def sub(self, a, b):
-        if self.p is not None:
-            return (a - b) % self.p
-        na, da = a._numerator, a._denominator
-        nb, db = b._numerator, b._denominator
-        g = gcd(da, db)
-        if g == 1:
-            n, d = na * db - da * nb, da * db
-        else:
-            s = da // g
-            n = na * (db // g) - nb * s
-            g2 = gcd(n, g)
-            if g2 == 1:
-                d = s * db
-            else:
-                n //= g2
-                d = s * (db // g2)
-        r = _new(Fraction)
-        r._numerator, r._denominator = n, d
-        return r
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
         if self.p is not None:

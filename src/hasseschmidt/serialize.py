@@ -42,6 +42,7 @@ shortened by ``reprlib``.
 from __future__ import annotations
 
 import json
+import math
 import re
 import reprlib
 from dataclasses import dataclass
@@ -58,9 +59,9 @@ from .decompose import DecompositionResult
 
 # The most monomials of degree below a problem's order (see above).  The
 # benchmark corpora reach 165 (three variables, truncation 9).  The cap
-# bounds size, not time: at it, the kernel of a dense one-variable GF(2)
-# family of length 499 took 322 s and 129 MB, and decompose time grows
-# with about the cube of the length (CHANGES.md).
+# bounds size, not time: decompose time grows with about the cube of the
+# length (CHANGES.md), while the kernel of a dense one-variable GF(2)
+# family of length 499, built from its weight-1 rows, takes about 0.1 s.
 MONOMIAL_CAP = 500
 
 # The most variables a problem may have.  decompose takes the degree-1
@@ -71,20 +72,6 @@ MONOMIAL_CAP = 500
 # decompose still pays it; the kernel decides the basis from the constant
 # terms alone (7 ms at n = 7).  The benchmark corpora reach 4.
 NVARS_CAP = 7
-
-
-def monomials_below(order: int, nvars: int, cap: int) -> int:
-    """C(order - 1 + nvars, nvars), the number of monomials in nvars
-    variables of degree below order, or cap + 1 once it exceeds cap.
-    Every step at least doubles the count, so a huge order or nvars
-    costs about log2(cap) steps."""
-    low, high = sorted((order - 1, nvars))
-    count = 1
-    for i in range(1, low + 1):
-        count = count * (high + i) // i
-        if count > cap:
-            return cap + 1
-    return count
 
 
 def field_to_str(field: FieldSpec) -> str:
@@ -115,7 +102,7 @@ def _int_field(obj: dict, key: str, minimum: int | None = None) -> int:
     if type(value) is not int:
         raise ProblemFormatError(f"{key!r} must be an integer, got {reprlib.repr(value)}")
     if minimum is not None and value < minimum:
-        raise ProblemFormatError(f"{key!r} must be >= {minimum}, got {value}")
+        raise ProblemFormatError(f"{key!r} must be >= {minimum}, got {reprlib.repr(value)}")
     return value
 
 
@@ -164,10 +151,6 @@ def series_from_json(obj, nvars: int, field: FieldSpec) -> Series:
     return Series._of(nvars, field, terms, None).truncate(prec)
 
 
-def tseries_to_json(ts: TSeries) -> list:
-    return list(ts.coeffs)
-
-
 def tseries_from_json(obj, nvars: int, field: FieldSpec) -> TSeries:
     """The t-series of a JSON array of series: ``TSeries._of_terms`` keys
     the terms of every t-coefficient into one flat dict, without a Series."""
@@ -181,7 +164,7 @@ def derivation_to_json(D: HSDerivation) -> dict:
     return {
         "nvars": D.nvars,
         "length": D.length,
-        "images": [tseries_to_json(img) for img in D.images],
+        "images": [list(img.coeffs) for img in D.images],
     }
 
 
@@ -195,12 +178,12 @@ def derivation_from_json(obj, field: FieldSpec, name=None) -> HSDerivation:
     except KeyError as exc:
         raise ProblemFormatError(f"derivation needs nvars, length, images: {exc}") from exc
     if not isinstance(images_json, list) or len(images_json) != nvars:
-        raise ProblemFormatError(f"expected {nvars} images")
+        raise ProblemFormatError(f"expected {reprlib.repr(nvars)} images")
     images = [tseries_from_json(img, nvars, field) for img in images_json]
     for img in images:
         if img.tlen != length:
             raise ProblemFormatError(
-                f"image has {img.tlen + 1} t-coefficients, expected length {length}"
+                f"image has {img.tlen + 1} t-coefficients, expected length {reprlib.repr(length)}"
             )
     try:
         return HSDerivation(images, name=name)
@@ -224,11 +207,11 @@ def table_from_json(obj, field: FieldSpec) -> CoeffTable:
     except KeyError as exc:
         raise ProblemFormatError(f"coefficient table needs m, n, C: {exc}") from exc
     if not isinstance(rows_json, list) or len(rows_json) != m:
-        raise ProblemFormatError(f"expected {m} coefficient rows")
+        raise ProblemFormatError(f"expected {reprlib.repr(m)} coefficient rows")
     rows = []
     for row in rows_json:
         if not isinstance(row, list) or len(row) != n:
-            raise ProblemFormatError(f"expected {n} entries per coefficient row")
+            raise ProblemFormatError(f"expected {reprlib.repr(n)} entries per coefficient row")
         rows.append([series_from_json(c, n, field) for c in row])
     try:
         return CoeffTable(rows, nvars=n, field=field)
@@ -244,7 +227,7 @@ def kernel_report_to_json(report: KernelReport) -> dict:
     }
 
 
-def decomposition_to_json(result: DecompositionResult, field: FieldSpec) -> dict:
+def decomposition_to_json(result: DecompositionResult) -> dict:
     witness = None
     if result.witness is not None:
         w = result.witness
@@ -311,11 +294,13 @@ def problem_from_json(obj) -> Problem:
             f"problem too large: {reprlib.repr(nvars)} variables, more than the cap of "
             f"{NVARS_CAP}"
         )
+    # nvars <= NVARS_CAP, so the binomial is a few products even for an
+    # order of thousands of digits, which the message does not write out
     order = max(truncation, length + 1)
-    if monomials_below(order, nvars, MONOMIAL_CAP) > MONOMIAL_CAP:
+    if math.comb(order - 1 + nvars, nvars) > MONOMIAL_CAP:
         raise ProblemFormatError(
             f"problem too large: more than the cap of {MONOMIAL_CAP} monomials below "
-            f"degree {order} = max(truncation, length + 1) in {nvars} variable(s)"
+            f"degree max(truncation, length + 1) in {nvars} variable(s)"
         )
     if not isinstance(derivations_json, list) or not derivations_json:
         raise ProblemFormatError("derivations must be a nonempty array")
@@ -329,7 +314,7 @@ def problem_from_json(obj) -> Problem:
         D = derivation_from_json(entry, field, name=name)
         if D.nvars != nvars or D.length != length:
             raise ProblemFormatError(
-                f"derivation {name!r} does not match the problem's nvars/length"
+                f"derivation {reprlib.repr(name)} does not match the problem's nvars/length"
             )
         derivations.append(D)
     target = None

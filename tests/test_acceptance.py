@@ -162,7 +162,7 @@ def test_criterion_3_uniqueness_and_order_dependence():
         x = Series.variable(1, field, 0)
         target = HSDerivation([TSeries([x, x, Series.one(1, field)])])
         result = decompose(target, taylor_basis(1, 2, field), out_precision=6)
-        return serialize.dumps(serialize.decomposition_to_json(result, field)).encode()
+        return serialize.dumps(serialize.decomposition_to_json(result)).encode()
 
     identical = run_bytes() == run_bytes()
 

@@ -675,6 +675,33 @@ def test_hostile_files_exit_1_with_one_line(tmp_path, capsys, name):
         assert fragment in captured.err and "Traceback" not in captured.err
 
 
+HUGE = 10 ** 4300 - 1  # 4300 nines, the most digits the JSON loader reads
+
+
+@pytest.mark.parametrize("path, value", [
+    (("length",), HUGE), (("truncation",), HUGE), (("length",), -HUGE),
+    (("derivations", 0, "length"), HUGE)],
+    ids=["length", "truncation", "negative-length", "derivation-length"])
+def test_numbers_at_the_digit_limit_exit_1_with_one_short_line(tmp_path, capsys, path, value):
+    """As the length, HUGE makes an order the interpreter will not write
+    out; elsewhere it is written in 4300 digits.  No refusal writes it in
+    full: each is one short line."""
+    obj = as_json(serialize.problem_to_json(worked_problem()))
+    *parents, key = path
+    entry = obj
+    for step in parents:
+        entry = entry[step]
+    entry[key] = value
+    problem = tmp_path / "huge.json"
+    problem.write_text(json.dumps(obj))
+    for command in ("decompose", "kernel", "verify"):
+        assert main([command, str(problem)]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert captured.err.startswith("error: ") and len(captured.err.encode()) < 300
+
+
 def test_a_coefficient_too_long_to_write_exits_1(tmp_path, capsys):
     """The table squares a 2500-digit coefficient; Python will not write
     the 5000-digit result, so decompose stops with a message."""

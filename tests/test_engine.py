@@ -9,8 +9,10 @@ keys of X^beta t^k."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hasseschmidt import (
     GF, QQ, CoeffTable, HSDerivation, Series, TSeries, apply_table, substitute, taylor_basis,
@@ -23,7 +25,7 @@ from hasseschmidt import series
 from hasseschmidt.coefffield import QuotientBasis, component_matrix
 from hasseschmidt.errors import DegreeLimitExceeded, HasseSchmidtError, IncompatibleAmbient
 from hasseschmidt.fields import EXPONENT_CAP
-from hasseschmidt.serialize import MONOMIAL_CAP, NVARS_CAP, monomials_below
+from hasseschmidt.serialize import MONOMIAL_CAP, NVARS_CAP
 from hasseschmidt.series import (
     _FIELD_MASK, B, DEGREE_LIMIT, _mac, cut_images, dot, grlex_sorted, image_sum, min_prec,
     monomial_image, monomials_of_degree, pack, unpack, variable_key,
@@ -536,6 +538,70 @@ def test_mac_skips_the_rows_past_the_bound():
         assert b.walks == rows, bound
 
 
+_NEAR_LIMIT = (0, 1, 2, DEGREE_LIMIT // 2 - 1, DEGREE_LIMIT // 2, DEGREE_LIMIT - 2,
+               DEGREE_LIMIT - 1)
+
+
+@st.composite
+def operands_near_the_limit(draw, nvars, flat):
+    """Up to four terms over QQ of total degree near DEGREE_LIMIT: X-keys,
+    or with ``flat`` the keys of X^beta t^k as ``TSeries._of_terms``
+    makes them, where |beta| + k may reach the limit."""
+    out = {}
+    for _ in range(draw(st.integers(0, 4))):
+        beta = draw(st.lists(st.sampled_from(_NEAR_LIMIT), min_size=nvars, max_size=nvars))
+        if sum(beta) >= DEGREE_LIMIT:
+            continue
+        key = pack(beta)
+        if flat:
+            k = draw(st.sampled_from(_NEAR_LIMIT))
+            key = (key << B) + (k << (nvars + 1) * B | k)
+        out[key] = Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mac_guard_matches_the_pairs(data):
+    """Without a bound, or above DEGREE_LIMIT, ``_mac`` raises exactly
+    when some pair reaches total degree DEGREE_LIMIT; otherwise acc gains
+    the pairs below the bound, one by one.  On X-keys and on flat keys,
+    where the degree is |beta| + k."""
+    nvars, flat = data.draw(st.integers(1, 3)), data.draw(st.booleans())
+    shift = (nvars + flat) * B
+    a = data.draw(operands_near_the_limit(nvars, flat))
+    b = data.draw(operands_near_the_limit(nvars, flat))
+    bound = data.draw(st.sampled_from((None, 0, 1, DEGREE_LIMIT - 1, DEGREE_LIMIT,
+                                       DEGREE_LIMIT + 1, 2 * DEGREE_LIMIT)))
+    before = {0: Fraction(7)}
+    acc = dict(before)
+    pairs = [(e1, c1, e2, c2, (e1 >> shift) + (e2 >> shift))
+             for e1, c1 in a.items() for e2, c2 in b.items()]
+    if (bound is None or bound > DEGREE_LIMIT) and any(d >= DEGREE_LIMIT for *_, d in pairs):
+        with pytest.raises(DegreeLimitExceeded):
+            _mac(acc, a, b, bound, shift, QQ.add, QQ.mul)
+        return
+    want = dict(before)
+    for e1, c1, e2, c2, d in pairs:
+        if bound is None or d < bound:
+            want[e1 + e2] = want.get(e1 + e2, 0) + c1 * c2
+    _mac(acc, a, b, bound, shift, QQ.add, QQ.mul)
+    assert acc == want
+
+
+def test_mac_guard_passes_an_empty_operand():
+    """A product with an empty operand forms no pair, so it never
+    raises, whatever the other operand holds."""
+    at = {pack([DEGREE_LIMIT - 1]): Fraction(1)}
+    for bound in (None, DEGREE_LIMIT + 1):
+        acc = {}
+        _mac(acc, {}, at, bound, B, QQ.add, QQ.mul)
+        _mac(acc, at, {}, bound, B, QQ.add, QQ.mul)
+        assert acc == {}
+        with pytest.raises(DegreeLimitExceeded):
+            _mac(acc, at, at, bound, B, QQ.add, QQ.mul)
+
+
 def padded(ts, tlen):
     """ts with zero t-coefficients appended up to t^tlen."""
     zero = Series.zero(ts.nvars, ts.field, ts.precision)
@@ -737,7 +803,7 @@ def test_the_cli_caps_stay_below_the_degree_limit():
     degree <= 3, at most 6 d0, stay below it.  The guard on a flat key of
     X^beta t^k reads |beta| + k, and a flat product forms t-degrees up to
     2m before the mask drops those past m: 2m more at most."""
-    assert monomials_below(MONOMIAL_CAP + 1, 1, MONOMIAL_CAP) > MONOMIAL_CAP
+    assert math.comb(MONOMIAL_CAP + 1, 1) > MONOMIAL_CAP
     d0 = NVARS_CAP * EXPONENT_CAP
     m = MONOMIAL_CAP - 1
     worst = m * d0 + 1 + m * (d0 - 1)

@@ -141,6 +141,14 @@ def test_rational_operations_match_the_fraction_operators(a, b):
             QQ.inv(a)
 
 
+@pytest.mark.parametrize("p", [2, 5, 2 ** 64 - 59])
+@given(a=st.integers(-(2 ** 70), 2 ** 70), b=st.integers(-(2 ** 70), 2 ** 70))
+def test_prime_field_sub_is_the_difference_mod_p(p, a, b):
+    field = GF(p)
+    x, y = field.coerce(a), field.coerce(b)
+    assert field.sub(x, y) == (a - b) % p == (x - y) % p
+
+
 def test_rational_zero_and_one_are_shared_canonical_constants():
     assert QQ.zero() is QQ.zero() and QQ.one() is QQ.one()
     _canonical(QQ.zero(), Fraction(0))

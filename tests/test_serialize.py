@@ -255,8 +255,8 @@ def emitted_forms(rng):
                                  report.witness)
     kernel_family = taylor_basis(2, 3, GF(2))
     return [
-        serialize.decomposition_to_json(failed, field),
-        serialize.decomposition_to_json(result, field),
+        serialize.decomposition_to_json(failed),
+        serialize.decomposition_to_json(result),
         serialize.kernel_report_to_json(coefficient_field(kernel_family, 4)),
         serialize.kernel_report_to_json(coefficient_field(kernel_family, 4, degree1_only=True)),
         serialize.problem_to_json(worked_problem()),
@@ -333,7 +333,7 @@ def emitted_series_forms(draw):
         coefficients=draw(st.one_of(st.none(), st.just(table))),
     )
     return [
-        serialize.decomposition_to_json(decomposition, field),
+        serialize.decomposition_to_json(decomposition),
         serialize.kernel_report_to_json(kernel),
         serialize.problem_to_json(problem),
         draw(leaf),
@@ -369,7 +369,7 @@ def test_a_coefficient_past_the_digit_limit_raises_from_every_depth():
         serialize.table_to_json(CoeffTable([[x], [big]])),
         serialize.kernel_report_to_json(KernelReport(2, [x, big], "", 3)),
         serialize.decomposition_to_json(DecompositionResult(
-            CoeffTable([[x]]), 0, [0], Witness(1, (1,), x, big)), QQ),
+            CoeffTable([[x]]), 0, [0], Witness(1, (1,), x, big))),
         serialize.derivation_to_json(HSDerivation([TSeries([x, x, big])])),
     ]
     limit = sys.get_int_max_str_digits()
@@ -520,19 +520,6 @@ def test_series_from_json_drops_high_and_zero_terms_but_not_duplicates():
             serialize.series_from_json(obj, 2, QQ)
 
 
-def test_monomials_below_counts_and_saturates():
-    for order in range(1, 9):
-        for nvars in range(1, 6):
-            count = math.comb(order - 1 + nvars, nvars)
-            assert serialize.monomials_below(order, nvars, 10 ** 6) == count
-            assert serialize.monomials_below(order, nvars, count) == count
-            assert serialize.monomials_below(order, nvars, count - 1) == count
-    start = time.perf_counter()
-    for order, nvars in ((10 ** 7, 2), (2, 10 ** 9), (10 ** 100, 10 ** 100), (1, 10 ** 9)):
-        assert serialize.monomials_below(order, nvars, 2000) == (1 if order == 1 else 2001)
-    assert time.perf_counter() - start < 0.1
-
-
 def taylor_problem_json(nvars, length, truncation):
     problem = serialize.Problem(
         field=GF(3), nvars=nvars, length=length, truncation=truncation, seed=0,
@@ -554,6 +541,31 @@ def test_the_monomial_cap_bounds_truncation_and_length():
     for nvars, length, truncation in refused:
         with pytest.raises(ProblemFormatError, match=f"cap of {cap} monomials"):
             serialize.problem_from_json(taylor_problem_json(nvars, length, truncation))
+
+
+def test_the_monomial_count_is_one_binomial_at_the_cap():
+    """In every admitted number of variables the largest order with at
+    most MONOMIAL_CAP monomials below it, C(order - 1 + nvars, nvars), is
+    accepted and the next one refused; a huge order, up to the digit
+    limit, is refused fast, and a huge nvars by its own cap."""
+    cap, top = serialize.MONOMIAL_CAP, serialize.NVARS_CAP
+    for nvars in range(1, top + 1):
+        order = max(N for N in range(1, cap + 2) if math.comb(N - 1 + nvars, nvars) <= cap)
+        assert serialize.problem_from_json(taylor_problem_json(nvars, 1, order)).truncation == order
+        with pytest.raises(ProblemFormatError, match=f"cap of {cap} monomials"):
+            serialize.problem_from_json(taylor_problem_json(nvars, 1, order + 1))
+    for nvars, key, value, fragment in (
+            (2, "truncation", 10 ** 7, "monomials"),
+            (top, "truncation", 10 ** 100, "monomials"),
+            (top, "truncation", 10 ** 4300 - 1, "monomials"),
+            (top, "length", 10 ** 4300 - 1, "monomials"),
+            (1, "nvars", 10 ** 9, "variables")):
+        obj = taylor_problem_json(nvars, 1, 2)
+        obj[key] = value
+        start = time.perf_counter()
+        with pytest.raises(ProblemFormatError, match=fragment):
+            serialize.problem_from_json(obj)
+        assert time.perf_counter() - start < 0.02
 
 
 def test_the_cap_is_checked_before_the_derivations():
