@@ -6,9 +6,11 @@ D_i(fg) = sum_{r+s=i} D_r(f) D_s(g).  Equivalently it is the ring
 homomorphism E: A -> A[t]/(t^{m+1}) with E(f) = sum_i D_i(f) t^i and
 E(f) = f mod t.  Storing E(X_j) makes the Leibniz rule hold by
 construction and keeps the data sparse; components are recovered by
-substitution.  D_0 = id holds because the constructor checks that
-E(X_j) = X_j mod t, so ``leibniz_check`` reads fg off E(f) E(g).  An
-ordinary derivation delta is the case m = 1, E(X_j) = X_j + delta(X_j) t:
+substitution, and at a variable they are the stored slots: D_i(X_j) is
+the t^i coefficient of E(X_j), read off the image.  D_0 = id holds
+because the constructor checks that E(X_j) = X_j mod t, so
+``leibniz_check`` reads fg off E(f) E(g).  An ordinary derivation delta
+is the case m = 1, E(X_j) = X_j + delta(X_j) t:
 ``integrate(values, 1)`` builds it, and the D_1 of a longer derivation D
 is ``D.truncated(1)``.
 
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 
 from .errors import ComponentOutOfRange, IncompatibleAmbient
 from .series import (
-    _FIELD_MASK, B, Series, TSeries, _mac, image_sum, monomials_of_degree, variable_key,
+    _FIELD_MASK, B, DEGREE_LIMIT, Series, TSeries, _mac, image_sum, monomials_of_degree,
+    variable_key,
 )
 
 
@@ -37,7 +40,8 @@ class HSDerivation:
     threads is safe.
     """
 
-    __slots__ = ("nvars", "length", "field", "images", "name", "_flat_images", "_mono_cache")
+    __slots__ = ("nvars", "length", "field", "images", "name", "_flat_images", "_variables",
+                 "_mono_cache")
 
     def __init__(self, images, name: str | None = None):
         images = list(images)
@@ -70,9 +74,20 @@ class HSDerivation:
         self.nvars = nvars
         self.length = length
         self.field = field
-        self.images = images
         self.name = name
+        self._store(images)
+
+    def _store(self, images) -> None:
+        """Keep the validated images, their flat dicts and an empty cache,
+        and decide once which components at a variable are stored slots:
+        ``_variables`` maps the X-key of X_j to j when no flat key of E(X_j)
+        reaches DEGREE_LIMIT << (n + 1) * B, the keys where the walk of
+        ``image_sum`` raises DegreeLimitExceeded."""
+        n, top = self.nvars, DEGREE_LIMIT << (self.nvars + 1) * B
+        self.images = images
         self._flat_images = [img.flat for img in images]
+        self._variables = {variable_key(n, j): j for j, flat in enumerate(self._flat_images)
+                           if max(flat) < top}
         self._mono_cache: dict = {}
 
     # -- constructors ------------------------------------------------
@@ -91,10 +106,8 @@ class HSDerivation:
             raise ComponentOutOfRange(f"cannot truncate a length-{self.length} derivation to {w}")
         out = object.__new__(HSDerivation)
         out.nvars, out.length, out.field, out.name = self.nvars, w, self.field, self.name
-        out.images = [TSeries._of(self.nvars, self.field, img.flat, w, None)
-                      for img in self.images]
-        out._flat_images = [img.flat for img in out.images]
-        out._mono_cache = {}
+        out._store([TSeries._of(self.nvars, self.field, img.flat, w, None)
+                    for img in self.images])
         return out
 
     # -- the components ----------------------------------------------
@@ -104,7 +117,9 @@ class HSDerivation:
 
         The output precision is the input precision minus i (exact stays
         exact): a component of weight i only sees an input modulo
-        (X)^N through degrees below N - i.
+        (X)^N through degrees below N - i.  At an exact variable X_j it is
+        the stored t^i coefficient of E(X_j), read off the image's view
+        where the walk would give the same terms (see ``_store``).
         """
         if not 0 <= i <= self.length:
             raise ComponentOutOfRange(f"component {i} of a length-{self.length} derivation")
@@ -112,6 +127,12 @@ class HSDerivation:
             raise IncompatibleAmbient("series does not match the derivation's ambient ring")
         if i == 0:
             return f
+        terms = f.terms
+        if len(terms) == 1 and f.precision is None:
+            (key, c), = terms.items()
+            j = self._variables.get(key)
+            if j is not None and c == 1:
+                return self.images[j].coeffs[i]
         prec = None if f.precision is None else max(f.precision - i, 0)
         acc = image_sum(f.terms, f.field, self._flat_images, self.length, self._mono_cache, i, prec)
         return Series._of(f.nvars, f.field, acc, prec)

@@ -32,11 +32,16 @@ A problem's order is the larger of its truncation and length + 1: the
 kernel works on k[X]/(X)^truncation, decompose keeps the table to that
 precision, and verify runs every weight up to the length.  A problem
 with more than NVARS_CAP variables, or with more than MONOMIAL_CAP
-monomials below its order, is refused before anything is built.  Each
-term of a series or t-series is checked once, in ``_terms_from_json``,
-and a t-series is keyed straight into its one flat dict.  Every refusal
-is a ProblemFormatError whose message is one line, with input values
-shortened by ``reprlib``.
+monomials below its order, is refused before anything is built, and
+the declared nvars and length of each derivation, of the target and of
+the table before any of their series is read.  A file is read in one
+pass per t-series: one loop, ``_series_terms``, checks every term of
+all its t-coefficients (coefficient tables read through the same loop),
+and ``TSeries._of_terms`` keys them into one flat dict in one call.
+Each distinct coefficient text is parsed once per ``problem_from_json``
+call: its memo belongs to that call, like the heads memo of ``dumps``,
+so no state outlives it.  Every refusal is a ProblemFormatError whose
+message is one line, with input values shortened by ``reprlib``.
 """
 
 from __future__ import annotations
@@ -106,58 +111,82 @@ def _int_field(obj: dict, key: str, minimum: int | None = None) -> int:
     return value
 
 
-def _terms_from_json(obj, nvars: int, field: FieldSpec) -> tuple:
-    """The packed terms and the precision (None: exact) of a JSON series,
-    every term checked here and only here: its length, its exponents
+def _series_terms(objs, nvars: int, field: FieldSpec, memo: dict) -> tuple:
+    """The packed terms (X-key -> coefficient) and the precision (None:
+    exact) of each JSON series in ``objs``, as two lists, read in one loop
+    that checks every term here and only here: its length, its exponents
     (integers from 0 to EXPONENT_CAP), its coefficient
     (``field.parse_scalar``) and that no exponent repeats, also among the
-    zeros and terms at or above the precision, which the caller drops."""
-    if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
-        raise ProblemFormatError(
-            f"series must be an object with a 'terms' array, got {reprlib.repr(obj)}")
-    prec = obj.get("prec", "exact")
-    if prec == "exact":
-        prec = None
-    elif type(prec) is not int or prec < 0:
-        raise ProblemFormatError(f"bad precision {reprlib.repr(prec)}")
-    terms = {}
-    for row in obj["terms"]:
-        if not isinstance(row, list) or len(row) != nvars + 1:
+    zeros and terms at or above the precision, which the caller drops.
+    Each distinct coefficient text is parsed once: ``memo`` maps the
+    texts read so far to their values, immutable ints or Fractions."""
+    parse, width = field.parse_scalar, nvars + 1
+    slots, precisions = [], []
+    for obj in objs:
+        if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
             raise ProblemFormatError(
-                f"term {reprlib.repr(row)} must list {nvars} exponents and one coefficient"
-            )
-        exps, coeff = row[:-1], row[-1]
-        if not all(type(e) is int and e >= 0 for e in exps):
-            raise ProblemFormatError(f"bad exponents in term {reprlib.repr(row)}")
-        if max(exps, default=0) > EXPONENT_CAP:
-            raise ProblemFormatError(
-                f"exponent above the cap {EXPONENT_CAP} in term {reprlib.repr(row[:-1])}"
-            )
-        try:
-            value = field.parse_scalar(coeff)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ProblemFormatError(f"bad coefficient {reprlib.repr(coeff)}: {exc}") from exc
-        key = pack(exps)
-        if key in terms:
-            raise ProblemFormatError(f"duplicate exponent {tuple(exps)} in series")
-        terms[key] = value
-    return terms, prec
+                f"series must be an object with a 'terms' array, got {reprlib.repr(obj)}")
+        prec = obj.get("prec", "exact")
+        if prec == "exact":
+            prec = None
+        elif type(prec) is not int or prec < 0:
+            raise ProblemFormatError(f"bad precision {reprlib.repr(prec)}")
+        terms = {}
+        for row in obj["terms"]:
+            if not isinstance(row, list) or len(row) != width:
+                raise ProblemFormatError(
+                    f"term {reprlib.repr(row)} must list {nvars} exponents and one coefficient"
+                )
+            exps, coeff = row[:-1], row[-1]
+            for e in exps:
+                if type(e) is not int or not 0 <= e <= EXPONENT_CAP:
+                    _refuse_exponents(row)
+            value = memo.get(coeff) if type(coeff) is str else None
+            if value is None:
+                try:
+                    value = parse(coeff)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ProblemFormatError(
+                        f"bad coefficient {reprlib.repr(coeff)}: {exc}") from exc
+                if type(coeff) is str:
+                    memo[coeff] = value
+            key = pack(exps)
+            if key in terms:
+                raise ProblemFormatError(f"duplicate exponent {tuple(exps)} in series")
+            terms[key] = value
+        slots.append(terms)
+        precisions.append(prec)
+    return slots, precisions
 
 
-def series_from_json(obj, nvars: int, field: FieldSpec) -> Series:
-    """The series of a JSON object: ``Series._of`` drops the zeros and
-    ``Series.truncate`` the terms at or above the precision."""
-    terms, prec = _terms_from_json(obj, nvars, field)
+def _refuse_exponents(row) -> None:
+    """The refusal of a term with an exponent that is not an integer from
+    0 to EXPONENT_CAP (a bool is not an integer)."""
+    if not all(type(e) is int and e >= 0 for e in row[:-1]):
+        raise ProblemFormatError(f"bad exponents in term {reprlib.repr(row)}")
+    raise ProblemFormatError(
+        f"exponent above the cap {EXPONENT_CAP} in term {reprlib.repr(row[:-1])}")
+
+
+def series_from_json(obj, nvars: int, field: FieldSpec, memo: dict | None = None) -> Series:
+    """The series of a JSON object, read by ``_series_terms``:
+    ``Series._of`` drops the zeros and ``Series.truncate`` the terms at
+    or above the precision."""
+    (terms,), (prec,) = _series_terms((obj,), nvars, field, {} if memo is None else memo)
     return Series._of(nvars, field, terms, None).truncate(prec)
 
 
-def tseries_from_json(obj, nvars: int, field: FieldSpec) -> TSeries:
-    """The t-series of a JSON array of series: ``TSeries._of_terms`` keys
-    the terms of every t-coefficient into one flat dict, without a Series."""
+def tseries_from_json(obj, nvars: int, field: FieldSpec, memo: dict | None = None) -> TSeries:
+    """The t-series of a JSON array of series, every term read by one
+    ``_series_terms`` loop and keyed by ``TSeries._of_terms`` into one
+    flat dict, without a Series.  Its t-coefficients must carry one tag."""
     if not isinstance(obj, list) or not obj:
         raise ProblemFormatError("a t-series must be a nonempty array of series")
-    slots, precisions = zip(*(_terms_from_json(c, nvars, field) for c in obj))
-    return TSeries._of_terms(nvars, field, slots, precisions)
+    slots, precisions = _series_terms(obj, nvars, field, {} if memo is None else memo)
+    prec = precisions[0]
+    if precisions.count(prec) != len(precisions):
+        raise ProblemFormatError("t-coefficients carry different precisions")
+    return TSeries._of_terms(nvars, field, slots, prec)
 
 
 def derivation_to_json(D: HSDerivation) -> dict:
@@ -168,18 +197,24 @@ def derivation_to_json(D: HSDerivation) -> dict:
     }
 
 
-def derivation_from_json(obj, field: FieldSpec, name=None) -> HSDerivation:
+def _derivation_head(obj) -> tuple:
+    """The declared nvars and length of a JSON derivation and its images
+    array, unread."""
     if not isinstance(obj, dict):
         raise ProblemFormatError(f"derivation must be an object, got {reprlib.repr(obj)}")
     try:
-        nvars = _int_field(obj, "nvars", 1)
-        length = _int_field(obj, "length", 1)
-        images_json = obj["images"]
+        return _int_field(obj, "nvars", 1), _int_field(obj, "length", 1), obj["images"]
     except KeyError as exc:
         raise ProblemFormatError(f"derivation needs nvars, length, images: {exc}") from exc
+
+
+def _derivation(nvars: int, length: int, images_json, field: FieldSpec, name,
+                memo: dict) -> HSDerivation:
+    """The derivation whose head ``_derivation_head`` read; ``memo`` as in
+    ``_series_terms``, shared by every image."""
     if not isinstance(images_json, list) or len(images_json) != nvars:
         raise ProblemFormatError(f"expected {reprlib.repr(nvars)} images")
-    images = [tseries_from_json(img, nvars, field) for img in images_json]
+    images = [tseries_from_json(img, nvars, field, memo) for img in images_json]
     for img in images:
         if img.tlen != length:
             raise ProblemFormatError(
@@ -191,6 +226,10 @@ def derivation_from_json(obj, field: FieldSpec, name=None) -> HSDerivation:
         raise ProblemFormatError(str(exc)) from exc
 
 
+def derivation_from_json(obj, field: FieldSpec, name=None) -> HSDerivation:
+    return _derivation(*_derivation_head(obj), field, name, {})
+
+
 def table_to_json(table: CoeffTable) -> dict:
     return {
         "m": table.levels,
@@ -199,24 +238,35 @@ def table_to_json(table: CoeffTable) -> dict:
     }
 
 
-def table_from_json(obj, field: FieldSpec) -> CoeffTable:
+def _table_head(obj) -> tuple:
+    """The declared m and n of a JSON coefficient table and its rows
+    array, unread."""
     if not isinstance(obj, dict):
         raise ProblemFormatError(f"coefficient table must be an object, got {reprlib.repr(obj)}")
     try:
-        m, n, rows_json = _int_field(obj, "m", 0), _int_field(obj, "n", 1), obj["C"]
+        return _int_field(obj, "m", 0), _int_field(obj, "n", 1), obj["C"]
     except KeyError as exc:
         raise ProblemFormatError(f"coefficient table needs m, n, C: {exc}") from exc
+
+
+def _table(m: int, n: int, rows_json, field: FieldSpec, memo: dict) -> CoeffTable:
+    """The table whose head ``_table_head`` read; ``memo`` as in
+    ``_series_terms``, shared by every entry."""
     if not isinstance(rows_json, list) or len(rows_json) != m:
         raise ProblemFormatError(f"expected {reprlib.repr(m)} coefficient rows")
     rows = []
     for row in rows_json:
         if not isinstance(row, list) or len(row) != n:
             raise ProblemFormatError(f"expected {reprlib.repr(n)} entries per coefficient row")
-        rows.append([series_from_json(c, n, field) for c in row])
+        rows.append([series_from_json(c, n, field, memo) for c in row])
     try:
         return CoeffTable(rows, nvars=n, field=field)
     except HasseSchmidtError as exc:
         raise ProblemFormatError(str(exc)) from exc
+
+
+def table_from_json(obj, field: FieldSpec) -> CoeffTable:
+    return _table(*_table_head(obj), field, {})
 
 
 def kernel_report_to_json(report: KernelReport) -> dict:
@@ -304,6 +354,9 @@ def problem_from_json(obj) -> Problem:
         )
     if not isinstance(derivations_json, list) or not derivations_json:
         raise ProblemFormatError("derivations must be a nonempty array")
+    # each head is checked against the problem before any series of its
+    # entry is read, and every coefficient text of the file is parsed once
+    memo: dict = {}
     derivations = []
     for i, entry in enumerate(derivations_json):
         if not isinstance(entry, dict):
@@ -311,25 +364,27 @@ def problem_from_json(obj) -> Problem:
         name = entry.get("name", f"D{i + 1}")
         if not isinstance(name, str):
             raise ProblemFormatError(f"derivation entry {i} has a name that is not a string")
-        D = derivation_from_json(entry, field, name=name)
-        if D.nvars != nvars or D.length != length:
+        head = _derivation_head(entry)
+        if head[:2] != (nvars, length):
             raise ProblemFormatError(
                 f"derivation {reprlib.repr(name)} does not match the problem's nvars/length"
             )
-        derivations.append(D)
+        derivations.append(_derivation(*head, field, name, memo))
     target = None
     if "target" in obj:
-        target = derivation_from_json(obj["target"], field, name="target")
-        if target.nvars != nvars or target.length != length:
+        head = _derivation_head(obj["target"])
+        if head[:2] != (nvars, length):
             raise ProblemFormatError("target does not match the problem's nvars/length")
+        target = _derivation(*head, field, "target", memo)
     coefficients = None
     if "coefficients" in obj:
-        coefficients = table_from_json(obj["coefficients"], field)
-        if coefficients.nvars != nvars or coefficients.levels != length:
+        m, n, rows_json = _table_head(obj["coefficients"])
+        if (m, n) != (length, nvars):
             raise ProblemFormatError(
-                f"coefficient table has n={coefficients.nvars}, m={coefficients.levels}; "
-                f"the problem has nvars={nvars}, length={length}"
+                f"coefficient table has n={n}, m={m}; the problem has nvars={nvars}, "
+                f"length={length}"
             )
+        coefficients = _table(m, n, rows_json, field, memo)
     return Problem(field, nvars, length, truncation, seed, derivations, target, coefficients)
 
 

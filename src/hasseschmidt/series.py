@@ -417,8 +417,10 @@ class TSeries:
         for c in coeffs[1:]:
             if c.nvars != first.nvars or c.field != first.field:
                 raise IncompatibleAmbient("t-coefficients live in different ambient rings")
+        if any(c.precision != first.precision for c in coeffs):
+            raise IncompatibleAmbient("t-coefficients carry different precisions")
         self.flat = TSeries._of_terms(first.nvars, first.field, [c.terms for c in coeffs],
-                                      [c.precision for c in coeffs]).flat
+                                      first.precision).flat
         self.nvars, self.field, self.precision = first.nvars, first.field, first.precision
         self.tlen, self._coeffs = len(coeffs) - 1, coeffs
 
@@ -437,13 +439,10 @@ class TSeries:
         return self
 
     @classmethod
-    def _of_terms(cls, nvars, field, slots, precisions):
-        """The t-series whose t^k coefficient has the terms slots[k] (X-key
-        -> coefficient; zeros and terms at or above the tag are dropped)
-        and the tag precisions[k]; IncompatibleAmbient unless they agree."""
-        prec = precisions[0]
-        if len(set(precisions)) > 1:
-            raise IncompatibleAmbient("t-coefficients carry different precisions")
+    def _of_terms(cls, nvars, field, slots, prec):
+        """The t-series with the tag ``prec`` whose t^k coefficient has the
+        terms slots[k] (X-key -> coefficient; zeros and terms at or above
+        the tag are dropped), keyed into one flat dict in one pass."""
         top, limit = (nvars + 1) * B, (DEGREE_LIMIT if prec is None else prec) << nvars * B
         self = object.__new__(cls)
         self.nvars, self.field, self.tlen, self.precision = nvars, field, len(slots) - 1, prec

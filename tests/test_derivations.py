@@ -23,7 +23,7 @@ from hasseschmidt import (
 from hasseschmidt.errors import ComponentOutOfRange, IncompatibleAmbient
 
 import reference
-from conftest import FIELDS, random_hsd, random_series
+from conftest import FIELDS, assert_agree_to_trusted, random_hsd, random_series
 
 
 def worked_target(field=QQ):
@@ -134,6 +134,35 @@ def test_component_zero_is_identity(rng):
     D = random_hsd(rng, 2, 3, QQ)
     f = random_series(rng, 2, QQ)
     assert D.apply_component(0, f) == f
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_components_at_the_variables_are_the_stored_slots(field, nvars, rng):
+    """D_i(X_j) is the stored t^i coefficient of E(X_j), the image's own
+    view, at every weight i and every j, of a derivation and of its
+    truncations: the same terms and tag as the t^i coefficient of
+    ``reference.substitute`` and as the walk ``D.apply(X_j)`` takes.
+    Inputs that are not exactly X_j (a multiple, a tag, a second term)
+    take the walk and agree too."""
+    for length in (1, 2, 4):
+        D = random_hsd(rng, nvars, length, field, max_degree=3, max_terms=3)
+        for E in [D] + [D.truncated(w) for w in range(1, length)]:
+            for j in range(nvars):
+                x = Series.variable(nvars, field, j)
+                expected = reference.substitute(x, E.images).coeffs
+                walked = E.apply(x).coeffs
+                for i in range(1, E.length + 1):
+                    got = E.apply_component(i, x)
+                    assert got is E.images[j].coeffs[i]
+                    assert (got.terms, got.precision) == (expected[i].terms, None)
+                    assert got == expected[i] == walked[i]
+                for f in (x.scale(2), x.truncate(5), x + Series.one(nvars, field)):
+                    expected = reference.substitute(f, E.images).coeffs
+                    for i in range(1, E.length + 1):
+                        got = E.apply_component(i, f)
+                        assert got.precision == (None if f.precision is None else 5 - i)
+                        assert_agree_to_trusted(got, expected[i])
 
 
 def test_component_out_of_range():

@@ -146,6 +146,61 @@ def test_problem_rejects_mismatched_derivation():
         serialize.problem_from_json(obj)
 
 
+@pytest.mark.parametrize("path, message", [
+    (("derivations", 0), "^derivation 'taylor1' does not match the problem's nvars/length$"),
+    (("target",), "^target does not match the problem's nvars/length$"),
+])
+@pytest.mark.parametrize("declared", [{"nvars": 2}, {"length": 3}, {"nvars": 4000}])
+def test_a_mismatched_derivation_is_refused_before_its_images(monkeypatch, path, message,
+                                                               declared):
+    """A declared nvars or length other than the problem's is refused
+    before any image is read, so a mismatched entry whose images are also
+    malformed gets the mismatch message, however many images it has."""
+    obj = worked_problem_json()
+    entry = obj
+    for step in path:
+        entry = entry[step]
+    entry.update(declared)
+    entry["images"] = [[{"terms": "not a list"}]] * entry["nvars"]
+    read = []
+    load = serialize.tseries_from_json
+    monkeypatch.setattr(serialize, "tseries_from_json",
+                        lambda *args: read.append(args) or load(*args))
+    with pytest.raises(ProblemFormatError, match=message):
+        serialize.problem_from_json(obj)
+    assert len(read) == (path == ("target",))  # the one image of the valid member only
+
+
+@pytest.mark.parametrize("declared", [{"n": 2}, {"m": 3}, {"n": 4000}])
+def test_a_mismatched_table_is_refused_before_its_entries(monkeypatch, declared):
+    obj = worked_problem_json()
+    table = obj["coefficients"]
+    table.update(declared)
+    table["C"] = [[None] * table["n"]] * table["m"]
+    monkeypatch.setattr(serialize, "series_from_json", None)  # no entry may be read
+    with pytest.raises(ProblemFormatError, match=(
+            f"^coefficient table has n={table['n']}, m={table['m']}; "
+            "the problem has nvars=1, length=2$")):
+        serialize.problem_from_json(obj)
+
+
+def test_load_problem_refuses_mixed_tags_as_a_format_error(tmp_path, capsys):
+    """An image whose t-coefficients carry different tags is refused as
+    a ProblemFormatError, as ``load_problem`` promises for every failure,
+    and the CLI writes one error line and exits 1."""
+    from hasseschmidt.cli import main
+
+    obj = worked_problem_json()
+    obj["target"]["images"][0][1]["prec"] = 4
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ProblemFormatError, match="^t-coefficients carry different precisions$"):
+        serialize.load_problem(path)
+    capsys.readouterr()
+    assert main(["decompose", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: t-coefficients carry different precisions\n")
+
+
 def worked_problem():
     field = QQ
     x = Series.variable(1, field, 0)
@@ -425,7 +480,8 @@ def test_dumps_refuses_types_outside_the_canonical_forms(value):
 
 # -- the load path against the validating constructor --------------------------------
 
-COEFFICIENTS = st.sampled_from(["1", "-2", "7", "0", "-0", "0/3", "3/4", "-6/4", 2, 0, -9])
+COEFFICIENTS = st.sampled_from(
+    ["1", "-2", "7", "0", "-0", "0/3", "3/4", "-6/4", "1/2", "2/4", 2, 0, 1, -9])
 PRECISIONS = st.sampled_from([None, "exact", 0, 1, 2, 3, 5])  # None: no "prec" key
 BAD_EXPONENTS = st.sampled_from([-1, True, False, 4097, 1.0, "1", None])
 BAD_COEFFICIENTS = st.sampled_from(["1/0", "x", "1.5", " 2", "+1", True, 1.5, None, [1]])
@@ -487,8 +543,10 @@ def test_series_from_json_agrees_with_the_validating_constructor(field, nvars, d
 @given(st.sampled_from(FIELDS), st.integers(1, 3), st.data())
 def test_tseries_from_json_agrees_with_the_validating_constructors(field, nvars, data):
     """Each t-coefficient read by ``reference.series_from_json``, then the
-    public TSeries constructor: the same t-series, or the same refusal.
-    In most draws every t-coefficient carries the first one's tag."""
+    public TSeries constructor: the same t-series, or the same refusal
+    message, always as a ProblemFormatError (the constructor refuses
+    mixed tags as IncompatibleAmbient).  In most draws every
+    t-coefficient carries the first one's tag."""
     from hasseschmidt.errors import HasseSchmidtError
 
     objs = data.draw(st.lists(json_series(nvars), min_size=1, max_size=4))
@@ -500,13 +558,41 @@ def test_tseries_from_json_agrees_with_the_validating_constructors(field, nvars,
     try:
         expected = TSeries([reference.series_from_json(obj, nvars, field) for obj in objs])
     except HasseSchmidtError as exc:
-        with pytest.raises(type(exc)) as info:
+        with pytest.raises(ProblemFormatError) as info:
             serialize.tseries_from_json(objs, nvars, field)
         assert str(info.value) == str(exc)
         return
     loaded = serialize.tseries_from_json(objs, nvars, field)
     assert loaded == expected  # flat terms, t-length and tag
     assert loaded.coeffs == expected.coeffs
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_tseries_from_json_parses_each_text_once(field, monkeypatch):
+    """A whole t-series whose coefficients repeat their texts, "1" next
+    to the JSON int 1 and, over Q, "2/4" next to "1/2", loads as the
+    reference reads it.  Each distinct text is parsed once, a JSON int
+    each time; a bool after "1" is still refused."""
+    from hasseschmidt.fields import FieldSpec
+
+    texts = ["1", 1, "1", "3", "-1", "1", 1, "3", "0", "1"]
+    if field.p is None:
+        texts += ["2/4", "1/2", "2/4", "-3/6"]
+    objs = [{"terms": []} for _ in range(3)]
+    for at, text in enumerate(texts):
+        objs[at % 3]["terms"].append([at // 3, at % 2, text])
+    expected = TSeries([reference.series_from_json(obj, 2, field) for obj in objs])
+    calls = []
+    parse = FieldSpec.parse_scalar
+    monkeypatch.setattr(FieldSpec, "parse_scalar",
+                        lambda self, text: calls.append(text) or parse(self, text))
+    loaded = serialize.tseries_from_json(objs, 2, field)
+    assert loaded == expected and loaded.coeffs == expected.coeffs
+    assert sorted(map(str, calls)) == sorted(
+        [str(t) for t in texts if type(t) is int] + list({t for t in texts if type(t) is str}))
+    objs[1]["terms"].append([9, 0, True])
+    with pytest.raises(ProblemFormatError, match="^bad coefficient True"):
+        serialize.tseries_from_json(objs, 2, field)
 
 
 def test_series_from_json_drops_high_and_zero_terms_but_not_duplicates():
