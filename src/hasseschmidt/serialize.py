@@ -30,14 +30,16 @@ kept only in ``tests/reference.py``, as the oracle of this writer.
 
 A problem's order is the larger of its truncation and length + 1: the
 kernel works on k[X]/(X)^truncation, decompose keeps the table to that
-precision, and verify runs every weight up to the length.  A problem
-with more than NVARS_CAP variables, or with more than MONOMIAL_CAP
-monomials below its order, is refused before anything is built, and
-the declared nvars and length of each derivation, of the target and of
-the table before any of their series is read.  A file is read in one
-pass per t-series: one loop, ``_series_terms``, checks every term of
-all its t-coefficients (coefficient tables read through the same loop),
-and ``TSeries._of_terms`` keys them into one flat dict in one call.
+precision, and verify runs every weight up to the length.  A file of
+more than FILE_CAP characters is refused once one past the cap is read,
+before it is parsed.  A problem with more than NVARS_CAP variables, or
+with more than MONOMIAL_CAP monomials below its order, is refused
+before anything is built, and the declared nvars and length of each
+derivation, of the target and of the table before any of their series
+is read.  A file is read in one pass per t-series: one loop,
+``_series_terms``, checks every term of all its t-coefficients
+(coefficient tables read through the same loop), and
+``TSeries._of_terms`` keys them into one flat dict in one call.
 Each distinct coefficient text is parsed once per ``problem_from_json``
 call: its memo belongs to that call, like the heads memo of ``dumps``,
 so no state outlives it.  Every refusal is a ProblemFormatError whose
@@ -77,6 +79,12 @@ MONOMIAL_CAP = 500
 # decompose still pays it; the kernel decides the basis from the constant
 # terms alone (7 ms at n = 7).  The benchmark corpora reach 4.
 NVARS_CAP = 7
+
+# The most characters a problem file may hold; no more than one past it
+# is read.  The benchmark corpora reach 3,260.  On a Xeon under CPython
+# 3.11 a file at the cap took 0.8 s and 76 MB to parse as one derivation
+# of 4,000 variables, and 3.5 s and 433 MB as an array of empty arrays.
+FILE_CAP = 16 * 2 ** 20
 
 
 def field_to_str(field: FieldSpec) -> str:
@@ -439,10 +447,7 @@ def _text(value, newline: str, heads: dict) -> str:
     if type(value) is list:
         if not value:
             return "[]"
-        try:  # a row of scalars in one pass
-            items = [_SCALARS[type(v)](v) for v in value]
-        except KeyError:
-            items = [_text(v, inner, heads) for v in value]
+        items = [_text(v, inner, heads) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if type(value) is dict:
         if not value:
@@ -470,7 +475,10 @@ def load_problem(path) -> Problem:
     ProblemFormatError with a one-line message."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            text = handle.read(FILE_CAP + 1)
+        if len(text) > FILE_CAP:
+            raise ProblemFormatError(f"{path} is larger than the cap of {FILE_CAP} characters")
+        raw = json.loads(text)
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -477,11 +477,11 @@ class TSeries:
         return cls(out)
 
     def __mul__(self, other):
-        """Product in A[t]/(t^{tlen+1}); t-degrees beyond tlen are discarded.
-        With a TSeries it is one flat ``_mac`` under the bound tag + tlen,
-        which every kept term X^beta t^k (|beta| < tag, k <= tlen) is below."""
-        if isinstance(other, Series):
-            return TSeries([c * other for c in self.coeffs])
+        """Product of two TSeries in A[t]/(t^{tlen+1}), any other operand a
+        TypeError: one flat ``_mac`` under the bound tag + tlen, which every
+        kept term X^beta t^k (|beta| < tag, k <= tlen) is below."""
+        if not isinstance(other, TSeries):
+            return NotImplemented
         if (self.nvars, self.field, self.tlen) != (other.nvars, other.field, other.tlen):
             raise IncompatibleAmbient("TSeries operands disagree on ambient or t-length")
         field, n = self.field, self.nvars

@@ -716,3 +716,158 @@ def test_a_coefficient_too_long_to_write_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "digits" in captured.err
+
+
+# -- the file cap, the loader's refusals and the failing verdicts ---------------
+
+def assert_refused_by_every_command(path, fragment, capsys):
+    """decompose, kernel and verify each exit 1 on path with one stderr
+    line holding fragment and nothing on stdout."""
+    for command in ("decompose", "kernel", "verify"):
+        assert main([command, str(path)]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert fragment in captured.err, captured.err
+
+
+def test_a_file_past_the_cap_exits_1_and_a_file_at_the_cap_loads(tmp_path, capsys, monkeypatch):
+    """The cap counts characters, not bytes: a name with a non-ASCII
+    letter, written unescaped, makes the file longer in UTF-8 than in
+    characters."""
+    obj = as_json(serialize.problem_to_json(worked_problem()))
+    obj["derivations"][0]["name"] = "tayé"
+    text = json.dumps(obj, ensure_ascii=False)
+    monkeypatch.setattr(serialize, "FILE_CAP", len(text))
+    at_cap = tmp_path / "at.json"
+    at_cap.write_text(text, encoding="utf-8")
+    assert len(at_cap.read_bytes()) > len(text)
+    for command in ("decompose", "verify"):  # the worked problem is no kernel problem
+        assert main([command, str(at_cap)]) == 0, command
+    capsys.readouterr()
+    past = tmp_path / "past.json"
+    past.write_text(text + " ", encoding="utf-8")
+    assert_refused_by_every_command(past, f"is larger than the cap of {len(text)} characters",
+                                    capsys)
+
+
+def table_problem():
+    """The worked problem with its correct table C = [X, 1]."""
+    from hasseschmidt import CoeffTable
+
+    problem = worked_problem()
+    problem.coefficients = CoeffTable([[Series.variable(1, QQ, 0)], [Series.one(1, QQ)]])
+    return as_json(serialize.problem_to_json(problem))
+
+
+_DROP = object()
+
+
+def edited(*path, value=_DROP):
+    """An edit of a problem's JSON: the entry at path set to value, or
+    dropped; an empty path replaces the whole problem."""
+    def edit(obj):
+        if not path:
+            return value
+        *parents, key = path
+        entry = obj
+        for step in parents:
+            entry = entry[step]
+        if value is _DROP:
+            del entry[key]
+        else:
+            entry[key] = value
+        return obj
+    return edit
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (edited(value=[1]), "problem file must contain a JSON object"),
+    (edited("seed"), "missing problem field: 'seed'"),
+    (edited("field"), "missing problem field: 'field'"),
+    (edited("derivations", value=[]), "derivations must be a nonempty array"),
+    (edited("derivations", value={}), "derivations must be a nonempty array"),
+    (edited("derivations", 0, "nvars"), "derivation needs nvars, length, images: 'nvars'"),
+    (edited("derivations", 0, "length"), "derivation needs nvars, length, images: 'length'"),
+    (edited("derivations", 0, "images"), "derivation needs nvars, length, images: 'images'"),
+    (edited("target", value=5), "derivation must be an object, got 5"),
+    (edited("coefficients", value=[]), "coefficient table must be an object, got []"),
+    (edited("coefficients", "m"), "coefficient table needs m, n, C: 'm'"),
+    (edited("coefficients", "n"), "coefficient table needs m, n, C: 'n'"),
+    (edited("coefficients", "C"), "coefficient table needs m, n, C: 'C'"),
+    (edited("coefficients", "C", value=[[]]), "expected 2 coefficient rows"),
+    (edited("coefficients", "C", 0, value=[]), "expected 1 entries per coefficient row"),
+], ids=["not-an-object", "no-seed", "no-field", "no-derivations", "derivations-not-an-array",
+        "derivation-without-nvars", "derivation-without-length", "derivation-without-images",
+        "target-not-an-object", "table-not-an-object", "table-without-m", "table-without-n",
+        "table-without-C", "table-row-count", "table-row-width"])
+def test_each_loader_refusal_exits_1_with_one_line(tmp_path, capsys, edit, fragment):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(edit(table_problem())))
+    assert_refused_by_every_command(path, fragment, capsys)
+
+
+def test_a_table_the_engine_refuses_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    """No table that passes the loader's checks is refused by
+    ``CoeffTable`` today, so a refusal is put in its place: it reaches the
+    CLI as the loader's one-line format error."""
+    from hasseschmidt.errors import IncompatibleAmbient
+
+    def refuse(*args, **kwargs):
+        raise IncompatibleAmbient("table entries live in different ambient rings")
+
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table_problem()))
+    monkeypatch.setattr(serialize, "CoeffTable", refuse)
+    assert_refused_by_every_command(path, "table entries live in different ambient rings",
+                                    capsys)
+
+
+def test_decompose_exits_3_with_the_witness_when_reconstruction_fails(
+        tmp_path, capsys, monkeypatch):
+    """Only an engine fault makes the reconstruction fail, so one
+    coordinate of every solve is moved by 1: the report, with its
+    witness, is still written to stdout, and stderr has one line."""
+    module = sys.modules["hasseschmidt.decompose"]
+    solve = module.solve_derivation_coords
+
+    def perturbed(values, matrix, out_precision):
+        row = solve(values, matrix, out_precision)
+        row[0] = row[0] + 1
+        return row
+
+    monkeypatch.setattr(module, "solve_derivation_coords", perturbed)
+    path = write_problem(tmp_path / "worked.json", worked_problem())
+    assert main(["decompose", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "reconstruction failed; see witness in report\n"
+    report = json.loads(captured.out)
+    assert report["witness"] is not None
+    assert set(report["witness"]) == {"i", "beta", "lhs", "rhs"}
+    assert report["C"]["C"][0][0]["terms"] == [[0, "1"], [1, "1"]]  # X + 1, not X
+
+
+def test_verify_exits_3_on_a_derivation_that_breaks_leibniz(tmp_path, capsys, monkeypatch):
+    """A family member corrupted as in tests/test_derivations.py (1 added
+    to D_2(X^2)) fails the Leibniz check at weight 2 on f = g = X, and
+    verify says so on stdout with exit code 3."""
+    from test_derivations import Corrupted
+
+    x = Series.variable(1, QQ, 0)
+    load = serialize.load_problem
+
+    def corrupted(path):
+        problem = load(path)
+        problem.derivations = [Corrupted(D, lambda i, f: i == 2 and f == x * x)
+                               for D in problem.derivations]
+        return problem
+
+    monkeypatch.setattr(serialize, "load_problem", corrupted)
+    path = write_problem(tmp_path / "worked.json", worked_problem())
+    assert main(["verify", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    first, target, last = captured.out.splitlines()
+    assert ": leibniz: FAIL at weight 2 on f=" in first
+    assert target.startswith("target: leibniz: pass")
+    assert last == "verify: FAIL"

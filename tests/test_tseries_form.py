@@ -103,6 +103,17 @@ def loaded(field, D):
     return serialize.derivation_from_json(as_json(serialize.derivation_to_json(D)), field, name="D")
 
 
+def test_a_tseries_multiplies_only_a_tseries():
+    """``TSeries * Series`` and ``TSeries * 2`` are TypeErrors: the
+    product is one flat ``_mac`` of two t-series and nothing else."""
+    x = Series.variable(1, QQ, 0)
+    ts = TSeries([x, Series.one(1, QQ)])
+    for other in (x, 2):
+        with pytest.raises(TypeError):
+            ts * other
+    assert ts * TSeries([Series.one(1, QQ), Series.zero(1, QQ)]) == ts
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_a_derivation_keeps_one_form_of_each_image(field, rng):
     """``_flat_images[j]`` is ``images[j].flat`` itself for built, loaded

@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from hasseschmidt import HSDerivation, derivations, serialize
 from hasseschmidt.cli import main
 from hasseschmidt.fields import FieldSpec
@@ -92,3 +94,31 @@ def test_loading_parses_each_coefficient_text_once(monkeypatch):
             assert sorted(calls) == sorted(set(texts))
             terms, distinct = terms + len(texts), distinct + len(calls)
     assert distinct * 5 < terms
+
+
+@pytest.mark.parametrize("workload, op_id, muls", [
+    ("decompose-dense", "F3-n4-m3-00:decompose --max-degree 4", 4223),
+    ("kernel-verify", "Q-random-n2-N8:verify --trials 5", 2526),
+])
+def test_field_multiplications_of_one_op(tmp_path, monkeypatch, capsys, workload, op_id, muls):
+    """Decomposing one seed-1 decompose-dense problem (GF(3), four
+    variables, through the Laplace determinant) and one seed-1
+    kernel-verify ``verify`` op (Q, a random family in two variables) call
+    ``FieldSpec.mul`` exactly ``muls`` times: the bound has no margin,
+    since a change to how the product kernel loops must leave the
+    arithmetic as it is."""
+    files, ops = seed1_corpus(workload)
+    op = next(op for op in ops if op["id"] == op_id)
+    path = tmp_path / op["file"]
+    path.write_bytes(files[op["file"]])
+    calls = []
+    mul = FieldSpec.mul
+
+    def counted(self, a, b):
+        calls.append(self)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "mul", counted)
+    assert main([op["cmd"], str(path)] + op["args"]) == 0
+    capsys.readouterr()
+    assert len(calls) == muls
