@@ -30,7 +30,7 @@ from .series import _FIELD_MASK, B, Series, cut_images, monomials_of_degree, pac
 from .derivations import HSDerivation
 # bench/spans.py patches degree1_matrix in this namespace as well as in
 # decompose's
-from .decompose import _det, _leading_members, degree1_matrix, degree1_values  # noqa: F401
+from .decompose import _det, degree1_matrix, degree1_values  # noqa: F401
 
 
 class QuotientBasis:
@@ -315,8 +315,8 @@ def coefficient_field(family, order: int, degree1_only: bool = False) -> KernelR
     Uses every weight 1..N-1 of every member (each member must be long
     enough); with ``degree1_only`` only the weight-1 components enter,
     which in characteristic p leaves the p-th powers in the kernel.  The
-    family's degree-1 parts must form a basis (NotABasis otherwise), which
-    is decided as in ``nomura_unit_test``.
+    degree-1 parts must form a basis, NotABasis unless
+    ``_unit_det(degree1_values(family))`` as in ``nomura_unit_test``.
 
     Only the deciding weights are stacked: 1 over Q, and 1, p, .., p^k
     <= N-1 over GF(p).  Their kernel is already the constants, and every
@@ -349,7 +349,7 @@ def coefficient_field(family, order: int, degree1_only: bool = False) -> KernelR
     ``nullspace``'s canonical form depends on.
     """
     family = list(family)
-    if not _unit_det(_degree1_constants(family)):
+    if not _unit_det(degree1_values(family)):
         raise NotABasis("degree-1 values have non-unit determinant")
     max_weight = min(1, order - 1) if degree1_only else order - 1
     for D in family:
@@ -383,20 +383,9 @@ def nomura_unit_test(family, points) -> bool:
     return _unit_det(degree1_values(family, points))
 
 
-def _degree1_constants(family) -> list:
-    """The constant terms of the degree-1 entries D^d_1(X_j) (see
-    ``degree1_values``) as series at precision 1, read off the stored
-    images: the constant term of D^d_1(X_j) is the coefficient of X^0 t^1
-    in E^d(X_j), one ``TSeries.term`` lookup."""
-    members = _leading_members(family)
-    n, field = members[0].nvars, members[0].field
-    return [[Series._of(n, field, {0: D.images[j].term(0, 1)}, 1) for D in members]
-            for j in range(n)]
-
-
 def _unit_det(rows) -> bool:
-    """Whether det(rows) has a nonzero constant term.  det(M) mod (X) =
-    det(M mod (X)), so the determinant is taken of the entries truncated
-    to precision 1: field elements, with their tags kept, so an entry
-    trusted to no degree still answers False."""
+    """The basis test at precision 1: whether det(rows) has a nonzero
+    constant term.  det(M) mod (X) = det(M mod (X)), so the determinant
+    is taken of the entries truncated to precision 1: field elements,
+    with their tags kept, so an entry trusted to no degree answers False."""
     return bool(_det([[v.truncate(1) for v in row] for row in rows]).constant_term())

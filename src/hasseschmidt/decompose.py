@@ -122,26 +122,21 @@ def _det(rows) -> Series:
         minor = tag = None
 
 
-def _leading_members(family) -> list:
-    """The first n members, n the variables of the first one: NotABasis if
-    fewer, IncompatibleAmbient if one has another ambient ring."""
+def degree1_values(family, points=None) -> list:
+    """The entries D^d_1(a_j), row j and column d, of the first n members
+    at the points a_1..a_n, where there are n variables; by default the
+    variables, where D^d_1(X_j) is the t^1 coefficient of E^d(X_j).
+    NotABasis if fewer than n members, IncompatibleAmbient if one of the
+    first n has another ambient ring; later members are ignored."""
     family = list(family)
     n, field = family[0].nvars, family[0].field
     if len(family) < n:
         raise NotABasis(f"{len(family)} derivation(s) cannot span {n} variables")
-    for D in family[:n]:
+    members = family[:n]
+    for D in members:
         if D.nvars != n or D.field != field:
             raise IncompatibleAmbient("series does not match the derivation's ambient ring")
-    return family[:n]
-
-
-def degree1_values(family, points=None) -> list:
-    """The entries D^d_1(a_j), row j and column d, of the first n members
-    at the points a_1..a_n, where there are n variables; by default the
-    variables, where D^d_1(X_j) is the t^1 coefficient of E^d(X_j)."""
-    members = _leading_members(family)
     if points is None:
-        n, field = members[0].nvars, members[0].field
         columns = [D._degree1_images() for D in members]
         return [[Series._of(n, field, column[j], None) for column in columns] for j in range(n)]
     return [[D.apply_component(1, a) for D in members] for a in points]

@@ -259,7 +259,8 @@ def _table_head(obj) -> tuple:
 
 def _table(m: int, n: int, rows_json, field: FieldSpec, memo: dict) -> CoeffTable:
     """The table whose head ``_table_head`` read; ``memo`` as in
-    ``_series_terms``, shared by every entry."""
+    ``_series_terms``, shared by every entry.  The checks here leave
+    ``CoeffTable`` nothing to refuse."""
     if not isinstance(rows_json, list) or len(rows_json) != m:
         raise ProblemFormatError(f"expected {reprlib.repr(m)} coefficient rows")
     rows = []
@@ -267,10 +268,7 @@ def _table(m: int, n: int, rows_json, field: FieldSpec, memo: dict) -> CoeffTabl
         if not isinstance(row, list) or len(row) != n:
             raise ProblemFormatError(f"expected {reprlib.repr(n)} entries per coefficient row")
         rows.append([series_from_json(c, n, field, memo) for c in row])
-    try:
-        return CoeffTable(rows, nvars=n, field=field)
-    except HasseSchmidtError as exc:
-        raise ProblemFormatError(str(exc)) from exc
+    return CoeffTable(rows, nvars=n, field=field)
 
 
 def table_from_json(obj, field: FieldSpec) -> CoeffTable:

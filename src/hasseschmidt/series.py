@@ -466,10 +466,6 @@ class TSeries:
         self._coeffs = [Series._of(self.nvars, self.field, s, self.precision) for s in slots]
         return self._coeffs
 
-    def term(self, key: int, k: int):
-        """The coefficient of X^key t^k, key an X-key; zero when absent."""
-        return self.flat.get((key << B) + (k << (self.nvars + 1) * B | k), self.field.zero())
-
     @classmethod
     def from_series(cls, f: Series, tlen: int):
         out = [f]
@@ -579,7 +575,8 @@ def dot(pairs, nvars: int, field: FieldSpec, precision: int | None = None) -> Se
     The tag is the weakest among ``precision`` and every operand, an
     operand without terms included, so the result equals the chain of
     products and sums it replaces: truncating each product and then the
-    sum at the weaker tag is truncating once at the weakest."""
+    sum at the weaker tag is truncating once at the weakest.  A pair
+    with an operand without terms adds its tag alone: no ``_mac`` runs."""
     pairs = list(pairs)
     prec = precision
     for a, b in pairs:
@@ -590,7 +587,8 @@ def dot(pairs, nvars: int, field: FieldSpec, precision: int | None = None) -> Se
         a, b = a.terms, b.terms
         if len(a) > len(b):
             a, b = b, a
-        _mac(acc, a, b, prec, shift, add, mul)
+        if a:
+            _mac(acc, a, b, prec, shift, add, mul)
     return Series._of(nvars, field, acc, prec)
 
 

@@ -809,8 +809,9 @@ def test_each_loader_refusal_exits_1_with_one_line(tmp_path, capsys, edit, fragm
 
 def test_a_table_the_engine_refuses_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     """No table that passes the loader's checks is refused by
-    ``CoeffTable`` today, so a refusal is put in its place: it reaches the
-    CLI as the loader's one-line format error."""
+    ``CoeffTable``, so the loader passes its errors on unwrapped; a
+    refusal put in its place still reaches the CLI as one ``error:`` line
+    with exit 1."""
     from hasseschmidt.errors import IncompatibleAmbient
 
     def refuse(*args, **kwargs):

@@ -374,6 +374,20 @@ def test_mixed_families_are_incompatible():
                 call(family)
 
 
+def test_a_surplus_member_of_another_ring_is_ignored():
+    """Only the first n members are read and checked: an (n+1)-th member
+    in more variables or over another field changes no degree-1 value,
+    matrix or unit test."""
+    leading = taylor_basis(2, 2, QQ)
+    points = [Series.variable(2, QQ, j) for j in range(2)]
+    for extra in (taylor_derivation(3, 2, QQ, 0), taylor_derivation(2, 2, GF(5), 0)):
+        family = list(leading) + [extra]
+        assert degree1_values(family) == degree1_values(leading)
+        assert degree1_values(family, points) == degree1_values(leading, points)
+        assert degree1_matrix(family) == degree1_matrix(leading)
+        assert nomura_unit_test(family, points)
+
+
 def test_kernel_at_order_one_is_the_constants():
     for field in FIELDS:
         report = coefficient_field(taylor_basis(2, 2, field), 1)

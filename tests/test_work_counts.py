@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hasseschmidt import HSDerivation, derivations, serialize
+from hasseschmidt import HSDerivation, derivations, serialize, series
 from hasseschmidt.cli import main
 from hasseschmidt.fields import FieldSpec
 from hasseschmidt.series import variable_key
@@ -99,12 +99,16 @@ def test_loading_parses_each_coefficient_text_once(monkeypatch):
 @pytest.mark.parametrize("workload, op_id, muls", [
     ("decompose-dense", "F3-n4-m3-00:decompose --max-degree 4", 4223),
     ("kernel-verify", "Q-random-n2-N8:verify --trials 5", 2526),
+    ("kernel-verify", "F5-random-n4-N5:kernel", 616),
+    ("kernel-verify", "Q-random-n2-N8:kernel --degree1-only", 235),
 ])
 def test_field_multiplications_of_one_op(tmp_path, monkeypatch, capsys, workload, op_id, muls):
     """Decomposing one seed-1 decompose-dense problem (GF(3), four
-    variables, through the Laplace determinant) and one seed-1
-    kernel-verify ``verify`` op (Q, a random family in two variables) call
-    ``FieldSpec.mul`` exactly ``muls`` times: the bound has no margin,
+    variables, through the Laplace determinant), one seed-1 kernel-verify
+    ``verify`` op (Q, a random family in two variables) and two of its
+    ``kernel`` ops (GF(5) in four variables, all deciding weights; Q,
+    weight 1 only) call ``FieldSpec.mul`` exactly ``muls`` times: the
+    bound has no margin,
     since a change to how the product kernel loops must leave the
     arithmetic as it is."""
     files, ops = seed1_corpus(workload)
@@ -122,3 +126,26 @@ def test_field_multiplications_of_one_op(tmp_path, monkeypatch, capsys, workload
     assert main([op["cmd"], str(path)] + op["args"]) == 0
     capsys.readouterr()
     assert len(calls) == muls
+
+
+def test_decompose_runs_no_product_with_an_empty_operand(tmp_path, monkeypatch, capsys):
+    """Decomposing the seed-1 decompose-small problem ``Q-n3-m4-00`` calls
+    the product kernel ``series._mac`` exactly 24 times (no margin), and
+    never on an operand without terms: ``dot`` skips such pairs, whose
+    product is empty, where it once ran 29 more calls on them."""
+    files, ops = seed1_corpus("decompose-small")
+    op = next(op for op in ops if op["file"] == "Q-n3-m4-00.json")
+    path = tmp_path / op["file"]
+    path.write_bytes(files[op["file"]])
+    calls = []
+    mac = series._mac
+
+    def counted(acc, a, b, *rest):
+        calls.append(bool(a and b))
+        return mac(acc, a, b, *rest)
+
+    monkeypatch.setattr(series, "_mac", counted)
+    monkeypatch.setattr(derivations, "_mac", counted)
+    assert main([op["cmd"], str(path)] + op["args"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 24 and all(calls)
